@@ -630,18 +630,39 @@ class BddManager:
         not keep its source value.  It must cover the odd support of ``t``;
         by default the odd support itself is used.
         """
+        return self._relational(_RELNEXT, p, t, constrain, assigned)
+
+    def relprev(
+        self,
+        p: NodeRef,
+        t: NodeRef,
+        constrain: NodeRef | None = None,
+        assigned: Iterable[int] | None = None,
+    ) -> NodeRef:
+        """Preimage of state set ``p`` under relation ``t``.
+
+        States with a ``t``-successor inside ``p``, intersected with
+        ``constrain`` when given; all sets over current-state levels.
+        ``assigned`` is as for :meth:`relnext`.
+        """
+        return self._relational(_RELPREV, p, t, constrain, assigned)
+
+    def _relational(self, op, p, t, constrain, assigned) -> NodeRef:
         pn, tn = self._unwrap(p), self._unwrap(t)
         rn = 1 if constrain is None else self._unwrap(constrain)
-        self._check_state_predicate(pn, "source set")
+        self._check_state_predicate(
+            pn, "source set" if op == _RELNEXT else "target set"
+        )
         if rn != 1:
             self._check_state_predicate(rn, "constraint set")
-        quant = frozenset(
-            l - 1 for l in self._assigned_levels(tn, assigned)
-        )
+        quant = self._assigned_levels(tn, assigned)
+        if op == _RELNEXT:
+            # the image forgets the source values of the assigned bits
+            quant = frozenset(l - 1 for l in quant)
         sid = self._intern_set(quant)
         self._begin()
         try:
-            return self._wrap(self._relnext(pn, tn, rn, sid))
+            return self._wrap(self._relprod(op, pn, tn, rn, sid))
         finally:
             self._end()
 
@@ -663,106 +684,60 @@ class BddManager:
             )
         return odd
 
-    def _relnext(self, p: int, t: int, r: int, sid: int) -> int:
+    def _relprod(self, op: int, p: int, t: int, r: int, sid: int) -> int:
+        """Relational product of state set ``p`` and relation ``t`` within
+        ``r``, in the direction of ``op``.
+
+        Both directions split on one current/next pair ``(c, c+1)`` at a
+        time.  The image (``_RELNEXT``) ends when ``t`` is true and
+        quantifies the source bit ``c`` of an assigned pair; ``sid`` holds
+        those even levels.  The preimage (``_RELPREV``) ends when ``p`` is
+        true and quantifies the target bit ``c+1``; ``sid`` holds those odd
+        levels.  With ``t_ij`` the cofactor of ``t`` at ``c = i, c+1 = j``,
+        the image result at ``c = j`` is the union over ``i`` of the product
+        of ``p_i`` and ``t_ij``; the preimage is the same rule on the
+        transposed cofactors ``t_ji``.
+        """
         if p == 0 or t == 0 or r == 0:
             return 0
-        if t == 1:
+        image = op == _RELNEXT
+        if image and t == 1:
             return self._apply(_AND, self._exists(p, sid), r)
-        key = (_RELNEXT, p, t, r, sid)
+        if not image and p == 1:
+            return self._apply(_AND, self._exists(t, sid), r)
+        key = (op, p, t, r, sid)
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        self._ops[_RELNEXT] += 1
+        self._ops[op] += 1
         quant, _ = self._sets[sid]
         c = (min(self._var[p], self._var[t], self._var[r]) >> 1) << 1
-        n = c + 1
         p0, p1 = self._cof(p, c)
         r0, r1 = self._cof(r, c)
         tc0, tc1 = self._cof(t, c)
-        if c in quant:
-            t00, t01 = self._cof(tc0, n)
-            t10, t11 = self._cof(tc1, n)
-            a0 = self._apply(
-                _OR,
-                self._relnext(p0, t00, r0, sid),
-                self._relnext(p1, t10, r0, sid),
+        if (c if image else c + 1) in quant:
+            t00, t01 = self._cof(tc0, c + 1)
+            t10, t11 = self._cof(tc1, c + 1)
+            if not image:
+                t01, t10 = t10, t01
+            res = self._node(
+                c,
+                self._apply(
+                    _OR,
+                    self._relprod(op, p0, t00, r0, sid),
+                    self._relprod(op, p1, t10, r0, sid),
+                ),
+                self._apply(
+                    _OR,
+                    self._relprod(op, p0, t01, r1, sid),
+                    self._relprod(op, p1, t11, r1, sid),
+                ),
             )
-            a1 = self._apply(
-                _OR,
-                self._relnext(p0, t01, r1, sid),
-                self._relnext(p1, t11, r1, sid),
-            )
-            res = self._node(c, a0, a1)
         else:
             res = self._node(
                 c,
-                self._relnext(p0, tc0, r0, sid),
-                self._relnext(p1, tc1, r1, sid),
-            )
-        self._cache[key] = res
-        return res
-
-    def relprev(
-        self,
-        p: NodeRef,
-        t: NodeRef,
-        constrain: NodeRef | None = None,
-        assigned: Iterable[int] | None = None,
-    ) -> NodeRef:
-        """Preimage of state set ``p`` under relation ``t``.
-
-        States with a ``t``-successor inside ``p``, intersected with
-        ``constrain`` when given; all sets over current-state levels.
-        ``assigned`` is as for :meth:`relnext`.
-        """
-        pn, tn = self._unwrap(p), self._unwrap(t)
-        rn = 1 if constrain is None else self._unwrap(constrain)
-        self._check_state_predicate(pn, "target set")
-        if rn != 1:
-            self._check_state_predicate(rn, "constraint set")
-        quant = self._assigned_levels(tn, assigned)
-        sid = self._intern_set(quant)
-        self._begin()
-        try:
-            return self._wrap(self._relprev(tn, pn, rn, sid))
-        finally:
-            self._end()
-
-    def _relprev(self, t: int, p: int, r: int, sid: int) -> int:
-        if t == 0 or p == 0 or r == 0:
-            return 0
-        if p == 1:
-            return self._apply(_AND, self._exists(t, sid), r)
-        key = (_RELPREV, t, p, r, sid)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        self._ops[_RELPREV] += 1
-        quant, _ = self._sets[sid]
-        c = (min(self._var[t], self._var[p], self._var[r]) >> 1) << 1
-        n = c + 1
-        p0, p1 = self._cof(p, c)
-        r0, r1 = self._cof(r, c)
-        tc0, tc1 = self._cof(t, c)
-        if n in quant:
-            t00, t01 = self._cof(tc0, n)
-            t10, t11 = self._cof(tc1, n)
-            b0 = self._apply(
-                _OR,
-                self._relprev(t00, p0, r0, sid),
-                self._relprev(t01, p1, r0, sid),
-            )
-            b1 = self._apply(
-                _OR,
-                self._relprev(t10, p0, r1, sid),
-                self._relprev(t11, p1, r1, sid),
-            )
-            res = self._node(c, b0, b1)
-        else:
-            res = self._node(
-                c,
-                self._relprev(tc0, p0, r0, sid),
-                self._relprev(tc1, p1, r1, sid),
+                self._relprod(op, p0, tc0, r0, sid),
+                self._relprod(op, p1, tc1, r1, sid),
             )
         self._cache[key] = res
         return res

@@ -21,6 +21,7 @@ from .oracle import ExplicitOracle, UniverseTooLarge
 from .parser import ParseError, parse_spec, unparse
 from .synthesis import SynthesisConfig, SynthesisResult, synthesize
 from .transform import LinearModel, linearize, plantify
+from .varorder import OrderError
 
 __all__ = ["main"]
 
@@ -147,7 +148,10 @@ def cmd_run(args) -> int:
     config = _config(args)
     simplify = args.simplify == "on"
     start = time.perf_counter()
-    result = synthesize(model, config)
+    try:
+        result = synthesize(model, config)
+    except OrderError as exc:
+        raise Failure(EXIT_DIAGNOSTICS, str(exc))
     wall = time.perf_counter() - start
     report = _report(path, config, result, simplify, wall)
     _print_report(report)
@@ -288,6 +292,14 @@ class _Parser(argparse.ArgumentParser):
         raise Failure(EXIT_DIAGNOSTICS, message)
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, not {text!r}"
+        )
+    return int(text)
+
+
 def _onoff(parser, name, help):
     parser.add_argument(name, choices=["on", "off"], default=None, help=help)
 
@@ -320,7 +332,7 @@ def _build_parser() -> _Parser:
     bench.add_argument("dir", help="directory of .efa models")
     bench.add_argument("--configs", default="v08,v40",
                        help="comma-separated presets; first is the baseline")
-    bench.add_argument("--reps", type=int, default=2,
+    bench.add_argument("--reps", type=_positive_int, default=2,
                        help="repetitions per run to verify determinism")
     bench.add_argument("--csv", default=None, help="write the table as CSV")
     bench.add_argument("--json", default=None, help="write the table as JSON")

@@ -11,15 +11,21 @@ stable:
 * optionally forward — reachable part of the behavior from the initial
   states.
 
-Both the stage loop and the per-call reachability loops come in a naive
-flavor (complete sweeps until one changes nothing) and an early-stopping
-flavor (a cursor with a run of failed applications; since every stage is
-idempotent the stage loop may skip the stage that changed last).  Edge
-application itself is either *naive* — a total relation per edge, framing
+Both the stage loop and the per-call reachability loops run on one
+driver, :func:`_iterate`, which applies its steps round-robin until a run
+of applications changes nothing.  It has two stopping rules: without
+early stopping it stops only at the end of a complete sweep that changed
+nothing; with early stopping it stops as soon as the unchanged run covers
+every edge (reachability) or every stage but the one that changed last
+(the stage loop: every stage is idempotent).  The stage loop also stops
+as soon as no initial state survives.
+
+Edge application is either *naive* — a total relation per edge, framing
 every unassigned variable, with explicit rename/conjoin/quantify steps —
 or *compound*, the fused image/preimage over partial relations.  All four
-combinations compute the same sets; they differ in the operation and
-node counts reported by the manager, which is the point of keeping them.
+combinations of application and stopping rule compute the same sets; they
+differ in the operation and node counts reported by the manager, which is
+the point of keeping them.
 
 Once the behavior is stable, guards of controllable edges are
 strengthened with the preimage of the result so the emitted model blocks
@@ -32,6 +38,7 @@ strengthened guards inside the final behavior.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass, field
 
 from .bdd import BddManager, NodeRef
@@ -87,6 +94,41 @@ class SynthesisResult:
         return self.sym.manager
 
 
+def _iterate(mgr: BddManager, steps, acc: NodeRef, early_stop: bool,
+             quiet: int | None = None, dead=None) -> tuple[NodeRef, int]:
+    """Apply ``steps`` round-robin to ``acc`` until it is stable.
+
+    Stops once the last ``quiet`` applications (default: one per step)
+    changed nothing and at least one full sweep ran; without
+    ``early_stop`` it stops only at the end of a sweep.  Stops at once when
+    ``dead(acc)`` holds after a change.  ``acc`` must be a registered root;
+    the registration moves to each new value and the final one is released.
+    Returns the result and the number of applications.
+    """
+    n = len(steps)
+    quiet = n if quiet is None else quiet
+    runs = fails = 0
+    try:
+        while n:
+            new = steps[runs % n](acc)
+            runs += 1
+            if new == acc:
+                fails += 1
+                if (fails >= quiet and runs >= n
+                        and (early_stop or runs % n == 0)):
+                    break
+            else:
+                fails = 0
+                mgr.register_root(new)
+                mgr.release_root(acc)
+                acc = new
+                if dead is not None and dead(acc):
+                    break
+        return acc, runs
+    finally:
+        mgr.release_root(acc)
+
+
 class FixedPointEngine:
     """Reachability with selectable application and stopping strategy."""
 
@@ -97,9 +139,11 @@ class FixedPointEngine:
         self.enc = sym.enc
         self.edge_applications = 0
         self.reach_calls = 0
-        self._partial: dict[int, NodeRef] = {}
-        self._total: dict[int, NodeRef] = {}
-        self._levels: dict[int, tuple[int, ...]] = {}
+        # Keyed by the values each entry is computed from, so that edge
+        # copies with equal fields share an entry and distinct ones never do.
+        self._partial: dict[tuple, NodeRef] = {}
+        self._total: dict[tuple, NodeRef] = {}
+        self._levels: dict[frozenset[str], tuple[int, ...]] = {}
         self._rooted: list[NodeRef] = []
         enc = self.enc
         self._up = {lvl: lvl + 1 for lvl in enc.state_levels}
@@ -120,27 +164,29 @@ class FixedPointEngine:
 
     def relation(self, edge: SymEdge) -> NodeRef:
         """Partial transition relation: guard and update."""
-        t = self._partial.get(id(edge))
+        key = (edge.guard, edge.update)
+        t = self._partial.get(key)
         if t is None:
             t = self._root(edge.guard & edge.update)
-            self._partial[id(edge)] = t
+            self._partial[key] = t
         return t
 
     def total_relation(self, edge: SymEdge) -> NodeRef:
         """The naive relation: every unassigned variable framed explicitly."""
-        t = self._total.get(id(edge))
+        key = (edge.guard, edge.update, edge.assigned)
+        t = self._total.get(key)
         if t is None:
             t = self.relation(edge)
             for sym in self.enc.symvars:
                 if sym.var.name not in edge.assigned:
                     t = t & self.enc.frame(sym.var.name)
             t = self._root(t)
-            self._total[id(edge)] = t
+            self._total[key] = t
         return t
 
     # -- one application of one edge to the accumulated set
 
-    def _apply_naive(self, gur, edge, acc, restriction, backward):
+    def _apply_naive(self, gur, edge, restriction, backward, acc):
         mgr = self.mgr
         if backward:
             shifted = mgr.replace(acc, self._up)
@@ -155,17 +201,17 @@ class FixedPointEngine:
     def assigned_levels(self, edge: SymEdge) -> tuple[int, ...]:
         """Odd levels the edge assigns.  Passed explicitly because a merged
         relation can lose an assigned bit from its support."""
-        levels = self._levels.get(id(edge))
+        levels = self._levels.get(edge.assigned)
         if levels is None:
             levels = tuple(
                 lvl + 1
                 for name in sorted(edge.assigned)
                 for lvl in self.enc.by_name[name].levels
             )
-            self._levels[id(edge)] = levels
+            self._levels[edge.assigned] = levels
         return levels
 
-    def _apply_compound(self, rel, edge, acc, restriction, backward):
+    def _apply_compound(self, rel, edge, restriction, backward, acc):
         mgr = self.mgr
         assigned = self.assigned_levels(edge)
         if backward:
@@ -179,62 +225,26 @@ class FixedPointEngine:
         self.reach_calls += 1
         mgr = self.mgr
         acc = mgr.register_root(start & restriction)
-        call_roots = []
         if self.config.edge_apply == "naive":
-            rels = []
-            for edge in edges:
-                gur = self.total_relation(edge) & restriction
-                mgr.register_root(gur)
-                call_roots.append(gur)
-                rels.append(gur)
-
-            def apply(i, acc):
-                return self._apply_naive(
-                    rels[i], edges[i], acc, restriction, backward
-                )
+            apply = self._apply_naive
+            rels = call_roots = [
+                mgr.register_root(self.total_relation(edge) & restriction)
+                for edge in edges
+            ]
         else:
-            rels = [self.relation(edge) for edge in edges]
-
-            def apply(i, acc):
-                return self._apply_compound(
-                    rels[i], edges[i], acc, restriction, backward
-                )
-
+            apply = self._apply_compound
+            rels, call_roots = [self.relation(edge) for edge in edges], []
+        steps = [
+            functools.partial(apply, rel, edge, restriction, backward)
+            for rel, edge in zip(rels, edges)
+        ]
         try:
-            n = len(edges)
-            if n == 0:
-                return acc
-            if self.config.early_stop:
-                fails = 0
-                i = 0
-                while fails < n:
-                    nxt = apply(i % n, acc)
-                    self.edge_applications += 1
-                    i += 1
-                    if nxt == acc:
-                        fails += 1
-                    else:
-                        fails = 0
-                        mgr.register_root(nxt)
-                        mgr.release_root(acc)
-                        acc = nxt
-            else:
-                changed = True
-                while changed:
-                    changed = False
-                    for i in range(n):
-                        nxt = apply(i, acc)
-                        self.edge_applications += 1
-                        if nxt != acc:
-                            changed = True
-                            mgr.register_root(nxt)
-                            mgr.release_root(acc)
-                            acc = nxt
-            return acc
+            acc, runs = _iterate(mgr, steps, acc, self.config.early_stop)
         finally:
             for ref in call_roots:
                 mgr.release_root(ref)
-            mgr.release_root(acc)
+        self.edge_applications += runs
+        return acc
 
 
 def _strengthen(engine: FixedPointEngine, behavior: NodeRef) -> list[SymEdge]:
@@ -269,66 +279,29 @@ def _synthesize_behavior(engine: FixedPointEngine):
     def forward(c):
         return engine.reach(sym.initial, sym.edges, c, backward=False)
 
-    stages = [nonblocking, controllability]
-    names = ["nonblocking", "controllability"]
+    stages = {"nonblocking": nonblocking, "controllability": controllability}
     if config.forward:
-        stages.append(forward)
-        names.append("forward")
-    stage_ops = dict.fromkeys(names, 0)
+        stages["forward"] = forward
+    stage_ops = dict.fromkeys(stages, 0)
 
-    def run_stage(k, c):
+    def run_stage(name, c):
         before = mgr.op_total
-        nxt = stages[k](c)
-        stage_ops[names[k]] += mgr.op_total - before
+        nxt = stages[name](c)
+        stage_ops[name] += mgr.op_total - before
         return nxt
 
-    behavior = mgr.register_root(mgr.negate(sym.forbidden))
-    sweeps = 0
-
-    def advance(old, new):
-        mgr.register_root(new)
-        mgr.release_root(old)
-        return new
-
-    def dead(c):
-        return (sym.initial & c).is_false
-
-    if config.early_stop:
-        streak = 0
-        i = 0
-        nst = len(stages)
-        while True:
-            nxt = run_stage(i % nst, behavior)
-            i += 1
-            if nxt == behavior:
-                streak += 1
-                # every other stage came up empty and the one that changed
-                # last is idempotent: running it again cannot change anything
-                if streak >= nst - 1 and i >= nst:
-                    break
-            else:
-                streak = 0
-                behavior = advance(behavior, nxt)
-                if dead(behavior):
-                    break
-        sweeps = -(-i // nst)
-    else:
-        while True:
-            sweeps += 1
-            changed = False
-            bail = False
-            for k in range(len(stages)):
-                nxt = run_stage(k, behavior)
-                if nxt != behavior:
-                    changed = True
-                    behavior = advance(behavior, nxt)
-                    if dead(behavior):
-                        bail = True
-                        break
-            if bail or not changed:
-                break
-    mgr.release_root(behavior)
-    return behavior, sweeps, stage_ops
+    nst = len(stages)
+    behavior, runs = _iterate(
+        mgr,
+        [functools.partial(run_stage, name) for name in stages],
+        mgr.register_root(mgr.negate(sym.forbidden)),
+        config.early_stop,
+        # the stage that changed last is idempotent: once every other stage
+        # came up empty, running it again cannot change anything
+        quiet=nst - 1 if config.early_stop else None,
+        dead=lambda c: (sym.initial & c).is_false,
+    )
+    return behavior, -(-runs // nst), stage_ops
 
 
 def _count_states(engine: FixedPointEngine, behavior, strengthened):

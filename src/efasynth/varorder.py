@@ -26,9 +26,14 @@ from .model import BinaryOp, Expr, LocRef, UnaryOp, VarRef
 from .transform import LinearModel
 
 __all__ = [
-    "STRATEGIES", "compute_order", "dsm_matrix", "expr_vars", "force",
-    "hyperedges", "sliding_window", "total_span", "wes",
+    "STRATEGIES", "OrderError", "compute_order", "dsm_matrix", "expr_vars",
+    "force", "hyperedges", "sliding_window", "total_span", "wes",
 ]
+
+
+class OrderError(ValueError):
+    """A strategy name or custom order that does not fit the model."""
+
 
 STRATEGIES = (
     "model", "dcsh", "force", "sloan", "cm",
@@ -302,9 +307,9 @@ def compute_order(model: LinearModel, strategy: str) -> list[int]:
         index = {var.name: i for i, var in enumerate(model.variables)}
         unknown = [name for name in names if name not in index]
         if unknown:
-            raise ValueError(f"unknown variable(s) in custom order: {', '.join(unknown)}")
+            raise OrderError(f"unknown variable(s) in custom order: {', '.join(unknown)}")
         if sorted(index[name] for name in names) != base:
-            raise ValueError("custom order must list every variable exactly once")
+            raise OrderError("custom order must list every variable exactly once")
         return [index[name] for name in names]
     edges = hyperedges(model)
     if strategy == "model":
@@ -325,4 +330,4 @@ def compute_order(model: LinearModel, strategy: str) -> list[int]:
         return sliding_window(force(base, edges), edges)
     if strategy == "pipeline-v40":
         return sliding_window(force(_dcsh(edges, n), edges), edges)
-    raise ValueError(f"unknown ordering strategy '{strategy}'")
+    raise OrderError(f"unknown ordering strategy '{strategy}'")

@@ -164,6 +164,23 @@ def test_bench_empty_dir_exits_1(tmp_path, capsys):
     assert main(["bench", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("order", ["bogus", "custom:foo"])
+def test_run_bad_order_exits_1(producer, tmp_path, capsys, order):
+    out = tmp_path / "o.efa"
+    assert main(["run", producer, "--order", order, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    assert "order" in err
+    assert not out.exists()
+
+
+def test_bench_zero_reps_exits_1(models_dir, capsys):
+    assert main(["bench", str(models_dir), "--reps", "0"]) == 1
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    assert "--reps" in err
+
+
 def test_stats_prints_structural_counters(producer, capsys):
     assert main(["stats", producer]) == 0
     stdout = capsys.readouterr().out
