@@ -16,9 +16,24 @@ by the relation keep their source value implicitly, so partial relations
 need no explicit frame conjuncts.
 
 Node lifetime is explicit.  Nodes are never deleted; ``live`` counts the
-decision nodes with a positive reference count, which covers registered
-roots plus the temporaries of the operation currently in flight.  ``peak``
-is the high-water mark of ``live``.
+decision nodes reachable from the registered roots or from a node returned
+by ``_node`` during the public operation in flight, and ``peak`` is the
+high-water mark of ``live``.  Registered roots hold reference counts.  The
+temporaries of an operation are instead marked with the operation's epoch:
+``_node`` marks a node that is neither referenced nor marked, together with
+its unmarked, unreferenced descendants, and adds each to ``live``; ``_end``
+subtracts the number marked and advances the epoch, which unmarks them all
+at once without a walk.
+
+The bookkeeping no counter sees is kept cheap and free of objects that
+Python's cyclic collector tracks.  Keys of the unique table and the computed
+cache are packed into one ``int`` of 32-bit fields (node ids, levels,
+interned set and map ids; ids are checked against 2**32 as they are handed
+out) with the operation code in the low four bits, after Brace, Rudell &
+Bryant, "Efficient implementation of a BDD package" (DAC 1990).  The support
+of a node is memoized as an ``int`` bitmask of levels.  The manager holds no
+reference to anything that refers back to it, so a dropped manager is freed
+by reference counting alone.
 """
 
 from __future__ import annotations
@@ -38,6 +53,15 @@ _OP_NAMES = (
 _AND, _OR, _XOR, _DIFF, _IMP, _BIIMP, _NOT, _ITE, _EXISTS, _REPLACE, \
     _RESTRICT, _RELNEXT, _RELPREV = range(13)
 _COMMUTATIVE = frozenset((_AND, _OR, _XOR, _BIIMP))
+
+# Every field of a packed key is below this bound; the op code takes the
+# low four bits of a computed-cache key.
+_KEY_LIMIT = 1 << 32
+
+
+def _levels_of(mask: int) -> list[int]:
+    """The levels set in ``mask``, in increasing order."""
+    return [l for l, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
 
 class BddError(Exception):
@@ -108,6 +132,10 @@ class BddManager:
     Levels are allocated in current/next pairs via :meth:`add_pair`.  The
     manager never reorders and never garbage-collects: determinism of the
     operation and node counters takes precedence over memory reuse.
+
+    Public operations do not nest: each runs its private recursion and
+    then calls ``_end``, which releases every temporary the operation
+    marked.
     """
 
     def __init__(self):
@@ -115,27 +143,38 @@ class BddManager:
         self._var = [_TERMINAL_LEVEL, _TERMINAL_LEVEL]
         self._low = [0, 1]
         self._high = [0, 1]
+        # Per node: reference count from registered roots and referenced
+        # parents, and the epoch of the last operation that held it as a
+        # temporary.
         self._ref = [0, 0]
-        self._unique: dict[tuple[int, int, int], int] = {}
-        self._cache: dict[tuple, int] = {}
+        self._mark = [-1, -1]
+        self._unique: dict[int, int] = {}
+        self._cache: dict[int, int] = {}
         # Interned level sets / rename maps referenced from cache keys.
-        self._set_ids: dict[frozenset[int], int] = {}
+        self._set_ids: dict[int, int] = {}  # level mask -> id
         self._sets: list[tuple[frozenset[int], int]] = []  # (levels, max)
         self._map_ids: dict[tuple[tuple[int, int], ...], int] = {}
         self._maps: list[tuple[dict[int, int], int]] = []  # (map, max key)
         self._num_vars = 0
+        self._odd = 0  # mask of the odd levels allocated so far
         self._labels: list[str] = []
         # Metrics.
         self._ops = [0] * len(_OP_NAMES)
         self._live = 0
         self._peak = 0
         self._roots: dict[int, int] = {}
-        # Temporary-reference frame for the public operation in flight.
-        self._depth = 0
-        self._temps: list[int] = []
-        self._support_memo: dict[int, frozenset[int]] = {}
-        self.false = NodeRef(self, 0)
-        self.true = NodeRef(self, 1)
+        # Temporaries of the public operation in flight.
+        self._epoch = 0
+        self._held = 0
+        self._support_memo: dict[int, int] = {0: 0, 1: 0}
+
+    @property
+    def false(self) -> NodeRef:
+        return NodeRef(self, 0)
+
+    @property
+    def true(self) -> NodeRef:
+        return NodeRef(self, 1)
 
     # ------------------------------------------------------------------
     # variables
@@ -143,7 +182,10 @@ class BddManager:
     def add_pair(self, label: str = "") -> tuple[int, int]:
         """Allocate a current/next level pair; returns ``(even, odd)``."""
         c = self._num_vars
+        if c + 2 > min(_KEY_LIMIT, _TERMINAL_LEVEL):
+            raise BddError("too many variable levels")
         self._num_vars += 2
+        self._odd |= 1 << (c + 1)
         self._labels.append(label or f"b{c // 2}")
         return c, c + 1
 
@@ -159,7 +201,6 @@ class BddManager:
         """The function of a single variable at ``level``."""
         if not 0 <= level < self._num_vars:
             raise BddError(f"level {level} out of range")
-        self._begin()
         try:
             return self._wrap(self._node(level, 0, 1))
         finally:
@@ -169,7 +210,6 @@ class BddManager:
         """Negated single variable, allocated without an apply call."""
         if not 0 <= level < self._num_vars:
             raise BddError(f"level {level} out of range")
-        self._begin()
         try:
             return self._wrap(self._node(level, 1, 0))
         finally:
@@ -181,20 +221,50 @@ class BddManager:
     def _node(self, var: int, low: int, high: int) -> int:
         if low == high:
             return low
-        key = (var, low, high)
+        key = (var << 32 | low) << 32 | high
         u = self._unique.get(key)
+        # Hold every node touched by the running operation as a temporary
+        # so live/peak accounting sees intermediate results.
+        ref, mark, epoch = self._ref, self._mark, self._epoch
         if u is None:
             u = len(self._var)
+            if u >= _KEY_LIMIT:
+                raise BddError("node table full")
             self._var.append(var)
             self._low.append(low)
             self._high.append(high)
-            self._ref.append(0)
+            ref.append(0)
+            mark.append(epoch)
             self._unique[key] = u
-        # Hold every node touched by the running operation as a temporary
-        # so live/peak accounting sees intermediate results.
-        self._ref_inc(u)
-        self._temps.append(u)
+        elif ref[u] or mark[u] == epoch:
+            return u
+        else:
+            mark[u] = epoch
+        held = 1
+        # Children are mostly held already: built by this operation or live.
+        if (low > 1 and not ref[low] and mark[low] != epoch
+                or high > 1 and not ref[high] and mark[high] != epoch):
+            held += self._hold_below([low, high])
+        self._held += held
+        self._live += held
+        if self._live > self._peak:
+            self._peak = self._live
         return u
+
+    def _hold_below(self, stack: list[int]) -> int:
+        """Mark the nodes under ``stack`` that are neither referenced nor
+        marked yet; returns how many were marked."""
+        ref, mark, epoch = self._ref, self._mark, self._epoch
+        lows, highs = self._low, self._high
+        held = 0
+        while stack:
+            v = stack.pop()
+            if v > 1 and not ref[v] and mark[v] != epoch:
+                mark[v] = epoch
+                held += 1
+                stack.append(lows[v])
+                stack.append(highs[v])
+        return held
 
     def _ref_inc(self, u: int) -> None:
         stack = [u]
@@ -226,15 +296,11 @@ class BddManager:
                 stack.append(self._low[v])
                 stack.append(self._high[v])
 
-    def _begin(self) -> None:
-        self._depth += 1
-
     def _end(self) -> None:
-        self._depth -= 1
-        if self._depth == 0:
-            for u in reversed(self._temps):
-                self._ref_dec(u)
-            self._temps.clear()
+        """Release the temporaries of the operation that just ended."""
+        self._live -= self._held
+        self._held = 0
+        self._epoch += 1
 
     def _wrap(self, node: int) -> NodeRef:
         return NodeRef(self, node)
@@ -290,12 +356,18 @@ class BddManager:
     # ------------------------------------------------------------------
     # interning helpers
 
-    def _intern_set(self, levels: frozenset[int]) -> int:
-        sid = self._set_ids.get(levels)
+    def _intern_set(self, mask: int) -> int:
+        """Id of the level set ``mask``; stored as a frozenset, which the
+        recursions test membership in."""
+        sid = self._set_ids.get(mask)
         if sid is None:
             sid = len(self._sets)
-            self._set_ids[levels] = sid
-            self._sets.append((levels, max(levels) if levels else -1))
+            if sid >= _KEY_LIMIT:
+                raise BddError("level-set table full")
+            self._set_ids[mask] = sid
+            self._sets.append(
+                (frozenset(_levels_of(mask)), mask.bit_length() - 1)
+            )
         return sid
 
     def _intern_map(self, mapping: dict[int, int]) -> int:
@@ -303,6 +375,8 @@ class BddManager:
         mid = self._map_ids.get(key)
         if mid is None:
             mid = len(self._maps)
+            if mid >= _KEY_LIMIT:
+                raise BddError("rename-map table full")
             self._map_ids[key] = mid
             self._maps.append((dict(mapping), max(mapping) if mapping else -1))
         return mid
@@ -318,7 +392,6 @@ class BddManager:
         if code > _BIIMP:
             raise BddError(f"{op!r} is not a binary connective")
         u, v = self._unwrap(f), self._unwrap(g)
-        self._begin()
         try:
             return self._wrap(self._apply(code, u, v))
         finally:
@@ -326,7 +399,6 @@ class BddManager:
 
     def negate(self, f: NodeRef) -> NodeRef:
         u = self._unwrap(f)
-        self._begin()
         try:
             return self._wrap(self._not(u))
         finally:
@@ -334,7 +406,6 @@ class BddManager:
 
     def ite(self, f: NodeRef, g: NodeRef, h: NodeRef) -> NodeRef:
         a, b, c = self._unwrap(f), self._unwrap(g), self._unwrap(h)
-        self._begin()
         try:
             return self._wrap(self._ite(a, b, c))
         finally:
@@ -402,7 +473,7 @@ class BddManager:
                 return self._not(u)
         if code in _COMMUTATIVE and u > v:
             u, v = v, u
-        key = (code, u, v)
+        key = (u << 32 | v) << 4 | code
         cached = self._cache.get(key)
         if cached is not None:
             return cached
@@ -422,7 +493,7 @@ class BddManager:
             return 1
         if u == 1:
             return 0
-        key = (_NOT, u)
+        key = u << 4 | _NOT
         cached = self._cache.get(key)
         if cached is not None:
             return cached
@@ -444,7 +515,7 @@ class BddManager:
             return f
         if g == 0 and h == 1:
             return self._not(f)
-        key = (_ITE, f, g, h)
+        key = ((f << 32 | g) << 32 | h) << 4 | _ITE
         cached = self._cache.get(key)
         if cached is not None:
             return cached
@@ -469,14 +540,14 @@ class BddManager:
 
     def exists(self, f: NodeRef, levels: Iterable[int]) -> NodeRef:
         u = self._unwrap(f)
-        lvls = frozenset(levels)
-        for l in lvls:
+        mask = 0
+        for l in levels:
             if not 0 <= l < self._num_vars:
                 raise BddError(f"level {l} out of range")
-        if not lvls:
+            mask |= 1 << l
+        if not mask:
             return f
-        sid = self._intern_set(lvls)
-        self._begin()
+        sid = self._intern_set(mask)
         try:
             return self._wrap(self._exists(u, sid))
         finally:
@@ -486,7 +557,7 @@ class BddManager:
         levels, top = self._sets[sid]
         if u <= 1 or self._var[u] > top:
             return u
-        key = (_EXISTS, u, sid)
+        key = (u << 32 | sid) << 4 | _EXISTS
         cached = self._cache.get(key)
         if cached is not None:
             return cached
@@ -514,14 +585,13 @@ class BddManager:
         for k, v in mapping.items():
             if not (0 <= k < self._num_vars and 0 <= v < self._num_vars):
                 raise BddError("rename level out of range")
-        sup = sorted(self._support(u))
+        sup = _levels_of(self._support(u))
         imgs = [mapping.get(l, l) for l in sup]
         if any(b <= a for a, b in zip(imgs, imgs[1:])):
             raise BddError(
                 f"rename map is not order-preserving on support {sup}"
             )
         mid = self._intern_map(mapping)
-        self._begin()
         try:
             return self._wrap(self._replace(u, mid))
         finally:
@@ -531,7 +601,7 @@ class BddManager:
         mapping, top = self._maps[mid]
         if u <= 1 or self._var[u] > top:
             return u
-        key = (_REPLACE, u, mid)
+        key = (u << 32 | mid) << 4 | _REPLACE
         cached = self._cache.get(key)
         if cached is not None:
             return cached
@@ -554,7 +624,6 @@ class BddManager:
         u, c = self._unwrap(f), self._unwrap(care)
         if c == 0:
             raise BddError("restrict against an empty care set")
-        self._begin()
         try:
             return self._wrap(self._restrict(u, c))
         finally:
@@ -563,7 +632,7 @@ class BddManager:
     def _restrict(self, u: int, c: int) -> int:
         if c == 1 or u <= 1:
             return u
-        key = (_RESTRICT, u, c)
+        key = (u << 32 | c) << 4 | _RESTRICT
         cached = self._cache.get(key)
         if cached is not None:
             return cached
@@ -602,12 +671,12 @@ class BddManager:
     # relational products
 
     def _check_state_predicate(self, u: int, what: str) -> None:
-        for l in self._support(u):
-            if l & 1:
-                raise BddError(
-                    f"{what} mentions next-state level {l}; state "
-                    "predicates must use current-state (even) levels"
-                )
+        odd = self._support(u) & self._odd
+        if odd:
+            raise BddError(
+                f"{what} mentions next-state level {_levels_of(odd)[0]}; "
+                "state predicates must use current-state (even) levels"
+            )
 
     def relnext(
         self,
@@ -658,9 +727,8 @@ class BddManager:
         quant = self._assigned_levels(tn, assigned)
         if op == _RELNEXT:
             # the image forgets the source values of the assigned bits
-            quant = frozenset(l - 1 for l in quant)
+            quant >>= 1
         sid = self._intern_set(quant)
-        self._begin()
         try:
             return self._wrap(self._relprod(op, pn, tn, rn, sid))
         finally:
@@ -668,19 +736,21 @@ class BddManager:
 
     def _assigned_levels(
         self, tn: int, assigned: Iterable[int] | None
-    ) -> frozenset[int]:
-        odd_support = frozenset(l for l in self._support(tn) if l & 1)
+    ) -> int:
+        """Mask of the odd levels ``tn`` assigns."""
+        odd_support = self._support(tn) & self._odd
         if assigned is None:
             return odd_support
-        odd = frozenset(assigned)
-        for l in odd:
+        odd = 0
+        for l in assigned:
             if not (0 <= l < self._num_vars and l & 1):
                 raise BddError(f"assigned level {l} is not an odd level")
-        missing = odd_support - odd
+            odd |= 1 << l
+        missing = odd_support & ~odd
         if missing:
             raise BddError(
-                f"relation constrains odd levels {sorted(missing)} outside "
-                "the assigned set"
+                f"relation constrains odd levels {_levels_of(missing)} "
+                "outside the assigned set"
             )
         return odd
 
@@ -705,7 +775,7 @@ class BddManager:
             return self._apply(_AND, self._exists(p, sid), r)
         if not image and p == 1:
             return self._apply(_AND, self._exists(t, sid), r)
-        key = (op, p, t, r, sid)
+        key = (((p << 32 | t) << 32 | r) << 32 | sid) << 4 | op
         cached = self._cache.get(key)
         if cached is not None:
             return cached
@@ -745,22 +815,32 @@ class BddManager:
     # ------------------------------------------------------------------
     # inspection
 
-    def _support(self, u: int) -> frozenset[int]:
+    def _support(self, u: int) -> int:
+        """Bitmask of the levels ``u`` depends on, memoized per node."""
         memo = self._support_memo
         out = memo.get(u)
         if out is not None:
             return out
-        if u <= 1:
-            memo[u] = frozenset()
-            return memo[u]
-        out = frozenset(
-            (self._var[u],)
-        ) | self._support(self._low[u]) | self._support(self._high[u])
-        memo[u] = out
-        return out
+        var, lows, highs = self._var, self._low, self._high
+        stack = [u]
+        while stack:
+            v = stack[-1]
+            if v in memo:
+                stack.pop()
+                continue
+            lo, hi = memo.get(lows[v]), memo.get(highs[v])
+            if lo is None or hi is None:
+                if lo is None:
+                    stack.append(lows[v])
+                if hi is None:
+                    stack.append(highs[v])
+                continue
+            stack.pop()
+            memo[v] = lo | hi | 1 << var[v]
+        return memo[u]
 
     def support(self, f: NodeRef) -> frozenset[int]:
-        return self._support(self._unwrap(f))
+        return frozenset(_levels_of(self._support(self._unwrap(f))))
 
     def size(self, f: NodeRef) -> int:
         """Number of decision nodes in ``f`` (terminals excluded)."""
@@ -792,33 +872,34 @@ class BddManager:
         u = self._unwrap(f)
         lvls = sorted(set(levels))
         rank = {l: i for i, l in enumerate(lvls)}
-        missing = self._support(u) - set(lvls)
+        missing = [l for l in _levels_of(self._support(u)) if l not in rank]
         if missing:
-            raise BddError(f"sat_count domain misses support levels {sorted(missing)}")
+            raise BddError(f"sat_count domain misses support levels {missing}")
         n = len(lvls)
-        memo: dict[int, int] = {}
-
-        def count(v: int) -> int:
-            # Solutions over the variables ranked at or below var(v).
-            if v == 0:
-                return 0
-            if v == 1:
-                return 1
-            out = memo.get(v)
-            if out is not None:
-                return out
-            rv = rank[self._var[v]]
-            lo, hi = self._low[v], self._high[v]
-            rlo = n if lo <= 1 else rank[self._var[lo]]
-            rhi = n if hi <= 1 else rank[self._var[hi]]
-            out = count(lo) * (1 << (rlo - rv - 1)) + count(hi) * (
-                1 << (rhi - rv - 1)
-            )
-            memo[v] = out
-            return out
-
-        top = n if u <= 1 else rank[self._var[u]]
-        return count(u) * (1 << top)
+        var, lows, highs = self._var, self._low, self._high
+        # Solutions per node over the variables ranked at or below its own.
+        memo = {0: 0, 1: 1}
+        stack = [u]
+        while stack:
+            v = stack[-1]
+            if v in memo:
+                stack.pop()
+                continue
+            lo, hi = lows[v], highs[v]
+            a, b = memo.get(lo), memo.get(hi)
+            if a is None or b is None:
+                if a is None:
+                    stack.append(lo)
+                if b is None:
+                    stack.append(hi)
+                continue
+            stack.pop()
+            rv = rank[var[v]]
+            rlo = n if lo <= 1 else rank[var[lo]]
+            rhi = n if hi <= 1 else rank[var[hi]]
+            memo[v] = (a << (rlo - rv - 1)) + (b << (rhi - rv - 1))
+        top = n if u <= 1 else rank[var[u]]
+        return memo[u] << top
 
     def to_dot(self, f: NodeRef, name: str = "bdd") -> str:
         """Graphviz rendering of ``f`` (dashed = low, solid = high)."""

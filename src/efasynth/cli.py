@@ -116,6 +116,7 @@ def _report(path: Path, config: SynthesisConfig, result: SynthesisResult,
         "wes": m["wes"],
         "operations": m["operations"],
         "stage_operations": m["stage_operations"],
+        "count_operations": m["count_operations"],
         "peak_nodes": m["peak_nodes"],
         "live_nodes": m["live_nodes"],
         "allocated_nodes": m["allocated_nodes"],

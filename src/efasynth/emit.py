@@ -105,35 +105,36 @@ def lower_bdd_to_expr(f: NodeRef, enc, model) -> Expr:
                 ))
         return disj(terms)
 
-    memo: dict[NodeRef, Expr] = {}
+    return _lower(f, mgr, owner, atom, {})
 
-    def walk(f: NodeRef) -> Expr:
-        if f.is_true:
-            return TRUE
-        if f.is_false:
-            return FALSE
-        done = memo.get(f)
-        if done is not None:
-            return done
-        top = min(mgr.support(f))
-        sym = owner[top]
-        groups: dict[NodeRef, list[int]] = {}
-        for code in range(sym.codes):
-            cube = mgr.true
-            for bit, lvl in enumerate(sym.levels):
-                cube = cube & (mgr.var(lvl) if code >> bit & 1 else mgr.nvar(lvl))
-            child = mgr.exists(f & cube, sym.levels)
-            if child.is_false:
-                continue
-            groups.setdefault(child, []).append(code)
-        out = disj([
-            conj([atom(sym, codes), walk(child)])
-            for child, codes in groups.items()
-        ])
-        memo[f] = out
-        return out
 
-    return walk(f)
+def _lower(f: NodeRef, mgr, owner, atom, memo: dict[NodeRef, Expr]) -> Expr:
+    # A module-level function rather than a closure that calls itself: such
+    # a closure is a reference cycle, which only the cyclic collector frees.
+    if f.is_true:
+        return TRUE
+    if f.is_false:
+        return FALSE
+    done = memo.get(f)
+    if done is not None:
+        return done
+    top = min(mgr.support(f))
+    sym = owner[top]
+    groups: dict[NodeRef, list[int]] = {}
+    for code in range(sym.codes):
+        cube = mgr.true
+        for bit, lvl in enumerate(sym.levels):
+            cube = cube & (mgr.var(lvl) if code >> bit & 1 else mgr.nvar(lvl))
+        child = mgr.exists(f & cube, sym.levels)
+        if child.is_false:
+            continue
+        groups.setdefault(child, []).append(code)
+    out = disj([
+        conj([atom(sym, codes), _lower(child, mgr, owner, atom, memo)])
+        for child, codes in groups.items()
+    ])
+    memo[f] = out
+    return out
 
 
 def _supervisor_name(spec: Specification) -> str:

@@ -393,8 +393,10 @@ def build_symbolic(
     granularity: str = "edge",
 ) -> SymbolicModel:
     """Run the staged symbolic build; see the module docstring."""
-    assert plant_inv in ("implication", "restrict"), plant_inv
-    assert granularity in ("edge", "event"), granularity
+    if plant_inv not in ("implication", "restrict"):
+        raise ValueError(f"unknown plant_inv '{plant_inv}'")
+    if granularity not in ("edge", "event"):
+        raise ValueError(f"unknown granularity '{granularity}'")
     enc = Encoding(model, order)
     mgr = enc.manager
 

@@ -32,7 +32,8 @@ strengthened with the preimage of the result so the emitted model blocks
 exactly the transitions that would leave it.  State counting runs after
 the headline metrics are frozen: the uncontrolled count walks the plant
 guards (requirement conditions stripped), the controlled count walks the
-strengthened guards inside the final behavior.
+strengthened guards inside the final behavior.  Its operations are left out
+of ``operations`` and reported apart as ``count_operations``.
 """
 
 from __future__ import annotations
@@ -61,6 +62,20 @@ class SynthesisConfig:
     early_stop: bool = True
     forward: bool = False
     plant_inv: str = "implication"  # 'implication' | 'restrict'
+
+    def __post_init__(self):
+        varorder.check_strategy(self.order)
+        for name, allowed in (
+            ("granularity", ("edge", "event")),
+            ("edge_apply", ("naive", "compound")),
+            ("plant_inv", ("implication", "restrict")),
+        ):
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ValueError(
+                    f"unknown {name} '{value}'; expected one of "
+                    + ", ".join(allowed)
+                )
 
     @staticmethod
     def preset(name: str) -> "SynthesisConfig":
@@ -376,7 +391,9 @@ def synthesize(
         "nonempty": nonempty,
     }
 
+    before_count = mgr.op_total
     us, cs = _count_states(engine, behavior, strengthened)
+    metrics["count_operations"] = mgr.op_total - before_count
     metrics["uncontrolled_states"] = us
     metrics["controlled_states"] = cs if nonempty else 0
     engine.close()

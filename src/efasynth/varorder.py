@@ -26,8 +26,9 @@ from .model import BinaryOp, Expr, LocRef, UnaryOp, VarRef
 from .transform import LinearModel
 
 __all__ = [
-    "STRATEGIES", "OrderError", "compute_order", "dsm_matrix", "expr_vars",
-    "force", "hyperedges", "sliding_window", "total_span", "wes",
+    "STRATEGIES", "OrderError", "check_strategy", "compute_order",
+    "dsm_matrix", "expr_vars", "force", "hyperedges", "sliding_window",
+    "total_span", "wes",
 ]
 
 
@@ -294,12 +295,20 @@ def sliding_window(
     return order
 
 
+def check_strategy(strategy: str) -> None:
+    """Raise :class:`OrderError` unless ``strategy`` is one of
+    :data:`STRATEGIES` or a ``custom:`` order."""
+    if strategy not in STRATEGIES and not strategy.startswith("custom:"):
+        raise OrderError(f"unknown ordering strategy '{strategy}'")
+
+
 def compute_order(model: LinearModel, strategy: str) -> list[int]:
     """Variable order per strategy name; see :data:`STRATEGIES`.
 
     ``custom:a,b,c`` orders the named variables explicitly (all of them,
     each exactly once).
     """
+    check_strategy(strategy)
     n = len(model.variables)
     base = list(range(n))
     if strategy.startswith("custom:"):
@@ -328,6 +337,4 @@ def compute_order(model: LinearModel, strategy: str) -> list[int]:
                 for v in (_cuthill_mckee(graph, comp) if len(comp) > 1 else comp)]
     if strategy == "pipeline-v08":
         return sliding_window(force(base, edges), edges)
-    if strategy == "pipeline-v40":
-        return sliding_window(force(_dcsh(edges, n), edges), edges)
-    raise OrderError(f"unknown ordering strategy '{strategy}'")
+    return sliding_window(force(_dcsh(edges, n), edges), edges)  # v40

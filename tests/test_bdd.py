@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from efasynth import bdd
 from efasynth.bdd import BddError, BddManager
 
 
@@ -313,6 +314,119 @@ def test_peak_counts_temporaries():
     mgr.var(0)
     assert mgr.live_nodes == 0
     assert mgr.peak_nodes >= 1
+
+
+def reachable(mgr, nodes):
+    """Number of decision nodes under ``nodes``, by a walk of its own."""
+    seen = set()
+    stack = list(nodes)
+    while stack:
+        v = stack.pop()
+        if v > 1 and v not in seen:
+            seen.add(v)
+            stack += [mgr._low[v], mgr._high[v]]
+    return len(seen)
+
+
+def random_step(mgr, rng, pool):
+    """Exactly one public operation on random operands from ``pool``."""
+    even = [l for l in range(mgr.num_vars) if l % 2 == 0]
+    f, g, h = (rng.choice(pool) for _ in range(3))
+    kind = rng.randrange(9)
+    if kind == 0:
+        level = rng.randrange(mgr.num_vars)
+        return mgr.var(level) if rng.random() < 0.5 else mgr.nvar(level)
+    if kind == 1:
+        op = rng.choice(["and", "or", "xor", "diff", "imp", "biimp"])
+        return mgr.apply(op, f, g)
+    if kind == 2:
+        return mgr.negate(f)
+    if kind == 3:
+        return mgr.ite(f, g, h)
+    if kind == 4:
+        return mgr.exists(f, rng.sample(range(mgr.num_vars), 2))
+    if kind == 5:
+        if any(l % 2 for l in mgr.support(f)):
+            return f
+        return mgr.replace(f, {l: l + 1 for l in even})
+    if kind == 6:
+        return f if g.is_false else mgr.restrict(f, g)
+    states = [p for p in pool if not any(l % 2 for l in mgr.support(p))]
+    if kind == 7:
+        return mgr.relnext(rng.choice(states), g)
+    return mgr.relprev(rng.choice(states), g, constrain=rng.choice(states))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_live_and_peak_match_reference_walk(seed):
+    # live: the nodes under the registered roots once an operation is over.
+    # peak: the high-water mark of the nodes under the roots and under the
+    # nodes the operation in flight built, which only grow until it ends.
+    rng = random.Random(seed)
+    mgr = fresh(3)
+    built = []
+    node = mgr._node
+
+    def recording_node(var, low, high):
+        u = node(var, low, high)
+        if low != high:
+            built.append(u)
+        return u
+
+    mgr._node = recording_node
+    pool = [mgr.true, mgr.false]
+    roots = []
+    peak = 0
+
+    def check():
+        nonlocal peak
+        held = [r.node for r in roots]
+        peak = max(peak, reachable(mgr, held + built))
+        built.clear()
+        assert mgr.live_nodes == reachable(mgr, held)
+        assert mgr.peak_nodes == peak
+
+    for _ in range(80):
+        pool.append(random_step(mgr, rng, pool))
+        check()
+        if rng.random() < 0.4:
+            roots.append(mgr.register_root(rng.choice(pool)))
+            check()
+        if roots and rng.random() < 0.3:
+            mgr.release_root(roots.pop(rng.randrange(len(roots))))
+            check()
+    while roots:
+        mgr.release_root(roots.pop())
+        check()
+    assert mgr.live_nodes == 0
+
+
+def test_packed_key_fields_are_bounded(monkeypatch):
+    # Each field of a packed key must stay below the bound; a smaller bound
+    # shows the checks without allocating 2**32 of anything.
+    monkeypatch.setattr(bdd, "_KEY_LIMIT", 8)
+    mgr = fresh(4)
+    with pytest.raises(BddError, match="levels"):
+        mgr.add_pair()
+    # Level sets and rename maps below the top level of f leave f as it is,
+    # so these calls allocate no node.
+    f = mgr.var(7)
+    for level in range(7):
+        mgr.exists(f, [level])
+    mgr.exists(f, [0, 1])  # set id 7
+    with pytest.raises(BddError, match="level-set"):
+        mgr.exists(f, [0, 2])
+    for level in range(1, 8):
+        mgr.replace(f, {0: level})
+    mgr.replace(f, {2: 3})  # map id 7
+    with pytest.raises(BddError, match="rename-map"):
+        mgr.replace(f, {2: 4})
+    for level in range(5):  # node ids 3..7
+        mgr.var(level)
+    with pytest.raises(BddError, match="node"):
+        mgr.var(5)
+    assert mgr.allocated_nodes == 6
+    assert mgr.live_nodes == 0
 
 
 def test_op_counters_are_deterministic():

@@ -65,6 +65,7 @@ def test_run_stats_json(producer, tmp_path, capsys):
         "encode", "nonblocking", "controllability", "strengthen"
     }
     assert report["operations"] > 0 and report["peak_nodes"] > 0
+    assert report["count_operations"] > 0
 
 
 def test_run_config_fingerprint_reflects_overrides(producer, tmp_path, capsys):

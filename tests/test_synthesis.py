@@ -1,12 +1,15 @@
 """Fixed-point synthesis: counting goldens and oracle equivalence."""
 
 import dataclasses
+import gc
 import itertools
+import weakref
 
 import pytest
 
+from efasynth.emit import emit
 from efasynth.oracle import ExplicitOracle
-from efasynth.parser import parse_file, parse_spec
+from efasynth.parser import parse_file, parse_spec, unparse
 from efasynth.synthesis import FixedPointEngine, SynthesisConfig, synthesize
 from efasynth.encode import build_symbolic
 from efasynth.transform import linearize, plantify
@@ -199,6 +202,37 @@ def test_forward_pass_clips_behavior_to_reachable(producer_model):
 def test_unknown_preset_rejected():
     with pytest.raises(ValueError):
         SynthesisConfig.preset("v99")
+
+
+@pytest.mark.parametrize(
+    "field", ["order", "granularity", "edge_apply", "plant_inv"]
+)
+def test_config_rejects_unknown_values(producer_model, field):
+    with pytest.raises(ValueError, match="bogus"):
+        SynthesisConfig(**{field: "bogus"})
+    if field in ("granularity", "plant_inv"):
+        order = compute_order(producer_model, "model")
+        with pytest.raises(ValueError, match="bogus"):
+            build_symbolic(producer_model, order, **{field: "bogus"})
+
+
+def test_manager_freed_without_collector(models_dir):
+    # Reference counting alone must free a finished synthesis: nothing the
+    # manager owns may refer back to it.
+    plant = plantify(parse_file(models_dir / "producer_consumer.efa"))
+    model, _ = linearize(plant)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        result = synthesize(model, SynthesisConfig.preset("v40"))
+        text = unparse(emit(plant, result))
+        manager = weakref.ref(result.manager)
+        del result, text
+        assert manager() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_engine_caches_survive_edge_copies(producer_model):
