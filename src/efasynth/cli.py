@@ -66,22 +66,23 @@ def _linearized(spec: Specification) -> tuple[Specification, LinearModel]:
 
 
 def _config(args) -> SynthesisConfig:
+    # the preset and every field assignment check their values
     try:
         config = SynthesisConfig.preset(args.config)
+        if args.order is not None:
+            config.order = args.order
+        if args.granularity is not None:
+            config.granularity = args.granularity
+        if args.edge_apply is not None:
+            config.edge_apply = args.edge_apply
+        if args.early_stop is not None:
+            config.early_stop = args.early_stop == "on"
+        if args.forward is not None:
+            config.forward = args.forward == "on"
+        if args.plant_inv is not None:
+            config.plant_inv = args.plant_inv
     except ValueError as exc:
         raise Failure(EXIT_DIAGNOSTICS, str(exc))
-    if args.order is not None:
-        config.order = args.order
-    if args.granularity is not None:
-        config.granularity = args.granularity
-    if args.edge_apply is not None:
-        config.edge_apply = args.edge_apply
-    if args.early_stop is not None:
-        config.early_stop = args.early_stop == "on"
-    if args.forward is not None:
-        config.forward = args.forward == "on"
-    if args.plant_inv is not None:
-        config.plant_inv = args.plant_inv
     return config
 
 
@@ -116,6 +117,7 @@ def _report(path: Path, config: SynthesisConfig, result: SynthesisResult,
         "wes": m["wes"],
         "operations": m["operations"],
         "stage_operations": m["stage_operations"],
+        "unstaged_operations": m["unstaged_operations"],
         "count_operations": m["count_operations"],
         "peak_nodes": m["peak_nodes"],
         "live_nodes": m["live_nodes"],

@@ -32,8 +32,15 @@ strengthened with the preimage of the result so the emitted model blocks
 exactly the transitions that would leave it.  State counting runs after
 the headline metrics are frozen: the uncontrolled count walks the plant
 guards (requirement conditions stripped), the controlled count walks the
-strengthened guards inside the final behavior.  Its operations are left out
-of ``operations`` and reported apart as ``count_operations``.
+strengthened guards inside the final behavior.  Reachable states are a
+unique least fixed point, so counting uses one method under every
+configuration, whatever ``granularity``, ``edge_apply`` and ``early_stop``
+say: the edges merged per event, one compound image per event relation,
+and early stopping.  It bypasses :meth:`FixedPointEngine.reach`, so
+``reach_calls`` and ``edge_applications`` count synthesis alone.  Its
+operations are left out of ``operations`` and reported apart as
+``count_operations``; ``unstaged_operations`` is the part of ``operations``
+done between stage calls, so the stages and it add up to ``operations``.
 """
 
 from __future__ import annotations
@@ -43,13 +50,20 @@ import functools
 from dataclasses import dataclass, field
 
 from .bdd import BddManager, NodeRef
-from .encode import SymEdge, SymbolicModel, build_symbolic
+from .encode import SymEdge, SymbolicModel, _merge_events, build_symbolic
 from .transform import LinearModel
 from . import varorder
 
 __all__ = [
     "SynthesisConfig", "SynthesisResult", "FixedPointEngine", "synthesize",
 ]
+
+
+_CHOICES = {
+    "granularity": ("edge", "event"),
+    "edge_apply": ("naive", "compound"),
+    "plant_inv": ("implication", "restrict"),
+}
 
 
 @dataclass
@@ -63,19 +77,17 @@ class SynthesisConfig:
     forward: bool = False
     plant_inv: str = "implication"  # 'implication' | 'restrict'
 
-    def __post_init__(self):
-        varorder.check_strategy(self.order)
-        for name, allowed in (
-            ("granularity", ("edge", "event")),
-            ("edge_apply", ("naive", "compound")),
-            ("plant_inv", ("implication", "restrict")),
-        ):
-            value = getattr(self, name)
-            if value not in allowed:
-                raise ValueError(
-                    f"unknown {name} '{value}'; expected one of "
-                    + ", ".join(allowed)
-                )
+    def __setattr__(self, name, value):
+        # Checked on every assignment, so fields set after construction
+        # (as the CLI does) are held to the same values as the constructor's.
+        if name == "order":
+            varorder.check_strategy(value)
+        elif name in _CHOICES and value not in _CHOICES[name]:
+            raise ValueError(
+                f"unknown {name} '{value}'; expected one of "
+                + ", ".join(_CHOICES[name])
+            )
+        super().__setattr__(name, value)
 
     @staticmethod
     def preset(name: str) -> "SynthesisConfig":
@@ -319,20 +331,31 @@ def _synthesize_behavior(engine: FixedPointEngine):
     return behavior, -(-runs // nst), stage_ops
 
 
+def _count_reachable(engine: FixedPointEngine, start, edges, restriction) -> int:
+    """States reachable from ``start`` within ``restriction``: one compound
+    image per event relation, stopped early, whatever the configuration."""
+    mgr = engine.mgr
+    steps = [
+        functools.partial(
+            engine._apply_compound, engine.relation(edge), edge, restriction,
+            False,
+        )
+        for edge in _merge_events(engine.enc, engine.sym.events, edges)
+    ]
+    reached, _ = _iterate(
+        mgr, steps, mgr.register_root(start & restriction), early_stop=True
+    )
+    return mgr.sat_count(reached, engine.enc.state_levels)
+
+
 def _count_states(engine: FixedPointEngine, behavior, strengthened):
     """Uncontrolled and controlled reachable state counts."""
     sym = engine.sym
-    mgr = engine.mgr
-    levels = engine.enc.state_levels
     plant_edges = [
         dataclasses.replace(e, guard=e.guard_plant) for e in sym.base_edges
     ]
-    us_set = engine.reach(sym.initial, plant_edges, mgr.true, backward=False)
-    us = mgr.sat_count(us_set, levels)
-    cs_set = engine.reach(
-        sym.initial & behavior, strengthened, behavior, backward=False
-    )
-    cs = mgr.sat_count(cs_set, levels)
+    us = _count_reachable(engine, sym.initial, plant_edges, engine.mgr.true)
+    cs = _count_reachable(engine, sym.initial & behavior, strengthened, behavior)
     return us, cs
 
 
@@ -382,6 +405,9 @@ def synthesize(
         "wes": round(varorder.wes(order, edges_hyper), 6),
         "operations": mgr.op_total,
         "stage_operations": stage_ops,
+        # work between the stages: negating the forbidden states, the
+        # empty-supervisor checks and the initial/marked conjunctions
+        "unstaged_operations": mgr.op_total - sum(stage_ops.values()),
         "edge_applications": engine.edge_applications,
         "reach_calls": engine.reach_calls,
         "sweeps": sweeps,

@@ -66,6 +66,9 @@ def test_run_stats_json(producer, tmp_path, capsys):
     }
     assert report["operations"] > 0 and report["peak_nodes"] > 0
     assert report["count_operations"] > 0
+    assert report["unstaged_operations"] + sum(
+        report["stage_operations"].values()
+    ) == report["operations"]
 
 
 def test_run_config_fingerprint_reflects_overrides(producer, tmp_path, capsys):

@@ -216,6 +216,14 @@ def test_config_rejects_unknown_values(producer_model, field):
             build_symbolic(producer_model, order, **{field: "bogus"})
 
 
+@pytest.mark.parametrize("field", ["edge_apply", "order"])
+def test_config_rejects_bad_assignment(field):
+    config = SynthesisConfig()
+    with pytest.raises(ValueError, match="bogus"):
+        setattr(config, field, "bogus")
+    assert getattr(config, field) == getattr(SynthesisConfig(), field)
+
+
 def test_manager_freed_without_collector(models_dir):
     # Reference counting alone must free a finished synthesis: nothing the
     # manager owns may refer back to it.
@@ -256,6 +264,209 @@ def test_engine_caches_survive_edge_copies(producer_model):
     assert plant_states(engine, lambda e: mgr.false) == 1
     assert plant_states(engine, lambda e: e.guard_plant) == 482
     engine.close()
+
+
+PHILOSOPHERS = """
+controllable take_left_1, take_right_1, release_1,
+             take_left_2, take_right_2, release_2;
+
+plant phil_1 {
+  location think:
+    initial; marked;
+    edge take_left_1 goto has_left;
+    edge take_right_1 goto has_right;
+  location has_left:
+    edge take_right_1 goto eat;
+  location has_right:
+    edge take_left_1 goto eat;
+  location eat:
+    edge release_1 goto think;
+}
+
+plant phil_2 {
+  location think:
+    initial; marked;
+    edge take_left_2 goto has_left;
+    edge take_right_2 goto has_right;
+  location has_left:
+    edge take_right_2 goto eat;
+  location has_right:
+    edge take_left_2 goto eat;
+  location eat:
+    edge release_2 goto think;
+}
+
+plant fork_1 {
+  location free:
+    initial; marked;
+    edge take_left_1 goto held;
+    edge take_right_2 goto held;
+  location held:
+    edge release_1 goto free;
+    edge release_2 goto free;
+}
+
+plant fork_2 {
+  location free:
+    initial; marked;
+    edge take_left_2 goto held;
+    edge take_right_1 goto held;
+  location held:
+    edge release_2 goto free;
+    edge release_1 goto free;
+}
+"""
+
+BOOL_CHAIN = """
+controllable e_1, e_2, e_3, e_4;
+
+plant chain {
+  disc bool b_1 = false;
+  disc bool b_2 = false;
+  disc bool b_3 = false;
+  disc bool b_4 = false;
+  location s:
+    initial; marked;
+    edge e_1 do b_1 := true;
+    edge e_2 when b_1 do b_2 := true;
+    edge e_3 when b_2 do b_3 := true;
+    edge e_4 when b_3 do b_4 := true;
+}
+"""
+
+TANKS = """
+controllable fill_1, open_1, fill_2, open_2;
+uncontrollable drain_1, drain_2;
+input enum {low, high} demand;
+
+plant tank_1 {
+  disc int[0..10] lvl_1 = 5;
+  location closed:
+    initial; marked;
+    edge fill_1 do lvl_1 := lvl_1 + 3;
+    edge open_1 goto draining;
+  location draining:
+    edge drain_1 when demand = low do lvl_1 := lvl_1 - 1 goto closed;
+    edge drain_1 when demand = high do lvl_1 := lvl_1 - 2 goto closed;
+}
+
+plant tank_2 {
+  disc int[0..10] lvl_2 = 5;
+  location closed:
+    initial; marked;
+    edge fill_2 do lvl_2 := lvl_2 + 3;
+    edge open_2 goto draining;
+  location draining:
+    edge drain_2 when demand = low do lvl_2 := lvl_2 - 1 goto closed;
+    edge drain_2 when demand = high do lvl_2 := lvl_2 - 2 goto closed;
+}
+
+requirement pump {
+  location idle:
+    initial; marked;
+    edge open_1 goto busy_1;
+    edge open_2 goto busy_2;
+  location busy_1:
+    edge drain_1 goto idle;
+  location busy_2:
+    edge drain_2 goto idle;
+}
+
+requirement invariant lvl_1 >= 1;
+requirement invariant fill_1 needs demand = low;
+requirement invariant lvl_2 >= 1;
+requirement invariant fill_2 needs demand = low;
+"""
+
+
+def all_toggles():
+    for granularity, edge_apply, early_stop, forward, plant_inv in (
+        itertools.product(
+            ["edge", "event"], ["naive", "compound"], [False, True],
+            [False, True], ["implication", "restrict"],
+        )
+    ):
+        yield SynthesisConfig(
+            granularity=granularity, edge_apply=edge_apply,
+            early_stop=early_stop, forward=forward, plant_inv=plant_inv,
+        )
+
+
+def reach_counts(result):
+    """The state counts by ``FixedPointEngine.reach`` under the run's own
+    configuration, over one relation per model edge."""
+    sym = result.sym
+    mgr = result.manager
+    levels = sym.enc.state_levels
+    engine = FixedPointEngine(sym, result.config)
+    plant_edges = [
+        dataclasses.replace(e, guard=e.guard_plant) for e in sym.base_edges
+    ]
+    us = engine.reach(sym.initial, plant_edges, mgr.true, backward=False)
+    cs = engine.reach(
+        sym.initial & result.controlled, result.edges, result.controlled,
+        backward=False,
+    )
+    counts = (
+        mgr.sat_count(us, levels),
+        mgr.sat_count(cs, levels) if result.nonempty else 0,
+    )
+    engine.close()
+    return counts
+
+
+AGREEMENT_MODELS = [
+    "agv_mutex", "cat_mouse", "dining_philosophers", "producer_consumer",
+    "sensor_input", "empty", "philosophers", "chain", "tanks",
+]
+
+
+@pytest.mark.parametrize("name", AGREEMENT_MODELS)
+def test_state_counts_agree_with_engine_reach(models_dir, name):
+    # State counting has one method under every configuration; each run's
+    # counts must equal those of the engine's reach under its own toggles.
+    inline = {
+        "empty": EMPTY, "philosophers": PHILOSOPHERS, "chain": BOOL_CHAIN,
+        "tanks": TANKS,
+    }
+    text = inline.get(name) or (models_dir / f"{name}.efa").read_text()
+    model = lin(parse_spec(text))
+    for config in all_toggles():
+        result = synthesize(model, config)
+        m = result.metrics
+        counts = (m["uncontrolled_states"], m["controlled_states"])
+        assert counts == reach_counts(result), config
+
+
+COUNTER = """
+controllable inc;
+
+plant counter {
+  disc int[0..3] x = 0;
+  location low:
+    initial; marked;
+    edge inc do x := x + 1 goto high;
+  location high:
+    marked;
+    edge inc do x := x + 1;
+}
+
+requirement invariant inc needs x < 2;
+"""
+
+
+def test_controlled_count_follows_strengthened_guards():
+    # Both reaches see the same merged event relation up to the guard: only
+    # the requirement, through the strengthened guard, stops x at 2.  The
+    # second edge keeps its location, so merging must frame it.
+    model = lin(parse_spec(COUNTER))
+    oracle = ExplicitOracle(model)
+    assert len(oracle.plant_reachable) == 4
+    assert len(oracle.controlled_reachable) == 3
+    for config in all_toggles():
+        m = synthesize(model, config).metrics
+        assert m["uncontrolled_states"] == 4, config
+        assert m["controlled_states"] == 3, config
 
 
 # Counters of the fixed-point driver per model and toggles (granularity,
@@ -342,6 +553,8 @@ def test_driver_counters_golden(models_dir, row):
     stages["strengthen"] = strengthen
     assert m["operations"] == ops
     assert m["stage_operations"] == stages
+    # the work between stage calls closes the sum
+    assert sum(stages.values()) + m["unstaged_operations"] == ops
     assert [
         m["sweeps"], m["edge_applications"], m["reach_calls"],
         m["peak_nodes"], m["controlled_states"],
