@@ -54,6 +54,17 @@ _AND, _OR, _XOR, _DIFF, _IMP, _BIIMP, _NOT, _ITE, _EXISTS, _REPLACE, \
     _RESTRICT, _RELNEXT, _RELPREV = range(13)
 _COMMUTATIVE = frozenset((_AND, _OR, _XOR, _BIIMP))
 
+# Truth table of each binary connective: f(0,0), f(0,1), f(1,0), f(1,1),
+# and f(u,u) for a decision node u, None when that is u itself.
+_TRUTH = {
+    _AND: (0, 0, 0, 1, None),
+    _OR: (0, 1, 1, 1, None),
+    _XOR: (0, 1, 1, 0, 0),
+    _DIFF: (0, 0, 1, 0, 0),
+    _IMP: (1, 1, 0, 1, 1),
+    _BIIMP: (1, 0, 0, 1, 1),
+}
+
 # Every field of a packed key is below this bound; the op code takes the
 # low four bits of a computed-cache key.
 _KEY_LIMIT = 1 << 32
@@ -89,9 +100,6 @@ class NodeRef:
             and other.manager is self.manager
             and other.node == self.node
         )
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
     def __hash__(self):
         return hash((id(self.manager), self.node))
@@ -412,65 +420,21 @@ class BddManager:
             self._end()
 
     def _apply(self, code: int, u: int, v: int) -> int:
-        # Terminal-case shortcuts; nothing here is counted.
-        if code == _AND:
-            if u == 0 or v == 0:
-                return 0
-            if u == 1:
-                return v
-            if v == 1:
-                return u
-            if u == v:
-                return u
-        elif code == _OR:
-            if u == 1 or v == 1:
-                return 1
-            if u == 0:
-                return v
-            if v == 0:
-                return u
-            if u == v:
-                return u
-        elif code == _XOR:
-            if u == v:
-                return 0
-            if u == 0:
-                return v
-            if v == 0:
-                return u
-            if u == 1:
-                return self._not(v)
-            if v == 1:
-                return self._not(u)
-        elif code == _DIFF:
-            if u == 0 or v == 1:
-                return 0
-            if u == v:
-                return 0
-            if v == 0:
-                return u
-            if u == 1:
-                return self._not(v)
-        elif code == _IMP:
-            if u == 0 or v == 1:
-                return 1
-            if u == v:
-                return 1
-            if u == 1:
-                return v
-            if v == 0:
-                return self._not(u)
-        else:  # _BIIMP
-            if u == v:
-                return 1
-            if u == 1:
-                return v
-            if v == 1:
-                return u
-            if u == 0:
-                return self._not(v)
-            if v == 0:
-                return self._not(u)
+        # Terminal-case shortcuts; nothing here is counted.  With one
+        # operand terminal the result is a constant, the other operand, or
+        # its negation, as the connective's truth table row says.
+        if u <= 1 or v <= 1:
+            table = _TRUTH[code]
+            if u <= 1:
+                lo, hi, w = table[2 * u], table[2 * u + 1], v
+            else:
+                lo, hi, w = table[v], table[2 + v], u
+            if lo == hi:
+                return lo
+            return w if hi else self._not(w)
+        if u == v:
+            same = _TRUTH[code][4]
+            return u if same is None else same
         if code in _COMMUTATIVE and u > v:
             u, v = v, u
         key = (u << 32 | v) << 4 | code

@@ -19,7 +19,9 @@ from .emit import emit
 from .model import Specification, model_stats, validate
 from .oracle import ExplicitOracle, UniverseTooLarge
 from .parser import ParseError, parse_spec, unparse
-from .synthesis import SynthesisConfig, SynthesisResult, synthesize
+from .synthesis import (
+    _CHOICES, SynthesisConfig, SynthesisResult, synthesize,
+)
 from .transform import LinearModel, linearize, plantify
 from .varorder import OrderError
 
@@ -29,6 +31,8 @@ EXIT_OK = 0
 EXIT_DIAGNOSTICS = 1
 EXIT_EMPTY = 2
 EXIT_INTERNAL = 3
+
+_ON_OFF = ("on", "off")  # how a boolean is spelled on the command line
 
 
 class Failure(Exception):
@@ -45,9 +49,13 @@ def _read_spec(path: Path, allow_supervisor: bool = False) -> Specification:
         raise Failure(EXIT_DIAGNOSTICS, f"cannot read {path}: {exc}")
     try:
         spec = parse_spec(text, str(path))
+        diags = validate(spec, allow_supervisor=allow_supervisor)
     except ParseError as exc:
         raise Failure(EXIT_DIAGNOSTICS, str(exc.diagnostic))
-    diags = validate(spec, allow_supervisor=allow_supervisor)
+    except RecursionError:
+        raise Failure(
+            EXIT_DIAGNOSTICS, f"{path}: expressions nested too deeply"
+        )
     if diags:
         raise Failure(
             EXIT_DIAGNOSTICS, "\n".join(str(d) for d in diags)
@@ -65,38 +73,39 @@ def _linearized(spec: Specification) -> tuple[Specification, LinearModel]:
     return plant, model
 
 
+def _toggles():
+    """Each configuration field with its flag and whether it is on/off."""
+    for field in dataclasses.fields(SynthesisConfig):
+        flag = field.name.replace("_", "-")
+        yield field, flag, isinstance(field.default, bool)
+
+
 def _config(args) -> SynthesisConfig:
     # the preset and every field assignment check their values
     try:
         config = SynthesisConfig.preset(args.config)
-        if args.order is not None:
-            config.order = args.order
-        if args.granularity is not None:
-            config.granularity = args.granularity
-        if args.edge_apply is not None:
-            config.edge_apply = args.edge_apply
-        if args.early_stop is not None:
-            config.early_stop = args.early_stop == "on"
-        if args.forward is not None:
-            config.forward = args.forward == "on"
-        if args.plant_inv is not None:
-            config.plant_inv = args.plant_inv
+        for field, _, onoff in _toggles():
+            value = getattr(args, field.name)
+            if value is not None:
+                setattr(config, field.name, value == "on" if onoff else value)
     except ValueError as exc:
         raise Failure(EXIT_DIAGNOSTICS, str(exc))
     return config
 
 
+def _shown(value) -> str:
+    if isinstance(value, bool):
+        return "on" if value else "off"
+    return str(value)
+
+
 def _fingerprint(config: SynthesisConfig, simplify: bool | None = None) -> str:
     parts = [
-        f"order={config.order}",
-        f"granularity={config.granularity}",
-        f"edge-apply={config.edge_apply}",
-        f"early-stop={'on' if config.early_stop else 'off'}",
-        f"forward={'on' if config.forward else 'off'}",
-        f"plant-inv={config.plant_inv}",
+        f"{flag}={_shown(getattr(config, field.name))}"
+        for field, flag, _ in _toggles()
     ]
     if simplify is not None:
-        parts.append(f"simplify={'on' if simplify else 'off'}")
+        parts.append(f"simplify={_shown(simplify)}")
     return " ".join(parts)
 
 
@@ -179,6 +188,11 @@ BENCH_COLUMNS = [
 ]
 
 
+def _factor(base: int, value: int) -> float | None:
+    """``base / value`` to three places; None when ``value`` is 0."""
+    return round(base / value, 3) if value else None
+
+
 def cmd_bench(args) -> int:
     suite = Path(args.dir)
     paths = sorted(
@@ -221,19 +235,22 @@ def cmd_bench(args) -> int:
     }
     for row in rows:
         base = baseline[row["model"]]
-        row["op_factor"] = round(base["operations"] / row["operations"], 3)
-        row["node_factor"] = round(base["peak_nodes"] / row["peak_nodes"], 3)
+        row["op_factor"] = _factor(base["operations"], row["operations"])
+        row["node_factor"] = _factor(base["peak_nodes"], row["peak_nodes"])
 
     rows = [{key: row[key] for key in BENCH_COLUMNS} for row in rows]
+    # a factor without a divisor is null in JSON, empty in CSV, '-' here
+    shown = [
+        {key: "-" if row[key] is None else str(row[key]) for key in row}
+        for row in rows
+    ]
     widths = {
-        key: max(len(key), *(len(str(row[key])) for row in rows))
+        key: max(len(key), *(len(row[key]) for row in shown))
         for key in BENCH_COLUMNS
     }
     print("  ".join(key.ljust(widths[key]) for key in BENCH_COLUMNS))
-    for row in rows:
-        print("  ".join(
-            str(row[key]).ljust(widths[key]) for key in BENCH_COLUMNS
-        ))
+    for row in shown:
+        print("  ".join(row[key].ljust(widths[key]) for key in BENCH_COLUMNS))
     if any(not row["deterministic"] for row in rows):
         print("warning: non-identical repetitions flagged above")
 
@@ -303,10 +320,6 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
-def _onoff(parser, name, help):
-    parser.add_argument(name, choices=["on", "off"], default=None, help=help)
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="synth", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -314,17 +327,14 @@ def _build_parser() -> _Parser:
     run = sub.add_parser("run", help="synthesize a supervisor for one model")
     run.add_argument("model", help="input .efa file")
     run.add_argument("--config", default="v40", help="preset: v08 or v40")
-    run.add_argument("--order", default=None,
-                     help="ordering strategy (e.g. pipeline-v08, pipeline-v40,"
-                          " dcsh, force, sloan, cm, model, custom:a,b,c)")
-    run.add_argument("--granularity", choices=["edge", "event"], default=None)
-    run.add_argument("--edge-apply", choices=["naive", "compound"],
-                     default=None, dest="edge_apply")
-    _onoff(run, "--early-stop", "stop fixed points at idempotence")
-    _onoff(run, "--forward", "add the forward reachability stage")
-    run.add_argument("--plant-inv", choices=["implication", "restrict"],
-                     default=None, dest="plant_inv")
-    run.add_argument("--simplify", choices=["on", "off"], default="on",
+    # one flag per configuration field, each overriding the preset
+    for field, flag, onoff in _toggles():
+        run.add_argument(
+            f"--{flag}", dest=field.name, default=None,
+            choices=_ON_OFF if onoff else _CHOICES.get(field.name),
+            help=field.metadata.get("help"),
+        )
+    run.add_argument("--simplify", choices=_ON_OFF, default="on",
                      help="simplify emitted guards against the context")
     run.add_argument("--stats-json", default=None, dest="stats_json",
                      help="also write the report as JSON")

@@ -38,9 +38,13 @@ from .model import (
 from .transform import LinearModel
 
 __all__ = [
-    "Encoding", "SymEdge", "SymbolicModel", "build_symbolic",
-    "compile_edges",
+    "Encoding", "GRANULARITIES", "PLANT_INVS", "SymEdge", "SymbolicModel",
+    "build_symbolic", "compile_edges",
 ]
+
+# The values of build_symbolic's two switches.
+GRANULARITIES = ("edge", "event")  # relations per edge, or merged per event
+PLANT_INVS = ("implication", "restrict")  # how stage 6 strengthens guards
 
 
 # ----------------------------------------------------------------------
@@ -198,9 +202,6 @@ class Encoding:
             result = result & mgr.apply("biimp", mgr.var(lvl), mgr.var(lvl + 1))
         return result
 
-    def target_domain(self, name: str) -> NodeRef:
-        return self.in_domain(name, primed=True)
-
     # -- expression compilation
 
     def _is_bool(self, expr: Expr) -> bool:
@@ -323,9 +324,6 @@ class SymbolicModel:
     def manager(self) -> BddManager:
         return self.enc.manager
 
-    def edges_of(self, event: str) -> list[SymEdge]:
-        return [e for e in self.edges if e.event == event]
-
 
 def compile_edges(enc: Encoding) -> list[SymEdge]:
     """Stage-2 output: one symbolic (guard, error, update) per model edge."""
@@ -393,9 +391,9 @@ def build_symbolic(
     granularity: str = "edge",
 ) -> SymbolicModel:
     """Run the staged symbolic build; see the module docstring."""
-    if plant_inv not in ("implication", "restrict"):
+    if plant_inv not in PLANT_INVS:
         raise ValueError(f"unknown plant_inv '{plant_inv}'")
-    if granularity not in ("edge", "event"):
+    if granularity not in GRANULARITIES:
         raise ValueError(f"unknown granularity '{granularity}'")
     enc = Encoding(model, order)
     mgr = enc.manager

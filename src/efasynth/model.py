@@ -664,9 +664,6 @@ class ModelStats:
     tpe: int = 0
     tre: int = 0
 
-    def as_dict(self) -> dict[str, int]:
-        return dict(self.__dict__)
-
 
 def model_stats(spec: Specification) -> ModelStats:
     stats = ModelStats()

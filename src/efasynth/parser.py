@@ -38,6 +38,15 @@ _SYMBOLS = (
 )
 
 
+# Binding strength of the binary operators, for parsing and printing alike;
+# all of them associate to the left.
+_PREC = {
+    "or": 1, "and": 2,
+    "=": 3, "!=": 3, "<": 3, "<=": 3, ">": 3, ">=": 3,
+    "+": 4, "-": 4, "mod": 5,
+}
+
+
 class ParseError(Exception):
     def __init__(self, diagnostic: Diagnostic):
         super().__init__(str(diagnostic))
@@ -324,44 +333,15 @@ class _Parser:
         self.expect(";")
         spec.invariants.append(inv)
 
-    # -- expressions, loosest binding first
+    # -- expressions
 
-    def expr(self) -> Expr:
-        return self.disjunction()
-
-    def disjunction(self) -> Expr:
-        node = self.conjunction()
-        while self.at("or"):
-            tok = self.advance()
-            node = BinaryOp("or", node, self.conjunction(), span=tok.span)
-        return node
-
-    def conjunction(self) -> Expr:
-        node = self.comparison()
-        while self.at("and"):
-            tok = self.advance()
-            node = BinaryOp("and", node, self.comparison(), span=tok.span)
-        return node
-
-    def comparison(self) -> Expr:
-        node = self.additive()
-        while self.at("=", "!=", "<", "<=", ">", ">="):
-            tok = self.advance()
-            node = BinaryOp(tok.kind, node, self.additive(), span=tok.span)
-        return node
-
-    def additive(self) -> Expr:
-        node = self.modulo()
-        while self.at("+", "-"):
-            tok = self.advance()
-            node = BinaryOp(tok.kind, node, self.modulo(), span=tok.span)
-        return node
-
-    def modulo(self) -> Expr:
+    def expr(self, min_prec: int = 1) -> Expr:
+        """An expression whose binary operators bind at least ``min_prec``."""
         node = self.unary()
-        while self.at("mod"):
+        while _PREC.get(self.peek().kind, 0) >= min_prec:
             tok = self.advance()
-            node = BinaryOp("mod", node, self.unary(), span=tok.span)
+            right = self.expr(_PREC[tok.kind] + 1)
+            node = BinaryOp(tok.kind, node, right, span=tok.span)
         return node
 
     def unary(self) -> Expr:
@@ -459,13 +439,6 @@ def parse_file(path) -> Specification:
 
 # ----------------------------------------------------------------------
 # printing
-
-_PREC = {
-    "or": 1, "and": 2,
-    "=": 3, "!=": 3, "<": 3, "<=": 3, ">": 3, ">=": 3,
-    "+": 4, "-": 4, "mod": 5,
-}
-
 
 def format_expr(expr: Expr, parent_prec: int = 0, right: bool = False) -> str:
     if isinstance(expr, IntLit):

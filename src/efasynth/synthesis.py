@@ -36,11 +36,12 @@ strengthened guards inside the final behavior.  Reachable states are a
 unique least fixed point, so counting uses one method under every
 configuration, whatever ``granularity``, ``edge_apply`` and ``early_stop``
 say: the edges merged per event, one compound image per event relation,
-and early stopping.  It bypasses :meth:`FixedPointEngine.reach`, so
-``reach_calls`` and ``edge_applications`` count synthesis alone.  Its
-operations are left out of ``operations`` and reported apart as
-``count_operations``; ``unstaged_operations`` is the part of ``operations``
-done between stage calls, so the stages and it add up to ``operations``.
+and early stopping.  It runs :meth:`FixedPointEngine.reach` on an engine
+of its own, so ``reach_calls`` and ``edge_applications`` count synthesis
+alone.  Its operations are left out of ``operations`` and reported apart
+as ``count_operations``; ``unstaged_operations`` is the part of
+``operations`` done between stage calls, so the stages and it add up to
+``operations``.
 """
 
 from __future__ import annotations
@@ -50,32 +51,61 @@ import functools
 from dataclasses import dataclass, field
 
 from .bdd import BddManager, NodeRef
-from .encode import SymEdge, SymbolicModel, _merge_events, build_symbolic
+from .encode import (
+    GRANULARITIES, PLANT_INVS, SymEdge, SymbolicModel, _merge_events,
+    build_symbolic,
+)
 from .transform import LinearModel
 from . import varorder
 
 __all__ = [
-    "SynthesisConfig", "SynthesisResult", "FixedPointEngine", "synthesize",
+    "PRESETS", "SynthesisConfig", "SynthesisResult", "FixedPointEngine",
+    "synthesize",
 ]
 
 
+# The allowed values of every toggle but ``order``, whose strategies
+# varorder.check_strategy knows.
 _CHOICES = {
-    "granularity": ("edge", "event"),
+    "granularity": GRANULARITIES,
     "edge_apply": ("naive", "compound"),
-    "plant_inv": ("implication", "restrict"),
+    "early_stop": (False, True),
+    "forward": (False, True),
+    "plant_inv": PLANT_INVS,
+}
+
+# The benchmark bundles, as overrides of the v40 defaults.
+PRESETS = {
+    "v08": {
+        "order": "pipeline-v08", "granularity": "edge", "edge_apply": "naive",
+        "early_stop": False, "plant_inv": "restrict",
+    },
+    "v40": {},
 }
 
 
 @dataclass
 class SynthesisConfig:
-    """Knobs for one synthesis run; presets match the two benchmark bundles."""
+    """Knobs for one synthesis run, defaulting to the ``v40`` bundle.
 
-    order: str = "pipeline-v40"
-    granularity: str = "event"  # 'edge' | 'event'
-    edge_apply: str = "compound"  # 'naive' | 'compound'
-    early_stop: bool = True
-    forward: bool = False
-    plant_inv: str = "implication"  # 'implication' | 'restrict'
+    The fields are the one table of toggles: ``_CHOICES`` gives their
+    values and ``PRESETS`` the bundles, and the CLI derives its flags and
+    its configuration fingerprint from them.
+    """
+
+    order: str = field(default="pipeline-v40", metadata={
+        "help": "ordering strategy (e.g. pipeline-v08, pipeline-v40, dcsh,"
+                " force, sloan, cm, model, custom:a,b,c)",
+    })
+    granularity: str = "event"
+    edge_apply: str = "compound"
+    early_stop: bool = field(default=True, metadata={
+        "help": "stop fixed points at idempotence",
+    })
+    forward: bool = field(default=False, metadata={
+        "help": "add the forward reachability stage",
+    })
+    plant_inv: str = "implication"
 
     def __setattr__(self, name, value):
         # Checked on every assignment, so fields set after construction
@@ -85,20 +115,15 @@ class SynthesisConfig:
         elif name in _CHOICES and value not in _CHOICES[name]:
             raise ValueError(
                 f"unknown {name} '{value}'; expected one of "
-                + ", ".join(_CHOICES[name])
+                + ", ".join(map(str, _CHOICES[name]))
             )
         super().__setattr__(name, value)
 
     @staticmethod
     def preset(name: str) -> "SynthesisConfig":
-        if name == "v08":
-            return SynthesisConfig(
-                order="pipeline-v08", granularity="edge", edge_apply="naive",
-                early_stop=False, plant_inv="restrict",
-            )
-        if name == "v40":
-            return SynthesisConfig()
-        raise ValueError(f"unknown configuration preset '{name}'")
+        if name not in PRESETS:
+            raise ValueError(f"unknown configuration preset '{name}'")
+        return SynthesisConfig(**PRESETS[name])
 
 
 @dataclass
@@ -331,31 +356,28 @@ def _synthesize_behavior(engine: FixedPointEngine):
     return behavior, -(-runs // nst), stage_ops
 
 
-def _count_reachable(engine: FixedPointEngine, start, edges, restriction) -> int:
-    """States reachable from ``start`` within ``restriction``: one compound
-    image per event relation, stopped early, whatever the configuration."""
-    mgr = engine.mgr
-    steps = [
-        functools.partial(
-            engine._apply_compound, engine.relation(edge), edge, restriction,
-            False,
-        )
-        for edge in _merge_events(engine.enc, engine.sym.events, edges)
-    ]
-    reached, _ = _iterate(
-        mgr, steps, mgr.register_root(start & restriction), early_stop=True
+def _count_states(sym: SymbolicModel, behavior, strengthened):
+    """Uncontrolled and controlled reachable state counts, on an engine of
+    their own that merges the edges per event and stops early whatever the
+    run's configuration says."""
+    mgr = sym.manager
+    counter = FixedPointEngine(
+        sym, SynthesisConfig(edge_apply="compound", early_stop=True)
     )
-    return mgr.sat_count(reached, engine.enc.state_levels)
-
-
-def _count_states(engine: FixedPointEngine, behavior, strengthened):
-    """Uncontrolled and controlled reachable state counts."""
-    sym = engine.sym
     plant_edges = [
         dataclasses.replace(e, guard=e.guard_plant) for e in sym.base_edges
     ]
-    us = _count_reachable(engine, sym.initial, plant_edges, engine.mgr.true)
-    cs = _count_reachable(engine, sym.initial & behavior, strengthened, behavior)
+
+    def count(start, edges, restriction):
+        merged = _merge_events(sym.enc, sym.events, edges)
+        reached = counter.reach(start, merged, restriction, backward=False)
+        return mgr.sat_count(reached, sym.enc.state_levels)
+
+    try:
+        us = count(sym.initial, plant_edges, mgr.true)
+        cs = count(sym.initial & behavior, strengthened, behavior)
+    finally:
+        counter.close()
     return us, cs
 
 
@@ -418,7 +440,8 @@ def synthesize(
     }
 
     before_count = mgr.op_total
-    us, cs = _count_states(engine, behavior, strengthened)
+    # the engine's relations stay rooted while counting reuses them
+    us, cs = _count_states(sym, behavior, strengthened)
     metrics["count_operations"] = mgr.op_total - before_count
     metrics["uncontrolled_states"] = us
     metrics["controlled_states"] = cs if nonempty else 0

@@ -137,12 +137,6 @@ class LinearModel:
     location_codes: dict[str, dict[str, int]]
     codes: dict[str, int]  # enumeration literal -> index
 
-    def variable(self, name: str) -> Variable:
-        for var in self.variables:
-            if var.name == name:
-                return var
-        raise KeyError(name)
-
 
 class _Rewriter:
     """Replaces location references by pointer comparisons."""

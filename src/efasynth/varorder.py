@@ -134,7 +134,7 @@ class _Graph:
         comps.sort(key=lambda comp: (-len(comp), comp[0]))
         return comps
 
-    def _levels(self, root: int, members: list[int]) -> list[list[int]]:
+    def _levels(self, root: int) -> list[list[int]]:
         dist = {root: 0}
         levels = [[root]]
         queue = deque([root])
@@ -152,10 +152,10 @@ class _Graph:
     def pseudo_peripheral(self, comp: list[int]) -> tuple[int, int]:
         """A far-apart (start, end) pair via repeated level structures."""
         root = min(comp, key=lambda v: (self.degree[v], v))
-        levels = self._levels(root, comp)
+        levels = self._levels(root)
         while True:
             far = min(levels[-1], key=lambda v: (self.degree[v], v))
-            far_levels = self._levels(far, comp)
+            far_levels = self._levels(far)
             if len(far_levels) > len(levels):
                 root, levels = far, far_levels
             else:

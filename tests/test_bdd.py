@@ -82,6 +82,30 @@ def test_connectives_match_bitwise(a, b):
     assert ~fa == from_table(mgr, levels, ~a & full)
 
 
+@pytest.mark.parametrize("op", ["and", "or", "xor", "diff", "imp", "biimp"])
+def test_terminal_cases_are_not_counted(op):
+    # With a terminal operand or equal operands the result is a constant,
+    # an operand or its negation, and only a negation is an operation.
+    mgr = fresh(1)
+    x = mgr.var(0)
+    for f in (mgr.false, mgr.true, x):
+        for g in (mgr.false, mgr.true, x):
+            before = mgr.op_counts()
+            got = mgr.apply(op, f, g)
+            moved = {
+                name for name, n in mgr.op_counts().items() if n != before[name]
+            }
+            assert moved <= {"not"}
+            for bit in (0, 1):
+                env = {0: bit}
+                a, b = mgr.evaluate(f, env), mgr.evaluate(g, env)
+                want = {
+                    "and": a and b, "or": a or b, "xor": a != b,
+                    "diff": a and not b, "imp": not a or b, "biimp": a == b,
+                }[op]
+                assert mgr.evaluate(got, env) == want
+
+
 def test_canonicity_shares_nodes():
     mgr = fresh()
     f = (mgr.var(0) & mgr.var(2)) | (mgr.var(4) & mgr.var(6))

@@ -1,13 +1,17 @@
 """Command-line driver: reports, outputs, exit codes."""
 
+import dataclasses
 import json
 
 import pytest
 
 import efasynth.cli as cli
+from efasynth import synthesis
 from efasynth.cli import main
 from efasynth.model import validate
 from efasynth.parser import parse_spec
+from efasynth.synthesis import SynthesisConfig
+from efasynth.varorder import STRATEGIES
 
 
 EMPTY_SUPERVISOR = """
@@ -80,6 +84,50 @@ def test_run_config_fingerprint_reflects_overrides(producer, tmp_path, capsys):
     assert "order=pipeline-v08" in stdout
     assert "early-stop=on" in stdout
     assert "edge-apply=naive" in stdout
+
+
+def test_preset_fingerprints():
+    assert cli._fingerprint(SynthesisConfig.preset("v08")) == (
+        "order=pipeline-v08 granularity=edge edge-apply=naive early-stop=off"
+        " forward=off plant-inv=restrict"
+    )
+    assert cli._fingerprint(SynthesisConfig.preset("v40"), True) == (
+        "order=pipeline-v40 granularity=event edge-apply=compound"
+        " early-stop=on forward=off plant-inv=implication simplify=on"
+    )
+
+
+def _flag_values():
+    for field in dataclasses.fields(SynthesisConfig):
+        flag = field.name.replace("_", "-")
+        if isinstance(field.default, bool):
+            values = ("on", "off")
+        else:
+            values = synthesis._CHOICES.get(field.name, STRATEGIES)
+        for value in values:
+            yield pytest.param(flag, value, id=f"{flag}={value}")
+
+
+@pytest.mark.parametrize("flag, value", _flag_values())
+def test_run_accepts_every_toggle_value(producer, tmp_path, capsys, flag,
+                                        value):
+    assert main([
+        "run", producer, f"--{flag}", value, "--out", str(tmp_path / "o.efa"),
+    ]) == 0
+    config_line = next(
+        line for line in capsys.readouterr().out.splitlines()
+        if line.startswith("config ")
+    )
+    assert f"{flag}={value}" in config_line.split()
+
+
+@pytest.mark.parametrize("field", ["early_stop", "forward"])
+def test_run_bad_preset_value_exits_1(producer, monkeypatch, capsys, field):
+    monkeypatch.setitem(synthesis.PRESETS, "broken", {field: "off"})
+    assert main(["run", producer, "--config", "broken"]) == 1
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    assert f"unknown {field} 'off'" in err
 
 
 def test_run_empty_supervisor_exits_2(tmp_path, capsys):
@@ -176,6 +224,60 @@ def test_run_bad_order_exits_1(producer, tmp_path, capsys, order):
     assert "internal error" not in err
     assert "order" in err
     assert not out.exists()
+
+
+def _guarded(guard):
+    return f"""
+controllable go;
+plant p {{
+  disc int[0..3] x = 0;
+  location l:
+    initial; marked;
+    edge go when {guard} do x := 0;
+}}
+"""
+
+
+def test_run_parses_deep_parentheses(tmp_path, capsys):
+    model = tmp_path / "deep.efa"
+    model.write_text(_guarded("(" * 130 + "x = 0" + ")" * 130))
+    assert main(["run", str(model)]) == 0
+
+
+@pytest.mark.parametrize("guard", [
+    "(" * 1000 + "x = 0" + ")" * 1000,  # too deep for the parser
+    " + ".join(["x"] * 600) + " = 0",  # for validate
+    " + ".join(["x"] * 3000) + " = 0",  # for name resolution
+], ids=["parens", "sum600", "sum3000"])
+def test_run_too_deep_expression_exits_1(tmp_path, capsys, guard):
+    model = tmp_path / "deep.efa"
+    model.write_text(_guarded(guard))
+    assert main(["run", str(model)]) == 1
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    assert f"{model}: expressions nested too deeply" in err
+
+
+def test_bench_without_operations_shows_no_factor(tmp_path, capsys):
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    (suite / "still.efa").write_text(
+        "controllable go;\nplant p {\n  location l:\n    initial; marked;\n"
+        "    edge go;\n}\n"
+    )
+    csv_path, json_path = tmp_path / "table.csv", tmp_path / "table.json"
+    assert main([
+        "bench", str(suite), "--reps", "1",
+        "--csv", str(csv_path), "--json", str(json_path),
+    ]) == 0
+    rows = json.loads(json_path.read_text())["rows"]
+    assert [row["operations"] for row in rows] == [0, 0]
+    assert all(
+        row["op_factor"] is None and row["node_factor"] is None for row in rows
+    )
+    assert csv_path.read_text().splitlines()[1] == "still,v08,0,0,1,1,1,,,True"
+    table = capsys.readouterr().out.splitlines()
+    assert table[1].split()[-3:] == ["-", "-", "True"]
 
 
 def test_bench_zero_reps_exits_1(models_dir, capsys):

@@ -93,6 +93,31 @@ def test_subtraction_left_associative():
     assert expr.left == BinaryOp("-", BinaryOp("-", IntLit(5), IntLit(2)), IntLit(1))
 
 
+def test_binary_operators_associate_left():
+    expr = parse_spec("initial a or b or c and d and e;").init_preds[0]
+    assert expr == BinaryOp(
+        "or",
+        BinaryOp("or", VarRef("a"), VarRef("b")),
+        BinaryOp("and", BinaryOp("and", VarRef("c"), VarRef("d")), VarRef("e")),
+    )
+    expr = parse_spec("initial 8 mod 5 mod 2 < 1 = true;").init_preds[0]
+    assert expr == BinaryOp(
+        "=",
+        BinaryOp(
+            "<",
+            BinaryOp("mod", BinaryOp("mod", IntLit(8), IntLit(5)), IntLit(2)),
+            IntLit(1),
+        ),
+        BoolLit(True),
+    )
+
+
+def test_deeply_parenthesized_expression_parses():
+    depth = 130
+    text = "initial " + "(" * depth + "true" + ")" * depth + ";"
+    assert parse_spec(text).init_preds == [BoolLit(True)]
+
+
 def test_round_trip_sample():
     spec = parse_spec(SAMPLE)
     again = parse_spec(unparse(spec))

@@ -10,7 +10,9 @@ import pytest
 from efasynth.emit import emit
 from efasynth.oracle import ExplicitOracle
 from efasynth.parser import parse_file, parse_spec, unparse
-from efasynth.synthesis import FixedPointEngine, SynthesisConfig, synthesize
+from efasynth.synthesis import (
+    PRESETS, FixedPointEngine, SynthesisConfig, synthesize,
+)
 from efasynth.encode import build_symbolic
 from efasynth.transform import linearize, plantify
 from efasynth.varorder import compute_order
@@ -222,6 +224,27 @@ def test_config_rejects_bad_assignment(field):
     with pytest.raises(ValueError, match="bogus"):
         setattr(config, field, "bogus")
     assert getattr(config, field) == getattr(SynthesisConfig(), field)
+
+
+@pytest.mark.parametrize("field", ["early_stop", "forward"])
+def test_config_rejects_non_bool_toggles(field):
+    # "off" is a truthy string: taken as is, it would switch the toggle on
+    with pytest.raises(ValueError, match="'off'"):
+        SynthesisConfig(**{field: "off"})
+    config = SynthesisConfig()
+    with pytest.raises(ValueError, match="'off'"):
+        setattr(config, field, "off")
+    assert getattr(config, field) == getattr(SynthesisConfig(), field)
+
+
+def test_presets_override_the_defaults():
+    assert SynthesisConfig.preset("v40") == SynthesisConfig()
+    v08 = SynthesisConfig.preset("v08")
+    assert {
+        f.name: getattr(v08, f.name)
+        for f in dataclasses.fields(SynthesisConfig)
+        if getattr(v08, f.name) != f.default
+    } == PRESETS["v08"]
 
 
 def test_manager_freed_without_collector(models_dir):
