@@ -13,7 +13,17 @@ and the sliding-window pass),
 
 where ``hi_h``/``span_h`` are the highest position and position spread of
 hyperedge ``h`` under the candidate order and ``n`` the variable count.
-Every tie anywhere breaks toward lower model index, keeping results
+The searches rank candidates by the exact integer
+
+    key = sum_h (hi_h + 1) * span_h = WES * n**2 * |G| / 2
+
+instead of the float :func:`wes`.  Both rank orders the same way, but
+summing float terms can round two equal WES values apart, and a search
+would then accept a move that does not lower the WES.  :func:`wes` stays for
+reporting.  The sliding window keeps each variable's position and
+hyperedges, so scoring a permutation of one window costs only the
+hyperedges that touch the window, not all of them.  Every tie anywhere
+breaks toward lower model index or the first candidate, keeping results
 reproducible across platforms.
 """
 
@@ -70,14 +80,23 @@ def hyperedges(model: LinearModel) -> list[frozenset[int]]:
     return result
 
 
+def _pair_weights(edges: list[frozenset[int]], n: int) -> list[dict[int, int]]:
+    """Per vertex, how many hyperedges it shares with each co-occurring one."""
+    weight: list[dict[int, int]] = [{} for _ in range(n)]
+    for edge in edges:
+        for i, j in itertools.combinations(edge, 2):
+            weight[i][j] = weight[i].get(j, 0) + 1
+            weight[j][i] = weight[j].get(i, 0) + 1
+    return weight
+
+
 def dsm_matrix(edges: list[frozenset[int]], n: int) -> list[list[int]]:
     """Symmetric co-occurrence counts: how many hyperedges share each pair."""
-    weight = [[0] * n for _ in range(n)]
-    for edge in edges:
-        for i, j in itertools.combinations(sorted(edge), 2):
-            weight[i][j] += 1
-            weight[j][i] += 1
-    return weight
+    matrix = [[0] * n for _ in range(n)]
+    for row, weights in zip(matrix, _pair_weights(edges, n)):
+        for j, count in weights.items():
+            row[j] = count
+    return matrix
 
 
 def wes(order: list[int], edges: list[frozenset[int]]) -> float:
@@ -100,6 +119,17 @@ def total_span(order: list[int], edges: list[frozenset[int]]) -> int:
     )
 
 
+def _wes_key(pos, edges) -> int:
+    """``sum_h (hi_h + 1) * (hi_h - lo_h)`` with ``pos`` mapping vertex to
+    position: WES * n**2 * |G| / 2 as an exact integer (module docstring)."""
+    total = 0
+    for edge in edges:
+        places = [pos[v] for v in edge]
+        hi = max(places)
+        total += (hi + 1) * (hi - min(places))
+    return total
+
+
 # ----------------------------------------------------------------------
 # graph helpers
 
@@ -107,10 +137,8 @@ def total_span(order: list[int], edges: list[frozenset[int]]) -> int:
 class _Graph:
     def __init__(self, edges: list[frozenset[int]], n: int):
         self.n = n
-        self.weight = dsm_matrix(edges, n)
-        self.adj = [
-            [j for j in range(n) if self.weight[i][j] > 0] for i in range(n)
-        ]
+        self.weight = _pair_weights(edges, n)
+        self.adj = [sorted(weights) for weights in self.weight]
         self.degree = [len(nbrs) for nbrs in self.adj]
 
     def components(self) -> list[list[int]]:
@@ -237,7 +265,10 @@ def _dcsh(edges: list[frozenset[int]], n: int) -> list[int]:
         cm = _cuthill_mckee(graph, comp)
         sl = _sloan(graph, comp)
         candidates = [cm, sl, cm[::-1], sl[::-1]]
-        order.extend(min(candidates, key=lambda cand: wes(cand, local)))
+        order.extend(min(
+            candidates,
+            key=lambda cand: _wes_key({v: i for i, v in enumerate(cand)}, local),
+        ))
     return order
 
 
@@ -274,24 +305,41 @@ def sliding_window(
     order: list[int], edges: list[frozenset[int]], width: int = 4
 ) -> list[int]:
     """One left-to-right pass permuting each ``width`` consecutive variables
-    to the arrangement with the lowest WES; keeps only strict improvements."""
+    to the arrangement with the lowest WES; keeps only strict improvements,
+    the first one found among equals.
+
+    ``order`` must be a permutation of ``range(len(order))``.  Candidates
+    are compared by the exact integer WES key of the hyperedges that touch
+    the window, the only ones a permutation of it can change."""
     order = list(order)
-    if len(order) < 2 or not edges:
+    n = len(order)
+    width = min(width, n)
+    # a singleton hyperedge spans nothing wherever it sits
+    spread = [edge for edge in edges if len(edge) > 1]
+    if width < 2 or not spread:
         return order
-    width = min(width, len(order))
-    current = wes(order, edges)
-    for at in range(len(order) - width + 1):
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    incident: list[list[int]] = [[] for _ in range(n)]
+    for e, edge in enumerate(spread):
+        for v in edge:
+            incident[v].append(e)
+    perms = list(itertools.permutations(range(width)))[1:]  # skip identity
+    for at in range(n - width + 1):
         window = order[at:at + width]
-        best, best_wes = None, current
-        for perm in itertools.permutations(window):
-            if list(perm) == window:
-                continue
-            candidate = order[:at] + list(perm) + order[at + width:]
-            value = wes(candidate, edges)
-            if value < best_wes:
-                best, best_wes = candidate, value
-        if best is not None:
-            order, current = best, best_wes
+        touched = [spread[e] for e in {e for v in window for e in incident[v]}]
+        best, best_key = None, _wes_key(pos, touched)
+        for perm in perms:
+            for k, i in enumerate(perm):
+                pos[window[i]] = at + k
+            key = _wes_key(pos, touched)
+            if key < best_key:
+                best, best_key = perm, key
+        chosen = best or range(width)
+        for k, i in enumerate(chosen):
+            order[at + k] = window[i]
+            pos[window[i]] = at + k
     return order
 
 

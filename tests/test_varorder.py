@@ -1,7 +1,10 @@
 """Ordering heuristics: hypergraph extraction, metrics, and strategies."""
 
+import itertools
+import time
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from efasynth.parser import parse_file, parse_spec
 from efasynth.transform import linearize, plantify
@@ -138,3 +141,85 @@ def test_sliding_window_output_beats_or_ties_input(start):
     out = sliding_window(list(start), edges)
     assert wes(out, edges) <= wes(list(start), edges)
     assert sorted(out) == list(range(6))
+
+
+def exact_key(order, edges):
+    """WES * n**2 * |G| / 2, computed from scratch for one whole order."""
+    pos = {v: i for i, v in enumerate(order)}
+    total = 0
+    for edge in edges:
+        hi = max(pos[v] for v in edge)
+        total += (hi + 1) * (hi - min(pos[v] for v in edge))
+    return total
+
+
+def reference_sliding_window(order, edges, width):
+    """The window walk scoring every whole candidate order by its exact key;
+    strict improvements only, the first of equals wins."""
+    order = list(order)
+    width = min(width, len(order))
+    current = exact_key(order, edges)
+    for at in range(len(order) - width + 1):
+        window = order[at:at + width]
+        best, best_key = None, current
+        for perm in itertools.permutations(window):
+            if list(perm) == window:
+                continue
+            candidate = order[:at] + list(perm) + order[at + width:]
+            key = exact_key(candidate, edges)
+            if key < best_key:
+                best, best_key = candidate, key
+        if best is not None:
+            order, current = best, best_key
+    return order
+
+
+@st.composite
+def window_cases(draw):
+    n = draw(st.integers(2, 14))
+    # singletons allowed; vertices in no hyperedge stay isolated
+    edges = draw(st.lists(
+        st.frozensets(st.integers(0, n - 1), min_size=1, max_size=n),
+        max_size=20,
+    ))
+    start = draw(st.permutations(range(n)))
+    width = draw(st.integers(2, 5))
+    return list(start), edges, width
+
+
+@settings(deadline=None)
+@given(window_cases())
+def test_sliding_window_matches_exact_reference(case):
+    start, edges, width = case
+    assert sliding_window(start, edges, width) == reference_sliding_window(
+        start, edges, width)
+
+
+# Two orders with the same exact key, 405, whose float WES sums round to
+# 0.4999999999999999 and 0.5: a float comparison took the last move.
+FLOAT_TIE_START = [1, 4, 6, 7, 0, 3, 5, 2, 8]
+FLOAT_TIE_EDGES = [frozenset(e) for e in (
+    {0, 1, 5}, {0, 2, 3}, {0, 1, 2}, {0, 3, 6}, {5}, {2, 4, 5, 7}, {3}, {7},
+    {0, 1, 3, 6}, {1, 8}, {4, 6}, {0, 3, 4, 8}, {3, 5, 6}, {5}, {6, 8},
+    {0, 6}, {1, 6}, {6}, {1, 2, 7}, {0},
+)]
+
+
+def test_sliding_window_rejects_a_float_rounding_move():
+    out = sliding_window(FLOAT_TIE_START, FLOAT_TIE_EDGES, 3)
+    assert out == [4, 7, 6, 3, 0, 1, 2, 5, 8]
+    rounded = [4, 7, 6, 3, 0, 1, 8, 2, 5]
+    assert exact_key(out, FLOAT_TIE_EDGES) == exact_key(rounded, FLOAT_TIE_EDGES) == 405
+    assert wes(rounded, FLOAT_TIE_EDGES) < wes(out, FLOAT_TIE_EDGES) == 0.5
+
+
+def test_ordering_a_long_chain_is_fast():
+    # scoring every window permutation over all hyperedges made this pass
+    # quadratic: over a minute at this size
+    n = 1500
+    edges = [frozenset({0})] + [frozenset({i - 1, i}) for i in range(1, n)]
+    began = time.perf_counter()
+    order = sliding_window(force(list(range(n)), edges), edges)
+    elapsed = time.perf_counter() - began
+    assert order == list(range(n))
+    assert elapsed < 3.0
