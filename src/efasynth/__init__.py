@@ -1,6 +1,6 @@
 """Symbolic supervisory controller synthesis for extended finite automata."""
 
-from efasynth.bdd import BddError, BddManager, NodeRef
+from .bdd import BddError, BddManager, NodeRef
 
 __version__ = "0.1.0"
 

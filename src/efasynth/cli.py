@@ -11,6 +11,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -284,6 +285,9 @@ def cmd_oracle(args) -> int:
         oracle = ExplicitOracle(model, cap=args.cap)
     except UniverseTooLarge as exc:
         raise Failure(EXIT_DIAGNOSTICS, str(exc))
+    except RecursionError:  # the reference evaluator is a plain recursion
+        message = f"{args.model}: expressions too long for the explicit oracle"
+        raise Failure(EXIT_DIAGNOSTICS, message)
     lines = [
         ("universe", len(oracle.states)),
         ("initial", len(oracle.initial)),
@@ -368,11 +372,16 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a broken pipe raises here, not at shutdown
+        return code
     except Failure as failure:
         if failure.message:
             print(failure.message, file=sys.stderr)
         return failure.code
+    except BrokenPipeError:  # stdout's reader left; let no flush raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_DIAGNOSTICS
     except Exception as exc:  # noqa: BLE001 - exit code contract
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

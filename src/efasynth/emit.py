@@ -28,16 +28,13 @@ import dataclasses
 
 from .bdd import NodeRef
 from .model import (
-    Automaton, BinaryOp, BoolDomain, BoolLit, Edge, EnumDomain, EnumLit,
+    FALSE, TRUE, Automaton, BinaryOp, BoolDomain, Edge, EnumDomain, EnumLit,
     Expr, IntLit, Location, LocRef, Specification, UnaryOp, VarRef,
 )
 from .synthesis import SynthesisResult
 from .transform import conj, disj
 
 __all__ = ["emit", "lower_bdd_to_expr"]
-
-TRUE = BoolLit(True)
-FALSE = BoolLit(False)
 
 
 def _int(value: int) -> Expr:
@@ -173,7 +170,8 @@ def emit(
                 plant & sym.pp
                 & sym.req_guards.get(name, mgr.true) & result.controlled
             )
-            guard = mgr.restrict(guard, assumption)
+            if not assumption.is_false:  # else the event never occurs
+                guard = mgr.restrict(guard, assumption)
         guards[name] = guard
 
     automata = []

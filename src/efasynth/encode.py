@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 
 from .bdd import BddManager, NodeRef
 from .model import (
-    BinaryOp, BoolDomain, BoolLit, EnumDomain, Expr, IntDomain, IntLit,
-    EnumLit, LocRef, UnaryOp, VarRef, Variable, domain_size,
+    BinaryOp, BoolDomain, BoolLit, EnumLit, Expr, IntDomain, IntLit, UnaryOp,
+    VarRef, Variable, domain_size, fold_expr,
 )
 from .transform import LinearModel
 
@@ -123,6 +123,20 @@ def bv_mod(mgr, a: list[NodeRef], modulus: int) -> list[NodeRef]:
     return bv_ite(mgr, a[-1], wrapped, remainder)
 
 
+# The other binary operators on compiled operands: BDDs for 'and'/'or',
+# bit vectors for the rest.
+_BINARY = {
+    "and": lambda mgr, a, b: a & b,
+    "or": lambda mgr, a, b: a | b,
+    "+": bv_add,
+    "-": bv_sub,
+    "<": bv_lt,
+    ">": lambda mgr, a, b: bv_lt(mgr, b, a),
+    "<=": lambda mgr, a, b: mgr.negate(bv_lt(mgr, b, a)),
+    ">=": lambda mgr, a, b: mgr.negate(bv_lt(mgr, a, b)),
+}
+
+
 # ----------------------------------------------------------------------
 # encoding
 
@@ -204,82 +218,52 @@ class Encoding:
 
     # -- expression compilation
 
-    def _is_bool(self, expr: Expr) -> bool:
-        if isinstance(expr, BoolLit):
-            return True
-        if isinstance(expr, VarRef):
-            return isinstance(self.by_name[expr.name].var.domain, BoolDomain)
-        if isinstance(expr, UnaryOp):
-            return expr.op == "not"
-        if isinstance(expr, BinaryOp):
-            return expr.op not in ("+", "-", "mod")
-        return False
+    def compile_pred(self, expr: Expr):
+        """One fold: a boolean (sub)expression compiles to a :class:`NodeRef`,
+        an integer or enumeration one to a bit vector, so '='/'!=' can tell
+        the two apart by their left operand's value."""
+        return fold_expr(expr, self._leaf, self._unary, self._binary)
 
-    def compile_int(self, expr: Expr) -> list[NodeRef]:
+    def _leaf(self, expr: Expr):
         mgr = self.manager
+        if isinstance(expr, BoolLit):
+            return mgr.true if expr.value else mgr.false
         if isinstance(expr, IntLit):
             return bv_const(mgr, expr.value)
         if isinstance(expr, EnumLit):
             return bv_const(mgr, self.model.codes[expr.name])
         if isinstance(expr, VarRef):
+            if isinstance(self.by_name[expr.name].var.domain, BoolDomain):
+                return self.bits(expr.name)[0]
             return self.value_bits(expr.name)
-        if isinstance(expr, UnaryOp):  # unary minus
-            return bv_sub(mgr, bv_const(mgr, 0), self.compile_int(expr.operand))
-        assert isinstance(expr, BinaryOp), expr
-        if expr.op == "mod":
-            assert isinstance(expr.right, IntLit)
-            return bv_mod(mgr, self.compile_int(expr.left), expr.right.value)
-        a, b = self.compile_int(expr.left), self.compile_int(expr.right)
-        if expr.op == "+":
-            return bv_add(mgr, a, b)
-        assert expr.op == "-", expr.op
-        return bv_sub(mgr, a, b)
+        raise ValueError("location references must be linearized away")
 
-    def compile_pred(self, expr: Expr) -> NodeRef:
+    def _unary(self, expr: UnaryOp, operand):
         mgr = self.manager
-        if isinstance(expr, BoolLit):
-            return mgr.true if expr.value else mgr.false
-        if isinstance(expr, VarRef):
-            return self.bits(expr.name)[0]
-        if isinstance(expr, LocRef):
-            raise ValueError("location references must be linearized away")
-        if isinstance(expr, UnaryOp):
-            return mgr.negate(self.compile_pred(expr.operand))
-        assert isinstance(expr, BinaryOp), expr
-        op = expr.op
-        if op == "and":
-            return self.compile_pred(expr.left) & self.compile_pred(expr.right)
-        if op == "or":
-            return self.compile_pred(expr.left) | self.compile_pred(expr.right)
-        if op in ("=", "!=") and self._is_bool(expr.left):
-            same = mgr.apply(
-                "biimp", self.compile_pred(expr.left), self.compile_pred(expr.right)
-            )
-            return same if op == "=" else mgr.negate(same)
-        a, b = self.compile_int(expr.left), self.compile_int(expr.right)
-        if op == "=":
-            return bv_eq(mgr, a, b)
-        if op == "!=":
-            return mgr.negate(bv_eq(mgr, a, b))
-        if op == "<":
-            return bv_lt(mgr, a, b)
-        if op == ">":
-            return bv_lt(mgr, b, a)
-        if op == "<=":
-            return mgr.negate(bv_lt(mgr, b, a))
-        assert op == ">=", op
-        return mgr.negate(bv_lt(mgr, a, b))
+        if expr.op == "not":
+            return mgr.negate(operand)
+        return bv_sub(mgr, bv_const(mgr, 0), operand)
+
+    def _binary(self, expr: BinaryOp, a, b):
+        mgr = self.manager
+        if expr.op == "mod":
+            return bv_mod(mgr, a, expr.right.value)
+        if expr.op in ("=", "!="):
+            if isinstance(a, NodeRef):
+                same = mgr.apply("biimp", a, b)
+            else:
+                same = bv_eq(mgr, a, b)
+            return same if expr.op == "=" else mgr.negate(same)
+        return _BINARY[expr.op](mgr, a, b)
 
     def assignment(self, name: str, rhs: Expr) -> tuple[NodeRef, NodeRef]:
         """Update relation and range-error predicate for ``name := rhs``."""
         mgr = self.manager
         sym = self.by_name[name]
         if isinstance(sym.var.domain, BoolDomain):
-            update = mgr.apply(
-                "biimp", self.bits(name, primed=True)[0], self.compile_pred(rhs)
-            )
-            return update, mgr.false
-        code = self.compile_int(rhs)
+            target = self.bits(name, primed=True)[0]
+            return mgr.apply("biimp", target, self.compile_pred(rhs)), mgr.false
+        code = self.compile_pred(rhs)
         if sym.lo:
             code = bv_sub(mgr, code, bv_const(mgr, sym.lo))
         top = bv_const(mgr, (1 << sym.width) - 1)
@@ -381,7 +365,9 @@ def _enforce_targets(sym_edges, enc, pp, mode: str):
             if not (edge.guard & mgr.negate(ok)).is_false:
                 edge.guard = edge.guard & ok
         else:  # 'restrict': same states modulo pp, smaller predicates
-            edge.guard = mgr.restrict(edge.guard & ok, pp)
+            guard = edge.guard & ok
+            # an empty pp is no care set: every guard agrees on it
+            edge.guard = guard if pp.is_false else mgr.restrict(guard, pp)
 
 
 def build_symbolic(

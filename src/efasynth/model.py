@@ -5,14 +5,18 @@ in tool output only — supervisors), input variables, component-level
 initialization/marker predicates, and invariants.  Expressions are small
 immutable trees; enumeration literals evaluate to their declaration index.
 
-``validate`` returns diagnostics instead of raising, so callers can report
-every problem at once.  ``eval_expr`` gives the expression semantics used by
-the explicit-state reference implementation and by tests; the symbolic
-pipeline re-encodes the same semantics over BDDs.
+``fold_expr`` is the one way to walk an expression: name resolution, type
+checking, location rewriting, variable collection, printing and BDD
+compilation are all folds, and its explicit stack admits any length.
+``eval_expr``, the reference semantics of the explicit-state oracle and of
+the tests, stays a plain recursion of its own, so that the pipeline it
+checks shares no traversal with it.  ``validate`` returns diagnostics
+instead of raising, so callers can report every problem at once.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional, Union
 
@@ -20,8 +24,8 @@ __all__ = [
     "Automaton", "BinaryOp", "BoolDomain", "BoolLit", "Diagnostic",
     "Edge", "EnumDomain", "EnumLit", "Event", "Expr", "IntDomain", "IntLit",
     "Invariant", "LocRef", "Location", "ModelStats", "Span", "Specification",
-    "UnaryOp", "VarRef", "Variable", "domain_size", "eval_expr",
-    "literal_codes", "model_stats", "validate",
+    "UnaryOp", "VarRef", "Variable", "domain_size", "eval_expr", "fold_expr",
+    "literal_codes", "map_leaves", "model_stats", "validate",
 ]
 
 
@@ -135,6 +139,42 @@ Expr = Union[IntLit, BoolLit, VarRef, EnumLit, LocRef, UnaryOp, BinaryOp]
 
 TRUE = BoolLit(True)
 FALSE = BoolLit(False)
+
+
+def fold_expr(expr: Expr, leaf, unary, binary):
+    """Fold ``expr`` bottom up: ``leaf(node)``, ``unary(node, operand)`` and
+    ``binary(node, left, right)`` give a node's value from its operands'.
+    Operands are folded left to right before their operator, on an explicit
+    stack, so an expression of any length folds."""
+    if not isinstance(expr, (BinaryOp, UnaryOp)):
+        return leaf(expr)
+    values: list = []
+    todo: list = [(expr, False)]
+    while todo:
+        node, ready = todo.pop()
+        if ready:
+            if isinstance(node, BinaryOp):
+                right = values.pop()
+                values[-1] = binary(node, values[-1], right)
+            else:
+                values[-1] = unary(node, values[-1])
+        elif isinstance(node, BinaryOp):
+            todo += ((node, True), (node.right, False), (node.left, False))
+        elif isinstance(node, UnaryOp):
+            todo += ((node, True), (node.operand, False))
+        else:
+            values.append(leaf(node))
+    return values[0]
+
+
+def map_leaves(expr: Expr, replace) -> Expr:
+    """``expr`` with every leaf ``node`` replaced by ``replace(node)``;
+    operators keep their spans."""
+    return fold_expr(
+        expr, replace,
+        lambda node, operand: UnaryOp(node.op, operand, span=node.span),
+        lambda node, left, right: BinaryOp(node.op, left, right, span=node.span),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -340,121 +380,102 @@ def eval_expr(
 # validation
 
 
-class _Typer:
-    """Expression type checker; collects diagnostics instead of raising.
+# Typing folds an expression to a (type, diagnostics) pair.  A type is
+# 'bool', 'int', an EnumDomain, None for "already reported", or, for an
+# enumeration literal, the literal itself: a marker only '='/'!=' accept.
+# An operator reports on its left operand ahead of the problems inside its
+# right one; each list is consumed once, so operators extend it in place.
+# Literals and variable domains name their type; an enumeration is its own.
+_TYPE_NAMES = {
+    BoolLit: "bool", BoolDomain: "bool", IntLit: "int", IntDomain: "int",
+}
 
-    Types are 'bool', 'int', an :class:`EnumDomain`, or None for "already
-    reported, stop propagating".
-    """
 
-    def __init__(self, spec: Specification, diags: list[Diagnostic]):
-        self.spec = spec
-        self.diags = diags
-        self.vars = {v.name: v for v in spec.variables()}
+def _type_leaf(spec: Specification, variables: dict, expr: Expr):
+    if isinstance(expr, VarRef):
+        var = variables.get(expr.name)
+        if var is None:
+            message = f"unknown variable '{expr.name}'"
+            return None, [Diagnostic(message, expr.span)]
+        return _TYPE_NAMES.get(type(var.domain), var.domain), []
+    if not isinstance(expr, LocRef):
+        return _TYPE_NAMES.get(type(expr), expr), []
+    aut = spec.automaton(expr.automaton)
+    if aut is None:
+        message = f"unknown automaton '{expr.automaton}'"
+    elif aut.location(expr.location) is None:
+        message = (
+            f"automaton '{expr.automaton}' has no location '{expr.location}'"
+        )
+    else:
+        return "bool", []
+    return "bool", [Diagnostic(message, expr.span)]
 
-    def error(self, message: str, node) -> None:
-        self.diags.append(Diagnostic(message, getattr(node, "span", None)))
 
-    def type_of(self, expr: Expr):
-        if isinstance(expr, IntLit):
-            return "int"
-        if isinstance(expr, BoolLit):
-            return "bool"
-        if isinstance(expr, VarRef):
-            var = self.vars.get(expr.name)
-            if var is None:
-                self.error(f"unknown variable '{expr.name}'", expr)
-                return None
-            if isinstance(var.domain, BoolDomain):
-                return "bool"
-            if isinstance(var.domain, IntDomain):
-                return "int"
-            return var.domain
-        if isinstance(expr, EnumLit):
-            # Only meaningful next to an enum-typed operand; the binary
-            # case below intercepts that, so a bare literal is an error.
-            self.error(
-                f"enumeration literal '{expr.name}' cannot be typed here",
-                expr,
-            )
-            return None
-        if isinstance(expr, LocRef):
-            aut = self.spec.automaton(expr.automaton)
-            if aut is None:
-                self.error(f"unknown automaton '{expr.automaton}'", expr)
-            elif aut.location(expr.location) is None:
-                self.error(
-                    f"automaton '{expr.automaton}' has no location "
-                    f"'{expr.location}'",
-                    expr,
-                )
-            return "bool"
-        if isinstance(expr, UnaryOp):
-            want = "bool" if expr.op == "not" else "int"
-            got = self.type_of(expr.operand)
-            if got is not None and got != want:
-                self.error(f"operand of '{expr.op}' must be {want}", expr)
-            return want
-        return self._type_binary(expr)
+def _settle(typed):
+    """A bare enumeration literal has no type outside '='/'!='."""
+    got, diags = typed
+    if not isinstance(got, EnumLit):
+        return typed
+    message = f"enumeration literal '{got.name}' cannot be typed here"
+    return None, [Diagnostic(message, got.span)]
 
-    def _type_binary(self, expr: BinaryOp):
-        op = expr.op
-        if op in ("and", "or"):
-            for side in (expr.left, expr.right):
-                got = self.type_of(side)
-                if got is not None and got != "bool":
-                    self.error(f"operand of '{op}' must be boolean", side)
-            return "bool"
-        if op in ("+", "-", "mod", "<", "<=", ">", ">="):
-            for side in (expr.left, expr.right):
-                got = self.type_of(side)
-                if got is not None and got != "int":
-                    self.error(f"operand of '{op}' must be integer", side)
-            if op == "mod":
-                rhs = expr.right
-                if not isinstance(rhs, IntLit) or rhs.value <= 0:
-                    self.error(
-                        "modulus must be a positive integer literal", expr
-                    )
-            return "int" if op in ("+", "-", "mod") else "bool"
-        # '=' / '!='
-        lhs, rhs = expr.left, expr.right
-        if isinstance(lhs, EnumLit) and not isinstance(rhs, EnumLit):
-            lhs, rhs = rhs, lhs
-        if isinstance(rhs, EnumLit):
-            lty = self.type_of(lhs)
-            if isinstance(lty, EnumDomain):
-                if rhs.name not in lty.literals:
-                    self.error(
-                        f"literal '{rhs.name}' is not a value of the "
-                        "compared enumeration",
-                        rhs,
-                    )
-            elif lty is not None:
-                self.error(
-                    "enumeration literal compared against a non-enumeration "
-                    "operand",
-                    rhs,
-                )
-            return "bool"
-        lty, rty = self.type_of(lhs), self.type_of(rhs)
-        if lty is None or rty is None:
-            return "bool"
+
+def _operand(typed, want: str, message: str, node: Expr) -> list[Diagnostic]:
+    """An operand's diagnostics, then ``message`` if it is not ``want``."""
+    got, diags = _settle(typed)
+    if got is not None and got != want:
+        diags.append(Diagnostic(message, node.span))
+    return diags
+
+
+def _type_unary(expr: UnaryOp, operand):
+    want = "bool" if expr.op == "not" else "int"
+    message = f"operand of '{expr.op}' must be {want}"
+    return want, _operand(operand, want, message, expr)
+
+
+def _type_binary(expr: BinaryOp, left, right):
+    op = expr.op
+    if op in ("=", "!="):
+        return _type_equality(expr, left, right)
+    want, word = (
+        ("bool", "boolean") if op in ("and", "or") else ("int", "integer")
+    )
+    message = f"operand of '{op}' must be {word}"
+    diags = _operand(left, want, message, expr.left)
+    diags += _operand(right, want, message, expr.right)
+    if op == "mod":
+        rhs = expr.right
+        if not isinstance(rhs, IntLit) or rhs.value <= 0:
+            message = "modulus must be a positive integer literal"
+            diags.append(Diagnostic(message, expr.span))
+    return ("int" if op in ("+", "-", "mod") else "bool"), diags
+
+
+def _type_equality(expr: BinaryOp, left, right):
+    if isinstance(left[0], EnumLit) and not isinstance(right[0], EnumLit):
+        left, right = right, left
+    (lty, diags), (rty, found) = _settle(left), right
+    diags += found  # none for a literal
+    if isinstance(rty, EnumLit):  # compared against an enumeration literal
+        if isinstance(lty, EnumDomain) and rty.name not in lty.literals:
+            diags.append(Diagnostic(
+                f"literal '{rty.name}' is not a value of the compared "
+                "enumeration", rty.span,
+            ))
+        elif lty is not None and not isinstance(lty, EnumDomain):
+            diags.append(Diagnostic(
+                "enumeration literal compared against a non-enumeration "
+                "operand", rty.span,
+            ))
+    elif lty is not None and rty is not None and lty != rty:
         if isinstance(lty, EnumDomain) and isinstance(rty, EnumDomain):
-            if lty != rty:
-                self.error("comparison of distinct enumerations", expr)
-        elif lty != rty:
-            self.error(f"'{op}' compares {lty} with {rty}", expr)
-        return "bool"
-
-    def check_bool(self, expr: Expr, what: str) -> None:
-        got = self.type_of(expr)
-        if got is not None and got != "bool":
-            self.diags.append(
-                Diagnostic(
-                    f"{what} must be boolean", getattr(expr, "span", None)
-                )
-            )
+            message = "comparison of distinct enumerations"
+        else:
+            message = f"'{expr.op}' compares {lty} with {rty}"
+        diags.append(Diagnostic(message, expr.span))
+    return "bool", diags
 
 
 def _check_initial_values(var: Variable, diags: list[Diagnostic]) -> None:
@@ -532,7 +553,15 @@ def validate(
             err(f"input variable '{var.name}' cannot have initial values", var)
         _check_initial_values(var, diags)
 
-    typer = _Typer(spec, diags)
+    variables = {v.name: v for v in spec.variables()}  # last of a name wins
+    leaf = functools.partial(_type_leaf, spec, variables)
+
+    def typed(expr):
+        return fold_expr(expr, leaf, _type_unary, _type_binary)
+
+    def check_bool(expr, what):
+        message = f"{what} must be boolean"
+        diags.extend(_operand(typed(expr), "bool", message, expr))
 
     for aut in spec.automata:
         if aut.kind == "supervisor" and not allow_supervisor:
@@ -546,7 +575,7 @@ def validate(
             loc_names.add(loc.name)
             for pred, what in ((loc.initial, "initial"), (loc.marked, "marked")):
                 if pred not in (None, True):
-                    typer.check_bool(pred, f"{what} predicate")
+                    check_bool(pred, f"{what} predicate")
         owned = {v.name for v in aut.variables}
         alphabet = set(aut.alphabet) if aut.alphabet is not None else None
         if aut.alphabet is not None:
@@ -570,7 +599,7 @@ def validate(
             if edge.target is not None and edge.target not in loc_names:
                 err(f"unknown target location '{edge.target}'", edge)
             if edge.guard is not None:
-                typer.check_bool(edge.guard, "guard")
+                check_bool(edge.guard, "guard")
             assigned = set()
             for name, rhs in edge.updates:
                 if name in assigned:
@@ -588,7 +617,8 @@ def validate(
                         "elsewhere (variables are global read, local write)",
                         edge,
                     )
-                want = typer.type_of(VarRef(name))
+                domain = variables[name].domain
+                want = _TYPE_NAMES.get(type(domain), domain)
                 if isinstance(rhs, EnumLit):
                     if isinstance(want, EnumDomain) and rhs.name not in want.literals:
                         err(
@@ -599,8 +629,9 @@ def validate(
                     elif not isinstance(want, EnumDomain):
                         err(f"enumeration literal assigned to '{name}'", edge)
                 else:
-                    got = typer.type_of(rhs)
-                    if got is not None and want is not None and got != want:
+                    got, found = _settle(typed(rhs))
+                    diags.extend(found)
+                    if got is not None and got != want:
                         err(f"assignment to '{name}' has mismatched type", edge)
 
     for inv in spec.invariants:
@@ -616,12 +647,12 @@ def validate(
                 err(f"invariant names unknown event '{inv.event}'", inv)
         else:
             err(f"unknown invariant kind '{inv.kind}'", inv)
-        typer.check_bool(inv.predicate, "invariant predicate")
+        check_bool(inv.predicate, "invariant predicate")
 
     for pred in spec.init_preds:
-        typer.check_bool(pred, "initialization predicate")
+        check_bool(pred, "initialization predicate")
     for pred in spec.marker_preds:
-        typer.check_bool(pred, "marker predicate")
+        check_bool(pred, "marker predicate")
 
     return diags
 

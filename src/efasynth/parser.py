@@ -19,7 +19,7 @@ from __future__ import annotations
 from .model import (
     Automaton, BinaryOp, BoolDomain, BoolLit, Diagnostic, Edge, EnumDomain,
     EnumLit, Event, Expr, IntDomain, IntLit, Invariant, LocRef, Location,
-    Span, Specification, UnaryOp, VarRef, Variable,
+    Span, Specification, UnaryOp, VarRef, Variable, fold_expr, map_leaves,
 )
 
 __all__ = ["ParseError", "parse_spec", "parse_file", "unparse"]
@@ -380,35 +380,21 @@ class _Parser:
 # turn the ones naming enumeration literals into literal nodes.
 
 
-def _resolve(expr: Expr, var_names: set[str], lit_names: set[str]) -> Expr:
-    if isinstance(expr, VarRef):
-        if expr.name not in var_names and expr.name in lit_names:
-            return EnumLit(expr.name, span=expr.span)
-        return expr
-    if isinstance(expr, UnaryOp):
-        return UnaryOp(expr.op, _resolve(expr.operand, var_names, lit_names),
-                       span=expr.span)
-    if isinstance(expr, BinaryOp):
-        return BinaryOp(
-            expr.op,
-            _resolve(expr.left, var_names, lit_names),
-            _resolve(expr.right, var_names, lit_names),
-            span=expr.span,
-        )
-    return expr
-
-
 def _resolve_spec(spec: Specification) -> None:
-    var_names = {v.name for v in spec.variables()}
-    lit_names = {
+    literals = {
         lit
         for v in spec.variables()
         if isinstance(v.domain, EnumDomain)
         for lit in v.domain.literals
-    }
+    } - {v.name for v in spec.variables()}
+
+    def resolve(node: Expr) -> Expr:
+        if isinstance(node, VarRef) and node.name in literals:
+            return EnumLit(node.name, span=node.span)
+        return node
 
     def fix(expr):
-        return None if expr is None else _resolve(expr, var_names, lit_names)
+        return None if expr is None else map_leaves(expr, resolve)
 
     for aut in spec.automata:
         for loc in aut.locations:
@@ -440,26 +426,40 @@ def parse_file(path) -> Specification:
 # ----------------------------------------------------------------------
 # printing
 
-def format_expr(expr: Expr, parent_prec: int = 0, right: bool = False) -> str:
-    if isinstance(expr, IntLit):
-        return str(expr.value)
-    if isinstance(expr, BoolLit):
-        return "true" if expr.value else "false"
-    if isinstance(expr, (VarRef, EnumLit)):
-        return expr.name
+# Leaves and prefix operators (which bind at 6) never need parentheses.
+_TIGHT = 7
+
+
+def _wrap(printed: tuple[str, int], bound: int) -> str:
+    text, prec = printed
+    return f"({text})" if prec < bound else text
+
+
+def _format_leaf(expr: Expr) -> tuple[str, int]:
+    if isinstance(expr, (IntLit, BoolLit)):
+        return _format_literal(expr.value), _TIGHT
     if isinstance(expr, LocRef):
-        return f"{expr.automaton}.{expr.location}"
-    if isinstance(expr, UnaryOp):
-        inner = format_expr(expr.operand, 6)
-        return f"not {inner}" if expr.op == "not" else f"-{inner}"
+        return f"{expr.automaton}.{expr.location}", _TIGHT
+    return expr.name, _TIGHT
+
+
+def _format_unary(expr: UnaryOp, operand) -> tuple[str, int]:
+    inner = _wrap(operand, _TIGHT)
+    return (f"not {inner}" if expr.op == "not" else f"-{inner}"), _TIGHT
+
+
+def _format_binary(expr: BinaryOp, left, right) -> tuple[str, int]:
+    # left-associative: a right operand at the same strength needs parens
     prec = _PREC[expr.op]
-    text = (
-        f"{format_expr(expr.left, prec)} {expr.op} "
-        f"{format_expr(expr.right, prec, right=True)}"
-    )
-    if prec < parent_prec or (prec == parent_prec and right):
-        return f"({text})"
-    return text
+    return f"{_wrap(left, prec)} {expr.op} {_wrap(right, prec + 1)}", prec
+
+
+def format_expr(expr: Expr, parent_prec: int = 0, right: bool = False) -> str:
+    """Model text for ``expr`` as an operand of an operator binding at
+    ``parent_prec`` (on its right side if ``right``), with the fewest
+    parentheses that parse back to the same tree."""
+    printed = fold_expr(expr, _format_leaf, _format_unary, _format_binary)
+    return _wrap(printed, parent_prec + right)
 
 
 def _format_domain(domain) -> str:

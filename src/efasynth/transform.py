@@ -16,44 +16,36 @@ edge per automaton whose alphabet contains the event.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
 from .model import (
-    Automaton, BinaryOp, BoolLit, Diagnostic, Edge, EnumDomain, EnumLit,
-    Event, Expr, IntDomain, IntLit, Invariant, LocRef, Location, Specification,
-    UnaryOp, VarRef, Variable, literal_codes,
+    FALSE, TRUE, Automaton, BinaryOp, Diagnostic, Edge, EnumLit, Event, Expr,
+    IntDomain, IntLit, Invariant, LocRef, Location, Specification, UnaryOp,
+    VarRef, Variable, literal_codes, map_leaves,
 )
 
 __all__ = ["LinEdge", "LinearModel", "conj", "disj", "linearize",
            "linearized_spec", "plantify"]
 
-TRUE = BoolLit(True)
-FALSE = BoolLit(False)
+
+def _join(op: str, unit: Expr, zero: Expr, terms: list[Expr]) -> Expr:
+    """``terms`` joined left-deep by ``op``, leaving out the unit."""
+    terms = [t for t in terms if t != unit]
+    if not terms:
+        return unit
+    if zero in terms:
+        return zero
+    return functools.reduce(lambda node, t: BinaryOp(op, node, t), terms)
 
 
 def conj(terms: list[Expr]) -> Expr:
-    terms = [t for t in terms if t != TRUE]
-    if not terms:
-        return TRUE
-    if FALSE in terms:
-        return FALSE
-    node = terms[0]
-    for term in terms[1:]:
-        node = BinaryOp("and", node, term)
-    return node
+    return _join("and", TRUE, FALSE, terms)
 
 
 def disj(terms: list[Expr]) -> Expr:
-    terms = [t for t in terms if t != FALSE]
-    if not terms:
-        return FALSE
-    if TRUE in terms:
-        return TRUE
-    node = terms[0]
-    for term in terms[1:]:
-        node = BinaryOp("or", node, term)
-    return node
+    return _join("or", FALSE, TRUE, terms)
 
 
 # ----------------------------------------------------------------------
@@ -138,28 +130,6 @@ class LinearModel:
     codes: dict[str, int]  # enumeration literal -> index
 
 
-class _Rewriter:
-    """Replaces location references by pointer comparisons."""
-
-    def __init__(self, pointers, location_codes):
-        self.pointers = pointers
-        self.location_codes = location_codes
-
-    def __call__(self, expr: Expr) -> Expr:
-        if isinstance(expr, LocRef):
-            pointer = self.pointers.get(expr.automaton)
-            if pointer is None:
-                return TRUE  # single location, always current
-            code = self.location_codes[expr.automaton][expr.location]
-            return BinaryOp("=", VarRef(pointer), IntLit(code))
-        if isinstance(expr, UnaryOp):
-            return UnaryOp(expr.op, self(expr.operand), span=expr.span)
-        if isinstance(expr, BinaryOp):
-            return BinaryOp(expr.op, self(expr.left), self(expr.right),
-                            span=expr.span)
-        return expr
-
-
 def _pointer_name(aut: str, taken: set[str]) -> str:
     name = f"{aut}_lp"
     while name in taken:
@@ -182,29 +152,32 @@ def linearize(spec: Specification) -> tuple[LinearModel, list[Diagnostic]]:
     pointers: dict[str, str] = {}
     location_codes: dict[str, dict[str, int]] = {}
     variables: list[Variable] = []
+    tests: dict[tuple[str, str], Expr] = {}  # pointer test per location
 
     for aut in spec.automata:
-        location_codes[aut.name] = {
+        location_codes[aut.name] = codes = {
             loc.name: idx for idx, loc in enumerate(aut.locations)
         }
+        pointer = None
         if len(aut.locations) > 1:
-            name = _pointer_name(aut.name, taken)
-            pointers[aut.name] = name
+            pointer = pointers[aut.name] = _pointer_name(aut.name, taken)
             variables.append(
-                Variable(name, IntDomain(0, len(aut.locations) - 1),
+                Variable(pointer, IntDomain(0, len(aut.locations) - 1),
                          kind="pointer", owner=aut.name)
+            )
+        for loc, code in codes.items():  # a single location is always current
+            tests[aut.name, loc] = TRUE if pointer is None else BinaryOp(
+                "=", VarRef(pointer), IntLit(code)
             )
         variables.extend(aut.variables)
     variables.extend(spec.input_vars)
 
-    rewrite = _Rewriter(pointers, location_codes)
+    def locate(node: Expr) -> Expr:
+        if isinstance(node, LocRef):
+            return tests[node.automaton, node.location]
+        return node
 
-    def at(aut: Automaton, location: str) -> Expr:
-        pointer = pointers.get(aut.name)
-        if pointer is None:
-            return TRUE
-        return BinaryOp("=", VarRef(pointer),
-                        IntLit(location_codes[aut.name][location]))
+    rewrite = functools.partial(map_leaves, replace=locate)
 
     # Synchronized product, one event at a time.
     alphabets = {aut.name: set(aut.alphabet_of(spec)) for aut in spec.automata}
@@ -229,7 +202,7 @@ def linearize(spec: Specification) -> tuple[LinearModel, list[Diagnostic]]:
             guard_terms = []
             updates = []
             for aut, edge in zip(parts, combo):
-                guard_terms.append(at(aut, edge.source))
+                guard_terms.append(tests[aut.name, edge.source])
                 if edge.guard is not None:
                     guard_terms.append(rewrite(edge.guard))
                 target = edge.target_or_source()
@@ -253,7 +226,7 @@ def linearize(spec: Specification) -> tuple[LinearModel, list[Diagnostic]]:
                 cond = getattr(loc, status)
                 if cond is None:
                     continue
-                here = at(aut, loc.name)
+                here = tests[aut.name, loc.name]
                 if cond is True:
                     options.append(here)
                 else:

@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
-from .model import BinaryOp, Expr, LocRef, UnaryOp, VarRef
+from .model import Expr, LocRef, VarRef, fold_expr
 from .transform import LinearModel
 
 __all__ = [
@@ -53,15 +53,15 @@ STRATEGIES = (
 
 
 def expr_vars(expr: Expr, out: set[str]) -> set[str]:
-    if isinstance(expr, VarRef):
-        out.add(expr.name)
-    elif isinstance(expr, UnaryOp):
-        expr_vars(expr.operand, out)
-    elif isinstance(expr, BinaryOp):
-        expr_vars(expr.left, out)
-        expr_vars(expr.right, out)
-    elif isinstance(expr, LocRef):
-        raise ValueError("location references must be linearized away first")
+    """Add the names of the variables ``expr`` reads to ``out``."""
+
+    def leaf(node: Expr) -> None:
+        if isinstance(node, VarRef):
+            out.add(node.name)
+        elif isinstance(node, LocRef):
+            raise ValueError("location references must be linearized away first")
+
+    fold_expr(expr, leaf, lambda *_: None, lambda *_: None)
     return out
 
 

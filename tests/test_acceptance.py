@@ -5,6 +5,8 @@ imported from the module suites) so a failing line names the broken
 property directly.
 """
 
+import dataclasses
+import itertools
 import random
 
 import pytest
@@ -369,15 +371,23 @@ def assert_equivalent(result, oracle, config):
 
 
 def test_symbolic_matches_explicit_oracle_on_randomized_models():
+    # Bits a, b, c, d pick order, granularity, early stop and forward; the
+    # two remaining toggles follow a^b^c and a^b^d, so the 16 rows still
+    # cover every pair of values of any two of the six toggles.
     combos = [
-        SynthesisConfig(order=order, granularity=granularity,
-                        early_stop=early_stop, forward=forward)
-        for order in ("pipeline-v08", "pipeline-v40")
-        for granularity in ("edge", "event")
-        for early_stop in (False, True)
-        for forward in (False, True)
+        SynthesisConfig(
+            order=("pipeline-v08", "pipeline-v40")[a],
+            granularity=("edge", "event")[b],
+            early_stop=bool(c), forward=bool(d),
+            edge_apply=("compound", "naive")[a ^ b ^ c],
+            plant_inv=("implication", "restrict")[a ^ b ^ d],
+        )
+        for a, b, c, d in itertools.product((0, 1), repeat=4)
     ]
     assert len(combos) == 16
+    toggles = [dataclasses.astuple(config) for config in combos]
+    for i, j in itertools.combinations(range(6), 2):
+        assert len({(row[i], row[j]) for row in toggles}) == 4, (i, j)
     nonempty = 0
     for index in range(200):
         text = random_model_text(random.Random(31000 + index))

@@ -2,15 +2,21 @@
 
 import dataclasses
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import efasynth
 import efasynth.cli as cli
 from efasynth import synthesis
 from efasynth.cli import main
 from efasynth.model import validate
 from efasynth.parser import parse_spec
-from efasynth.synthesis import SynthesisConfig
+from efasynth.synthesis import SynthesisConfig, synthesize
+from efasynth.transform import linearize, plantify
 from efasynth.varorder import STRATEGIES
 
 
@@ -246,9 +252,8 @@ def test_run_parses_deep_parentheses(tmp_path, capsys):
 
 @pytest.mark.parametrize("guard", [
     "(" * 1000 + "x = 0" + ")" * 1000,  # too deep for the parser
-    " + ".join(["x"] * 600) + " = 0",  # for validate
-    " + ".join(["x"] * 3000) + " = 0",  # for name resolution
-], ids=["parens", "sum600", "sum3000"])
+    "not " * 3000 + "x = 0",
+], ids=["parens", "prefix"])
 def test_run_too_deep_expression_exits_1(tmp_path, capsys, guard):
     model = tmp_path / "deep.efa"
     model.write_text(_guarded(guard))
@@ -256,6 +261,102 @@ def test_run_too_deep_expression_exits_1(tmp_path, capsys, guard):
     err = capsys.readouterr().err
     assert "internal error" not in err
     assert f"{model}: expressions nested too deeply" in err
+
+
+# Chains of binary operators have no length limit: every walk over an
+# expression is an iterative fold.
+@pytest.mark.parametrize("text", [
+    _guarded(" + ".join(["x"] * 600) + " = 0"),
+    _guarded(" or ".join(f"x = {2 * i}" for i in range(2000)))
+    .replace("int[0..3]", "int[0..3999]"),
+], ids=["sum600", "or2000"])
+def test_run_long_expression_exits_0(tmp_path, capsys, text):
+    model = tmp_path / "long.efa"
+    model.write_text(text)
+    assert main(["run", str(model)]) == 0
+    assert "internal error" not in capsys.readouterr().err
+
+
+PARITY = """
+controllable inc;
+plant p {
+  disc int[0..1999] x = 0;
+  location l:
+    initial; marked;
+    edge inc when x < 1999 do x := x + 1;
+}
+requirement invariant inc needs x mod 2 = 0;
+"""
+
+
+def _controlled_states(spec):
+    model, diags = linearize(plantify(spec))
+    assert diags == []
+    return synthesize(model, SynthesisConfig()).metrics["controlled_states"]
+
+
+def test_run_emits_and_reads_back_a_long_guard(tmp_path, capsys):
+    # unsimplified, the supervisor's guard lists the 1,000 even values
+    model, out = tmp_path / "parity.efa", tmp_path / "parity.sup.efa"
+    model.write_text(PARITY)
+    assert main(["run", str(model), "--simplify", "off",
+                 "--out", str(out)]) == 0
+    text = out.read_text()
+    assert text.count(" or ") == 999
+    spec = parse_spec(text)
+    assert validate(spec, allow_supervisor=True) == []
+    assert _controlled_states(spec) == _controlled_states(parse_spec(PARITY))
+    # the explicit oracle evaluates by plain recursion and refuses it
+    assert main(["oracle", str(out)]) == 1
+    assert "internal error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", ["v08", "v40"])
+def test_run_unsatisfiable_plant_invariant_exits_2(tmp_path, capsys, config):
+    # no state satisfies the plant invariant, so the restrict-based guard
+    # strengthening of v08 has an empty care set
+    model = tmp_path / "none.efa"
+    model.write_text(_guarded("x < 3") + "plant invariant x > 3;\n")
+    assert main(["run", str(model), "--config", config]) == 2
+    assert "internal error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", ["v08", "v40"])
+def test_run_simplifies_a_never_enabled_event(tmp_path, capsys, config):
+    # 'stop' is never enabled, so its guard is simplified against nothing
+    model, out = tmp_path / "never.efa", tmp_path / "never.sup.efa"
+    model.write_text(
+        _guarded("x < 3").replace("controllable go;", "controllable go, stop;")
+        .replace("do x := 0;", "do x := 0;\n    edge stop when false;")
+    )
+    assert main(["run", str(model), "--config", config, "--simplify", "on",
+                 "--out", str(out)]) == 0
+    spec = parse_spec(out.read_text())
+    assert validate(spec, allow_supervisor=True) == []
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_run_into_closed_pipe_exits_1(producer, tmp_path, unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = pathlib.Path(efasynth.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:  # each print writes at once; otherwise stdout is buffered
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "efasynth.cli", "run", producer,
+             "--out", str(tmp_path / "o.efa")],
+            stdout=write_end, stderr=subprocess.PIPE, timeout=120, env=env,
+        )
+    finally:
+        os.close(write_end)
+    err = proc.stderr.decode()
+    assert proc.returncode == 1, err
+    assert "internal error" not in err
+    assert "Exception ignored" not in err
+    assert err == ""  # not some other exit-1 failure, such as a missing file
 
 
 def test_bench_without_operations_shows_no_factor(tmp_path, capsys):

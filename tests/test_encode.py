@@ -96,6 +96,16 @@ def test_compiled_predicates_match_evaluation(text):
         assert enc.manager.evaluate(pred, assignment) == want, (text, x, y, b, c)
 
 
+def test_long_guards_compile_like_short_ones():
+    # 7,000 disjuncts; equality picks its kind per operand value
+    parity = " or ".join(f"x = {v} and b = (c = red)" for v in range(0, 13, 2))
+    model = lin(EVAL_MODEL.format(" or ".join([parity] * 1000)))
+    enc = Encoding(model, list(range(len(model.variables))))
+    short = "x mod 2 = 0 and x <= 12 and b = (c = red)"
+    short = lin(EVAL_MODEL.format(short)).initial
+    assert enc.compile_pred(model.initial) == enc.compile_pred(short)
+
+
 def test_variable_layout_of_producer_consumer(models_dir):
     model, _ = linearize(plantify(parse_file(models_dir / "producer_consumer.efa")))
     enc = Encoding(model, list(range(5)))

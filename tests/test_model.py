@@ -4,9 +4,9 @@ import pytest
 
 from efasynth.model import (
     Automaton, BinaryOp, BoolDomain, BoolLit, Edge, EnumDomain, EnumLit,
-    Event, IntDomain, IntLit, Location, LocRef, Specification, UnaryOp,
-    VarRef, Variable, domain_size, eval_expr, literal_codes, model_stats,
-    validate,
+    Event, IntDomain, IntLit, Location, LocRef, Span, Specification, UnaryOp,
+    VarRef, Variable, domain_size, eval_expr, fold_expr, literal_codes,
+    map_leaves, model_stats, validate,
 )
 from efasynth.parser import parse_file
 
@@ -103,6 +103,79 @@ def test_enum_comparisons_typed():
     assert any("'blue'" in d.message for d in validate(spec))
     spec.automata[0].edges[0].guard = BinaryOp("=", VarRef("c"), EnumLit("green"))
     assert validate(spec) == []
+
+
+def _chain(op, leaves):
+    node = leaves[0]
+    for leaf in leaves[1:]:
+        node = BinaryOp(op, node, leaf)
+    return node
+
+
+def test_fold_visits_operands_left_to_right_before_their_operator():
+    expr = BinaryOp(
+        "=", UnaryOp("-", BinaryOp("+", VarRef("a"), IntLit(1))), VarRef("b")
+    )
+    seen = []
+    fold_expr(
+        expr,
+        lambda node: seen.append(getattr(node, "name", getattr(node, "value", None))),
+        lambda node, _: seen.append(node.op),
+        lambda node, _l, _r: seen.append(node.op),
+    )
+    assert seen == ["a", 1, "+", "-", "b", "="]
+
+
+def test_fold_has_no_depth_limit():
+    # far deeper than the interpreter's recursion limit, on both sides
+    leaves = [IntLit(i) for i in range(100_000)]
+    count = lambda expr: fold_expr(
+        expr, lambda _: 1, lambda _, n: n, lambda _, a, b: a + b
+    )
+    assert count(_chain("+", leaves)) == 100_000
+    right = leaves[-1]
+    for leaf in reversed(leaves[:-1]):
+        right = BinaryOp("+", leaf, UnaryOp("-", right))
+    assert count(right) == 100_000
+
+
+def test_map_leaves_replaces_leaves_and_keeps_spans():
+    span = Span("f", 1, 2, 3)
+    expr = BinaryOp(
+        "and", UnaryOp("not", VarRef("a"), span=span), VarRef("b"), span=span
+    )
+    out = map_leaves(expr, lambda n: BoolLit(True) if n == VarRef("b") else n)
+    assert out == BinaryOp("and", UnaryOp("not", VarRef("a")), BoolLit(True))
+    assert out.span == span and out.left.span == span
+
+
+def test_long_expressions_validate():
+    spec = tiny_spec()
+    edge = spec.automata[0].edges[0]
+    edge.guard = BinaryOp("=", _chain("+", [VarRef("x")] * 20_000), IntLit(0))
+    assert validate(spec) == []
+    # diagnostics keep source order inside a long chain
+    edge.guard = _chain("and", [VarRef("ghost"), IntLit(1)] * 3000)
+    messages = [d.message for d in validate(spec)]
+    assert messages == [
+        "unknown variable 'ghost'", "operand of 'and' must be boolean",
+    ] * 3000
+
+
+def test_enum_literal_outside_equality_is_reported_where_it_occurs():
+    dom = EnumDomain(("red", "green"))
+    spec = tiny_spec()
+    spec.automata[0].variables.append(Variable("c", dom, owner="m"))
+    spec.automata[0].edges[0].guard = BinaryOp(
+        "or",
+        BinaryOp("<", EnumLit("red"), VarRef("ghost")),
+        BinaryOp("=", EnumLit("green"), EnumLit("red")),
+    )
+    assert [d.message for d in validate(spec)] == [
+        "enumeration literal 'red' cannot be typed here",
+        "unknown variable 'ghost'",
+        "enumeration literal 'green' cannot be typed here",
+    ]
 
 
 def test_conflicting_literal_positions_reported():

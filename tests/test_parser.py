@@ -118,6 +118,15 @@ def test_deeply_parenthesized_expression_parses():
     assert parse_spec(text).init_preds == [BoolLit(True)]
 
 
+def test_long_chains_print_and_parse_back():
+    # left-deep chains need no parentheses, so any length reads back
+    terms = " or ".join(f"x = {i} and not b" for i in range(3000))
+    text = f"initial {terms} + 0 < 1;"  # '+' binds tighter than '<'
+    printed = format_expr(parse_spec(text).init_preds[0])
+    assert f"initial {printed};" == text
+    assert format_expr(parse_spec(f"initial {printed};").init_preds[0]) == printed
+
+
 def test_round_trip_sample():
     spec = parse_spec(SAMPLE)
     again = parse_spec(unparse(spec))
