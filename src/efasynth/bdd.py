@@ -34,6 +34,11 @@ Bryant, "Efficient implementation of a BDD package" (DAC 1990).  The support
 of a node is memoized as an ``int`` bitmask of levels.  The manager holds no
 reference to anything that refers back to it, so a dropped manager is freed
 by reference counting alone.
+
+The walks that build nothing (support, size, satisfying-assignment count,
+rendering) are one bottom-up fold, ``_fold``, on an explicit stack, and
+``cofactor`` only follows edges through fixed levels: it builds and counts
+nothing, so it refuses a fixed level after a free one in the support.
 """
 
 from __future__ import annotations
@@ -274,35 +279,27 @@ class BddManager:
                 stack.append(highs[v])
         return held
 
-    def _ref_inc(self, u: int) -> None:
+    def _ref_walk(self, u: int, delta: int) -> None:
+        """Add ``delta`` (+1 or -1) to the reference count of ``u``; a node
+        whose count leaves or reaches zero passes ``delta`` to its children
+        and enters or leaves ``live``."""
+        ref, lows, highs = self._ref, self._low, self._high
+        first = 1 if delta > 0 else 0  # the count a change of liveness ends at
+        changed = 0
         stack = [u]
-        ref = self._ref
         while stack:
             v = stack.pop()
             if v <= 1:
                 continue
-            ref[v] += 1
-            if ref[v] == 1:
-                self._live += 1
-                if self._live > self._peak:
-                    self._peak = self._live
-                stack.append(self._low[v])
-                stack.append(self._high[v])
-
-    def _ref_dec(self, u: int) -> None:
-        stack = [u]
-        ref = self._ref
-        while stack:
-            v = stack.pop()
-            if v <= 1:
-                continue
-            if ref[v] <= 0:
+            if ref[v] + delta < 0:
                 raise BddError("reference count underflow")
-            ref[v] -= 1
-            if ref[v] == 0:
-                self._live -= 1
-                stack.append(self._low[v])
-                stack.append(self._high[v])
+            ref[v] += delta
+            if ref[v] == first:
+                changed += 1
+                stack.append(lows[v])
+                stack.append(highs[v])
+        self._live += delta * changed
+        self._peak = max(self._peak, self._live)
 
     def _end(self) -> None:
         """Release the temporaries of the operation that just ended."""
@@ -326,7 +323,7 @@ class BddManager:
         u = self._unwrap(ref)
         if u > 1:
             self._roots[u] = self._roots.get(u, 0) + 1
-            self._ref_inc(u)
+            self._ref_walk(u, 1)
         return ref
 
     def release_root(self, ref: NodeRef) -> None:
@@ -340,7 +337,7 @@ class BddManager:
             del self._roots[u]
         else:
             self._roots[u] = count - 1
-        self._ref_dec(u)
+        self._ref_walk(u, -1)
 
     @property
     def live_nodes(self) -> int:
@@ -779,13 +776,12 @@ class BddManager:
     # ------------------------------------------------------------------
     # inspection
 
-    def _support(self, u: int) -> int:
-        """Bitmask of the levels ``u`` depends on, memoized per node."""
-        memo = self._support_memo
-        out = memo.get(u)
-        if out is not None:
-            return out
-        var, lows, highs = self._var, self._low, self._high
+    def _fold(self, u: int, memo: dict, combine):
+        """The value of ``u`` in a bottom-up fold of its diagram: ``memo``
+        holds the values known so far (the terminals' at least) and gains
+        the rest, each node's once, from ``combine(v, low, high)``.  No
+        value may be ``None``, which reads as "not yet known"."""
+        lows, highs = self._low, self._high
         stack = [u]
         while stack:
             v = stack[-1]
@@ -800,25 +796,32 @@ class BddManager:
                     stack.append(highs[v])
                 continue
             stack.pop()
-            memo[v] = lo | hi | 1 << var[v]
+            memo[v] = combine(v, lo, hi)
         return memo[u]
+
+    def _support(self, u: int) -> int:
+        """Bitmask of the levels ``u`` depends on, memoized per node."""
+        var = self._var
+        return self._fold(
+            u, self._support_memo, lambda v, lo, hi: lo | hi | 1 << var[v]
+        )
+
+    def _nodes(self, u: int) -> list[int]:
+        """The decision nodes of ``u``, in increasing id order."""
+        memo = {0: 0, 1: 0}
+        self._fold(u, memo, lambda v, lo, hi: 0)
+        return sorted(memo)[2:]
 
     def support(self, f: NodeRef) -> frozenset[int]:
         return frozenset(_levels_of(self._support(self._unwrap(f))))
 
+    def top_level(self, f: NodeRef) -> int:
+        """The level ``f`` decides first; a terminal's is past every level."""
+        return self._var[self._unwrap(f)]
+
     def size(self, f: NodeRef) -> int:
         """Number of decision nodes in ``f`` (terminals excluded)."""
-        u = self._unwrap(f)
-        seen: set[int] = set()
-        stack = [u]
-        while stack:
-            v = stack.pop()
-            if v <= 1 or v in seen:
-                continue
-            seen.add(v)
-            stack.append(self._low[v])
-            stack.append(self._high[v])
-        return len(seen)
+        return len(self._nodes(self._unwrap(f)))
 
     def evaluate(self, f: NodeRef, assignment: Mapping[int, int]) -> bool:
         """Evaluate ``f`` under a level -> {0,1} assignment."""
@@ -826,6 +829,29 @@ class BddManager:
         while u > 1:
             u = self._high[u] if assignment[self._var[u]] else self._low[u]
         return u == 1
+
+    def cofactor(self, f: NodeRef, bits: Mapping[int, int]) -> NodeRef:
+        """``f`` with each level of ``bits`` fixed to its value (0 or 1).
+
+        The result is read off the diagram: the walk follows ``f``'s edges
+        through the fixed levels and builds and counts nothing.  So every
+        fixed level in the support of ``f`` must come before the support's
+        other levels; :class:`BddError` is raised otherwise.
+        """
+        u = self._unwrap(f)
+        fixed = 0
+        for l in bits:
+            if not 0 <= l < self._num_vars:
+                raise BddError(f"level {l} out of range")
+            fixed |= 1 << l
+        sup = self._support(u)
+        free = sup & ~fixed
+        after = (free & -free).bit_length()  # one past the first free level
+        if free and (sup & fixed) >> after:
+            raise BddError(f"a fixed level comes after free level {after - 1}")
+        while u > 1 and self._var[u] in bits:
+            u = self._high[u] if bits[self._var[u]] else self._low[u]
+        return self._wrap(u)
 
     def sat_count(self, f: NodeRef, levels: Iterable[int]) -> int:
         """Number of satisfying assignments of ``f`` over ``levels``.
@@ -841,29 +867,18 @@ class BddManager:
             raise BddError(f"sat_count domain misses support levels {missing}")
         n = len(lvls)
         var, lows, highs = self._var, self._low, self._high
+
+        def rank_of(v):
+            return n if v <= 1 else rank[var[v]]
+
         # Solutions per node over the variables ranked at or below its own.
-        memo = {0: 0, 1: 1}
-        stack = [u]
-        while stack:
-            v = stack[-1]
-            if v in memo:
-                stack.pop()
-                continue
-            lo, hi = lows[v], highs[v]
-            a, b = memo.get(lo), memo.get(hi)
-            if a is None or b is None:
-                if a is None:
-                    stack.append(lo)
-                if b is None:
-                    stack.append(hi)
-                continue
-            stack.pop()
-            rv = rank[var[v]]
-            rlo = n if lo <= 1 else rank[var[lo]]
-            rhi = n if hi <= 1 else rank[var[hi]]
-            memo[v] = (a << (rlo - rv - 1)) + (b << (rhi - rv - 1))
-        top = n if u <= 1 else rank[var[u]]
-        return memo[u] << top
+        def combine(v, a, b):
+            below = rank[var[v]] + 1
+            return (a << (rank_of(lows[v]) - below)) + (
+                b << (rank_of(highs[v]) - below)
+            )
+
+        return self._fold(u, {0: 0, 1: 1}, combine) << rank_of(u)
 
     def to_dot(self, f: NodeRef, name: str = "bdd") -> str:
         """Graphviz rendering of ``f`` (dashed = low, solid = high)."""
@@ -872,18 +887,7 @@ class BddManager:
         lines.append('  f [shape=plaintext, label="f"];')
         lines.append('  n0 [shape=box, label="0"];')
         lines.append('  n1 [shape=box, label="1"];')
-        seen: set[int] = set()
-        stack = [u]
-        order: list[int] = []
-        while stack:
-            v = stack.pop()
-            if v <= 1 or v in seen:
-                continue
-            seen.add(v)
-            order.append(v)
-            stack.append(self._high[v])
-            stack.append(self._low[v])
-        for v in sorted(order):
+        for v in self._nodes(u):
             lines.append(
                 f'  n{v} [shape=circle, label="{self.level_name(self._var[v])}"];'
             )

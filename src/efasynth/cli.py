@@ -53,10 +53,6 @@ def _read_spec(path: Path, allow_supervisor: bool = False) -> Specification:
         diags = validate(spec, allow_supervisor=allow_supervisor)
     except ParseError as exc:
         raise Failure(EXIT_DIAGNOSTICS, str(exc.diagnostic))
-    except RecursionError:
-        raise Failure(
-            EXIT_DIAGNOSTICS, f"{path}: expressions nested too deeply"
-        )
     if diags:
         raise Failure(
             EXIT_DIAGNOSTICS, "\n".join(str(d) for d in diags)

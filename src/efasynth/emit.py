@@ -46,10 +46,12 @@ def _int(value: int) -> Expr:
 def lower_bdd_to_expr(f: NodeRef, enc, model) -> Expr:
     """Lower a state predicate to an expression over the model's variables.
 
-    Recurses one variable at a time in level order, grouping the values
-    that share a residual predicate; a group's membership test collapses
-    to interval or equality comparisons where the values are contiguous,
-    and location-pointer values print as location references.  Agreement
+    Each node of ``f`` that starts a variable's bits groups that
+    variable's values by the cofactor they leave, which is a node starting
+    a later variable; the cofactors are read off the diagram, so lowering
+    does no BDD operation.  A group's membership test collapses to
+    interval or equality comparisons where the values are contiguous, and
+    location-pointer values print as location references.  Agreement
     with the BDD on every in-domain state is the only contract — values
     outside the declared domains (the encoded range may be wider) are
     never enumerated, so the expression may disagree there.
@@ -102,36 +104,33 @@ def lower_bdd_to_expr(f: NodeRef, enc, model) -> Expr:
                 ))
         return disj(terms)
 
-    return _lower(f, mgr, owner, atom, {})
-
-
-def _lower(f: NodeRef, mgr, owner, atom, memo: dict[NodeRef, Expr]) -> Expr:
-    # A module-level function rather than a closure that calls itself: such
-    # a closure is a reference cycle, which only the cyclic collector frees.
-    if f.is_true:
-        return TRUE
-    if f.is_false:
-        return FALSE
-    done = memo.get(f)
-    if done is not None:
-        return done
-    top = min(mgr.support(f))
-    sym = owner[top]
-    groups: dict[NodeRef, list[int]] = {}
-    for code in range(sym.codes):
-        cube = mgr.true
-        for bit, lvl in enumerate(sym.levels):
-            cube = cube & (mgr.var(lvl) if code >> bit & 1 else mgr.nvar(lvl))
-        child = mgr.exists(f & cube, sym.levels)
-        if child.is_false:
+    # Collect the nodes that start a variable's bits, each with the
+    # variable's values grouped by their cofactor, in code order.
+    groups: dict[NodeRef, tuple] = {}
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        if g.is_false or g.is_true or g in groups:
             continue
-        groups.setdefault(child, []).append(code)
-    out = disj([
-        conj([atom(sym, codes), _lower(child, mgr, owner, atom, memo)])
-        for child, codes in groups.items()
-    ])
-    memo[f] = out
-    return out
+        sym = owner[mgr.top_level(g)]
+        by_child: dict[NodeRef, list[int]] = {}
+        for code in range(sym.codes):
+            bits = {lvl: code >> bit & 1 for bit, lvl in enumerate(sym.levels)}
+            child = mgr.cofactor(g, bits)
+            if not child.is_false:
+                by_child.setdefault(child, []).append(code)
+        groups[g] = sym, by_child
+        todo.extend(by_child)
+    # A cofactor starts a later variable, so building in decreasing top
+    # level finds every child's expression done.
+    done = {mgr.true: TRUE, mgr.false: FALSE}
+    for g in sorted(groups, key=mgr.top_level, reverse=True):
+        sym, by_child = groups[g]
+        done[g] = disj([
+            conj([atom(sym, codes), done[child]])
+            for child, codes in by_child.items()
+        ])
+    return done[f]
 
 
 def _supervisor_name(spec: Specification) -> str:

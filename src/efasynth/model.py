@@ -238,12 +238,6 @@ class Automaton:
     plantified: bool = False
     span: Optional[Span] = field(default=None, compare=False, repr=False)
 
-    def location(self, name: str) -> Optional[Location]:
-        for loc in self.locations:
-            if loc.name == name:
-                return loc
-        return None
-
     def alphabet_of(self, spec: "Specification") -> list[str]:
         """Explicit alphabet, or the events on edges in declaration order."""
         if self.alphabet is not None:
@@ -270,12 +264,6 @@ class Specification:
     marker_preds: list[Expr] = field(default_factory=list)
     invariants: list[Invariant] = field(default_factory=list)
 
-    def event(self, name: str) -> Optional[Event]:
-        for ev in self.events:
-            if ev.name == name:
-                return ev
-        return None
-
     def automaton(self, name: str) -> Optional[Automaton]:
         for aut in self.automata:
             if aut.name == name:
@@ -287,12 +275,6 @@ class Specification:
         for aut in self.automata:
             yield from aut.variables
         yield from self.input_vars
-
-    def variable(self, name: str) -> Optional[Variable]:
-        for var in self.variables():
-            if var.name == name:
-                return var
-        return None
 
 
 # ----------------------------------------------------------------------
@@ -391,7 +373,7 @@ _TYPE_NAMES = {
 }
 
 
-def _type_leaf(spec: Specification, variables: dict, expr: Expr):
+def _type_leaf(locations: dict, variables: dict, expr: Expr):
     if isinstance(expr, VarRef):
         var = variables.get(expr.name)
         if var is None:
@@ -400,10 +382,10 @@ def _type_leaf(spec: Specification, variables: dict, expr: Expr):
         return _TYPE_NAMES.get(type(var.domain), var.domain), []
     if not isinstance(expr, LocRef):
         return _TYPE_NAMES.get(type(expr), expr), []
-    aut = spec.automaton(expr.automaton)
-    if aut is None:
+    names = locations.get(expr.automaton)
+    if names is None:
         message = f"unknown automaton '{expr.automaton}'"
-    elif aut.location(expr.location) is None:
+    elif expr.location not in names:
         message = (
             f"automaton '{expr.automaton}' has no location '{expr.location}'"
         )
@@ -553,8 +535,15 @@ def validate(
             err(f"input variable '{var.name}' cannot have initial values", var)
         _check_initial_values(var, diags)
 
-    variables = {v.name: v for v in spec.variables()}  # last of a name wins
-    leaf = functools.partial(_type_leaf, spec, variables)
+    # A variable name resolves to its first declaration but types by its
+    # last; an automaton name resolves to its first declaration.
+    first = {v.name: v for v in reversed(list(spec.variables()))}
+    variables = {v.name: v for v in spec.variables()}
+    locations = {
+        aut.name: {loc.name for loc in aut.locations}
+        for aut in reversed(spec.automata)
+    }
+    leaf = functools.partial(_type_leaf, locations, variables)
 
     def typed(expr):
         return fold_expr(expr, leaf, _type_unary, _type_binary)
@@ -580,13 +569,13 @@ def validate(
         alphabet = set(aut.alphabet) if aut.alphabet is not None else None
         if aut.alphabet is not None:
             for name in aut.alphabet:
-                if spec.event(name) is None:
+                if name not in seen_events:
                     err(f"alphabet of '{aut.name}' names unknown event '{name}'", aut)
         for edge in aut.edges:
             if not edge.events:
                 err(f"edge in '{aut.name}' has no events", edge)
             for name in edge.events:
-                if spec.event(name) is None:
+                if name not in seen_events:
                     err(f"unknown event '{name}'", edge)
                 elif alphabet is not None and name not in alphabet:
                     err(
@@ -605,7 +594,7 @@ def validate(
                 if name in assigned:
                     err(f"variable '{name}' assigned twice on one edge", edge)
                 assigned.add(name)
-                var = spec.variable(name)
+                var = first.get(name)
                 if var is None:
                     err(f"assignment to unknown variable '{name}'", edge)
                     continue
@@ -643,7 +632,7 @@ def validate(
             if inv.event is not None:
                 err("state invariant cannot name an event", inv)
         elif inv.kind in ("needs", "disables"):
-            if inv.event is None or spec.event(inv.event) is None:
+            if inv.event not in seen_events:
                 err(f"invariant names unknown event '{inv.event}'", inv)
         else:
             err(f"unknown invariant kind '{inv.kind}'", inv)

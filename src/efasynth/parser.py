@@ -45,6 +45,7 @@ _PREC = {
     "=": 3, "!=": 3, "<": 3, "<=": 3, ">": 3, ">=": 3,
     "+": 4, "-": 4, "mod": 5,
 }
+_PREFIX = 6  # 'not' and unary '-' bind tighter than any binary operator
 
 
 class ParseError(Exception):
@@ -111,6 +112,17 @@ def _tokenize(text: str, filename: str) -> list[_Token]:
             raise ParseError(Diagnostic(f"unexpected character {ch!r}", span))
     tokens.append(_Token("eof", "", Span(filename, line, col, 0)))
     return tokens
+
+
+def _reduce(operands: list[Expr], pending: list, bound: int) -> None:
+    """Apply the pending operators that bind at least ``bound``."""
+    while pending and pending[-1][0] >= bound:
+        prec, tok = pending.pop()
+        if prec == _PREFIX:
+            operands[-1] = UnaryOp(tok.kind, operands[-1], span=tok.span)
+        else:
+            right = operands.pop()
+            operands[-1] = BinaryOp(tok.kind, operands[-1], right, span=tok.span)
 
 
 class _Parser:
@@ -335,23 +347,27 @@ class _Parser:
 
     # -- expressions
 
-    def expr(self, min_prec: int = 1) -> Expr:
-        """An expression whose binary operators bind at least ``min_prec``."""
-        node = self.unary()
-        while _PREC.get(self.peek().kind, 0) >= min_prec:
+    def expr(self) -> Expr:
+        """An expression, read with an operand stack and a stack of pending
+        operators, so that nesting has no depth limit.  A pending entry is
+        its binding strength and token: 0 for '(' and _PREFIX for a prefix
+        operator, since a '-' token alone does not tell which it is."""
+        operands: list[Expr] = []
+        pending: list[tuple[int, _Token]] = []
+        while True:
+            while self.at("not", "-", "("):
+                tok = self.advance()
+                pending.append((0 if tok.kind == "(" else _PREFIX, tok))
+            operands.append(self.atom())
+            while self.peek().kind not in _PREC:
+                _reduce(operands, pending, 1)
+                if not pending:
+                    return operands[0]
+                self.expect(")")
+                pending.pop()
             tok = self.advance()
-            right = self.expr(_PREC[tok.kind] + 1)
-            node = BinaryOp(tok.kind, node, right, span=tok.span)
-        return node
-
-    def unary(self) -> Expr:
-        if self.at("not"):
-            tok = self.advance()
-            return UnaryOp("not", self.unary(), span=tok.span)
-        if self.at("-"):
-            tok = self.advance()
-            return UnaryOp("-", self.unary(), span=tok.span)
-        return self.atom()
+            _reduce(operands, pending, _PREC[tok.kind])
+            pending.append((_PREC[tok.kind], tok))
 
     def atom(self) -> Expr:
         tok = self.advance()
@@ -361,10 +377,6 @@ class _Parser:
             return BoolLit(True, span=tok.span)
         if tok.kind == "false":
             return BoolLit(False, span=tok.span)
-        if tok.kind == "(":
-            node = self.expr()
-            self.expect(")")
-            return node
         if tok.kind == "ident":
             if self.accept("."):
                 loc = self.ident()
@@ -426,8 +438,8 @@ def parse_file(path) -> Specification:
 # ----------------------------------------------------------------------
 # printing
 
-# Leaves and prefix operators (which bind at 6) never need parentheses.
-_TIGHT = 7
+# Leaves and prefix operators never need parentheses.
+_TIGHT = _PREFIX + 1
 
 
 def _wrap(printed: tuple[str, int], bound: int) -> str:

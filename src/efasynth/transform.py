@@ -83,13 +83,16 @@ def plantify(spec: Specification) -> Specification:
             plantified=True,
             span=aut.span,
         )
-        for loc in aut.locations:
-            for event in aut.alphabet_of(spec):
-                guards = [
+        alphabet = aut.alphabet_of(spec)
+        guards_at: dict[tuple[str, str], list[Expr]] = {}
+        for edge in aut.edges:
+            for event in set(edge.events):
+                guards_at.setdefault((edge.source, event), []).append(
                     edge.guard if edge.guard is not None else TRUE
-                    for edge in aut.edges
-                    if edge.source == loc.name and event in edge.events
-                ]
+                )
+        for loc in aut.locations:
+            for event in alphabet:
+                guards = guards_at.get((loc.name, event), [])
                 if TRUE in guards:
                     continue  # the event is never blocked here
                 blocked = UnaryOp("not", disj(guards)) if guards else TRUE
@@ -179,8 +182,15 @@ def linearize(spec: Specification) -> tuple[LinearModel, list[Diagnostic]]:
 
     rewrite = functools.partial(map_leaves, replace=locate)
 
-    # Synchronized product, one event at a time.
+    # Synchronized product, one event at a time: each automaton's edges
+    # grouped by event, in location order (stable within a location).
     alphabets = {aut.name: set(aut.alphabet_of(spec)) for aut in spec.automata}
+    edges_of: dict[tuple[str, str], list[Edge]] = {}
+    for aut in spec.automata:
+        order = location_codes[aut.name]
+        for edge in sorted(aut.edges, key=lambda e: order[e.source]):
+            for name in set(edge.events):
+                edges_of.setdefault((aut.name, name), []).append(edge)
     edges: list[LinEdge] = []
     for event in spec.events:
         parts = [aut for aut in spec.automata if event.name in alphabets[aut.name]]
@@ -192,12 +202,7 @@ def linearize(spec: Specification) -> tuple[LinearModel, list[Diagnostic]]:
                 )
             )
             continue
-        per_aut = []
-        for aut in parts:
-            order = location_codes[aut.name]
-            mine = [e for e in aut.edges if event.name in e.events]
-            mine.sort(key=lambda e: order[e.source])  # stable within a location
-            per_aut.append(mine)
+        per_aut = [edges_of.get((aut.name, event.name), []) for aut in parts]
         for combo in itertools.product(*per_aut):
             guard_terms = []
             updates = []

@@ -190,15 +190,8 @@ class _Graph:
                 return root, far
 
     def distances(self, root: int) -> dict[int, int]:
-        dist = {root: 0}
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for w in self.adj[v]:
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-        return dist
+        levels = self._levels(root)
+        return {v: d for d, level in enumerate(levels) for v in level}
 
 
 def _cuthill_mckee(graph: _Graph, comp: list[int]) -> list[int]:

@@ -190,6 +190,35 @@ def test_restrict_contracts():
         mgr.restrict(f, mgr.false)
 
 
+def test_cofactor_reads_exists_of_the_cube_off_the_diagram():
+    mgr = fresh(4)
+    levels = [0, 2, 4, 6]
+    rng = random.Random(17)
+    for _ in range(60):
+        f = from_table(mgr, levels, rng.randrange(1 << 16))
+        fixed = levels[:rng.randint(0, 4)]
+        bits = {l: rng.randint(0, 1) for l in fixed}
+        cube = mgr.true
+        for l, bit in bits.items():
+            cube = cube & (mgr.var(l) if bit else mgr.nvar(l))
+        want = mgr.exists(f & cube, fixed)
+        ops, allocated = mgr.op_total, mgr.allocated_nodes
+        assert mgr.cofactor(f, bits) == want
+        assert (mgr.op_total, mgr.allocated_nodes) == (ops, allocated)
+
+
+def test_cofactor_refuses_a_fixed_level_below_a_free_one():
+    mgr = fresh(3)
+    f = mgr.var(0) & mgr.var(4)
+    # level 4 lies below the free support level 0
+    with pytest.raises(BddError):
+        mgr.cofactor(f, {4: 1})
+    # fixing a level outside the support is no obstacle
+    assert mgr.cofactor(f, {0: 1, 2: 0}) == mgr.var(4)
+    with pytest.raises(BddError):
+        mgr.cofactor(f, {8: 1})
+
+
 # ----------------------------------------------------------------------
 # relational products
 

@@ -11,7 +11,7 @@ from efasynth.model import (
     validate,
 )
 from efasynth.oracle import ExplicitOracle
-from efasynth.parser import parse_file, parse_spec, unparse
+from efasynth.parser import format_expr, parse_file, parse_spec, unparse
 from efasynth.synthesis import SynthesisConfig, synthesize
 from efasynth.transform import linearize, plantify
 from efasynth.varorder import compute_order
@@ -138,6 +138,30 @@ def test_lower_fidelity_on_random_predicates():
         f = enc.compile_pred(pred)
         lowered = lower_bdd_to_expr(f, enc, model)
         assert_faithful(f, lowered, model, enc, oracle)
+
+
+WIDE = """
+controllable inc;
+plant p {
+  disc int[0..4095] x = 0;
+  location l:
+    initial; marked;
+    edge inc when x < 4095 do x := x + 1;
+}
+requirement invariant inc needs x mod 3 = 0;
+"""
+
+
+def test_lower_reads_cofactors_without_bdd_work():
+    # the guard of 'inc' is a membership test over 4,096 values
+    model = lin(parse_spec(WIDE))
+    result = synthesize(model, SynthesisConfig())
+    mgr = result.manager
+    before = mgr.op_total, mgr.allocated_nodes
+    lowered = lower_bdd_to_expr(result.event_guards["inc"], result.sym.enc, model)
+    assert (mgr.op_total, mgr.allocated_nodes) == before
+    # one equality per multiple of 3 below 4,095
+    assert format_expr(lowered).count(" = ") == 1365
 
 
 # ----------------------------------------------------------------------
