@@ -8,6 +8,14 @@ exact, so arithmetic never wraps; an assignment's value leaving the encoded
 bit range is the edge's error predicate, while leaving the declared domain
 is handled by guard strengthening against the domain predicate.
 
+Conjunctions and disjunctions of many operands (an 'and'/'or' chain in an
+expression, the domain predicate, a frame, a bit-vector equality) are
+combined by :func:`combine`, deepest top level first.  Each operand then
+sits at or above the running result, so an apply walks the operand and the
+result's top only: a chain of single-level operands costs one operation
+each, where a left-to-right fold walks, and recurses through, the whole
+result at every step.
+
 ``build_symbolic`` runs the whole pipeline on a linearized model:
 
 1. allocate levels and the domain predicate ``pp``
@@ -48,6 +56,33 @@ PLANT_INVS = ("implication", "restrict")  # how stage 6 strengthens guards
 
 
 # ----------------------------------------------------------------------
+# n-ary connectives
+
+
+def combine(mgr: BddManager, op: str, operands: list[NodeRef]) -> NodeRef:
+    """``operands`` joined by ``op`` ('and' or 'or'), deepest top level
+    first (see the module docstring).
+
+    The sort is stable, so operands with equal top levels keep their order
+    and the counters stay deterministic.  The running result is a
+    registered root between applies, so building on it does not mark it
+    again as a temporary of each apply.
+    """
+    if not operands:
+        return mgr.true if op == "and" else mgr.false
+    ordered = sorted(operands, key=mgr.top_level, reverse=True)
+    acc = mgr.register_root(ordered[0])
+    try:
+        for operand in ordered[1:]:
+            new = mgr.register_root(mgr.apply(op, acc, operand))
+            mgr.release_root(acc)
+            acc = new
+        return acc
+    finally:
+        mgr.release_root(acc)
+
+
+# ----------------------------------------------------------------------
 # two's-complement bit vectors (little endian lists of BDD functions)
 
 
@@ -82,10 +117,10 @@ def bv_sub(mgr, a, b):
 
 def bv_eq(mgr, a, b) -> NodeRef:
     width = max(len(a), len(b))
-    result = mgr.true
-    for x, y in zip(bv_extend(a, width), bv_extend(b, width)):
-        result = result & mgr.apply("biimp", x, y)
-    return result
+    return combine(mgr, "and", [
+        mgr.apply("biimp", x, y)
+        for x, y in zip(bv_extend(a, width), bv_extend(b, width))
+    ])
 
 
 def bv_lt(mgr, a, b) -> NodeRef:
@@ -123,11 +158,8 @@ def bv_mod(mgr, a: list[NodeRef], modulus: int) -> list[NodeRef]:
     return bv_ite(mgr, a[-1], wrapped, remainder)
 
 
-# The other binary operators on compiled operands: BDDs for 'and'/'or',
-# bit vectors for the rest.
+# The arithmetic and ordering operators on compiled bit vectors.
 _BINARY = {
-    "and": lambda mgr, a, b: a & b,
-    "or": lambda mgr, a, b: a | b,
     "+": bv_add,
     "-": bv_sub,
     "<": bv_lt,
@@ -151,6 +183,14 @@ class SymVar:
     @property
     def codes(self) -> int:
         return domain_size(self.var.domain)
+
+
+@dataclass
+class _Chain:
+    """The operands of an 'and'/'or' chain that is not yet combined."""
+
+    op: str
+    operands: list[NodeRef]
 
 
 class Encoding:
@@ -203,26 +243,34 @@ class Encoding:
         return bv_lt(self.manager, bits, bv_const(self.manager, sym.codes))
 
     def domain_predicate(self) -> NodeRef:
-        result = self.manager.true
-        for sym in self.symvars:
-            result = result & self.in_domain(sym.var.name)
-        return result
+        return combine(self.manager, "and", [
+            self.in_domain(sym.var.name) for sym in self.symvars
+        ])
 
     def frame(self, name: str) -> NodeRef:
         """Next value equals current value."""
         mgr = self.manager
-        result = mgr.true
-        for lvl in self.by_name[name].levels:
-            result = result & mgr.apply("biimp", mgr.var(lvl), mgr.var(lvl + 1))
-        return result
+        return combine(mgr, "and", [
+            mgr.apply("biimp", mgr.var(lvl), mgr.var(lvl + 1))
+            for lvl in self.by_name[name].levels
+        ])
 
     # -- expression compilation
 
     def compile_pred(self, expr: Expr):
         """One fold: a boolean (sub)expression compiles to a :class:`NodeRef`,
         an integer or enumeration one to a bit vector, so '='/'!=' can tell
-        the two apart by their left operand's value."""
-        return fold_expr(expr, self._leaf, self._unary, self._binary)
+        the two apart by their left operand's value.  An 'and'/'or' yields a
+        :class:`_Chain` that takes in its same-operator operands; it is
+        combined once something else reads it."""
+        return self._force(
+            fold_expr(expr, self._leaf, self._unary, self._binary)
+        )
+
+    def _force(self, value):
+        if isinstance(value, _Chain):
+            return combine(self.manager, value.op, value.operands)
+        return value
 
     def _leaf(self, expr: Expr):
         mgr = self.manager
@@ -241,11 +289,24 @@ class Encoding:
     def _unary(self, expr: UnaryOp, operand):
         mgr = self.manager
         if expr.op == "not":
-            return mgr.negate(operand)
+            return mgr.negate(self._force(operand))
         return bv_sub(mgr, bv_const(mgr, 0), operand)
 
     def _binary(self, expr: BinaryOp, a, b):
         mgr = self.manager
+        if expr.op in ("and", "or"):
+            # the left operand's chain is taken over, so a chain of any
+            # length is gathered in linear time
+            if isinstance(a, _Chain) and a.op == expr.op:
+                chain = a
+            else:
+                chain = _Chain(expr.op, [self._force(a)])
+            if isinstance(b, _Chain) and b.op == expr.op:
+                chain.operands += b.operands
+            else:
+                chain.operands.append(self._force(b))
+            return chain
+        a, b = self._force(a), self._force(b)
         if expr.op == "mod":
             return bv_mod(mgr, a, expr.right.value)
         if expr.op in ("=", "!="):

@@ -40,8 +40,9 @@ and early stopping.  It runs :meth:`FixedPointEngine.reach` on an engine
 of its own, so ``reach_calls`` and ``edge_applications`` count synthesis
 alone.  Its operations are left out of ``operations`` and reported apart
 as ``count_operations``; ``unstaged_operations`` is the part of
-``operations`` done between stage calls, so the stages and it add up to
-``operations``.
+``operations`` done between stage calls (the complement of the forbidden
+states, the empty-supervisor checks and the surviving initial states), so
+the stages and it add up to ``operations``.
 """
 
 from __future__ import annotations
@@ -138,7 +139,6 @@ class SynthesisResult:
     edges: list[SymEdge]  # per-edge copies with strengthened guards
     # per controllable event, the disjunction of its strengthened guards
     event_guards: dict[str, NodeRef] = field(default_factory=dict)
-    marked: NodeRef | None = None  # marked states inside the behavior
     metrics: dict = field(default_factory=dict)
 
     @property
@@ -397,7 +397,6 @@ def synthesize(
     encode_ops = mgr.op_total
     behavior, sweeps, stage_ops = _synthesize_behavior(engine)
     initial = sym.initial & behavior
-    marked = sym.marked & behavior
     nonempty = not initial.is_false
     before_strengthen = mgr.op_total
     strengthened = _strengthen(engine, behavior)
@@ -410,7 +409,7 @@ def synthesize(
             if edge.event == name:
                 guard = guard | edge.guard
         event_guards[name] = guard
-    roots = [behavior, initial, marked, *event_guards.values()]
+    roots = [behavior, initial, *event_guards.values()]
     for ref in roots:
         mgr.register_root(ref)
 
@@ -428,7 +427,7 @@ def synthesize(
         "operations": mgr.op_total,
         "stage_operations": stage_ops,
         # work between the stages: negating the forbidden states, the
-        # empty-supervisor checks and the initial/marked conjunctions
+        # empty-supervisor checks and the initial-state conjunction
         "unstaged_operations": mgr.op_total - sum(stage_ops.values()),
         "edge_applications": engine.edge_applications,
         "reach_calls": engine.reach_calls,
@@ -449,5 +448,5 @@ def synthesize(
 
     return SynthesisResult(
         model, config, order, sym, behavior, initial, nonempty,
-        strengthened, event_guards, marked, metrics,
+        strengthened, event_guards, metrics,
     )

@@ -1,5 +1,6 @@
 """Bit-vector compilation and the staged symbolic build."""
 
+import functools
 import itertools
 
 import pytest
@@ -10,7 +11,7 @@ from efasynth.encode import (
     Encoding, build_symbolic, bv_add, bv_const, bv_eq, bv_lt, bv_mod,
     bv_sub, compile_edges, _merge_events,
 )
-from efasynth.model import eval_expr
+from efasynth.model import BinaryOp, BoolLit, IntLit, UnaryOp, VarRef, eval_expr
 from efasynth.parser import parse_file, parse_spec
 from efasynth.transform import linearize, plantify
 
@@ -104,6 +105,88 @@ def test_long_guards_compile_like_short_ones():
     short = "x mod 2 = 0 and x <= 12 and b = (c = red)"
     short = lin(EVAL_MODEL.format(short)).initial
     assert enc.compile_pred(model.initial) == enc.compile_pred(short)
+
+
+REGROUP_MODEL = """
+controllable a;
+plant m {
+  disc bool p; disc bool q; disc bool r;
+  disc int[0..5] x;
+  disc int[2..6] y;
+  location l: initial; marked; edge a;
+}
+"""
+
+_atoms = st.one_of(
+    st.sampled_from("pqr").map(VarRef),
+    st.booleans().map(BoolLit),
+    st.builds(
+        lambda name, op, k: BinaryOp(op, VarRef(name), IntLit(k)),
+        st.sampled_from("xy"),
+        st.sampled_from(["=", "!=", "<", "<=", ">", ">="]),
+        st.integers(0, 7),
+    ),
+)
+
+
+def _nest(op, parts, rightmost):
+    """``parts`` joined by ``op``, grouped from the left or from the right."""
+    if rightmost:
+        return functools.reduce(lambda r, e: BinaryOp(op, e, r), parts[::-1])
+    return functools.reduce(lambda l, e: BinaryOp(op, l, e), parts)
+
+
+_trees = st.recursive(_atoms, lambda kids: st.one_of(
+    kids.map(lambda e: UnaryOp("not", e)),
+    st.builds(BinaryOp, st.sampled_from(["=", "!="]), kids, kids),
+    st.builds(_nest, st.sampled_from(["and", "or"]),
+              st.lists(kids, min_size=2, max_size=5), st.booleans()),
+), max_leaves=40)
+
+
+def _is_atom(expr):
+    if isinstance(expr, BinaryOp):
+        return isinstance(expr.left, VarRef) and expr.left.name in ("x", "y")
+    return not isinstance(expr, UnaryOp)
+
+
+def left_to_right(enc, expr):
+    """The reference compilation: one binary apply per operator, in source
+    order, over atoms compiled on their own."""
+    mgr = enc.manager
+    if _is_atom(expr):
+        return enc.compile_pred(expr)
+    if isinstance(expr, UnaryOp):
+        return mgr.negate(left_to_right(enc, expr.operand))
+    a, b = left_to_right(enc, expr.left), left_to_right(enc, expr.right)
+    if expr.op in ("and", "or"):
+        return mgr.apply(expr.op, a, b)
+    same = mgr.apply("biimp", a, b)
+    return same if expr.op == "=" else mgr.negate(same)
+
+
+@given(_trees, st.permutations(range(5)))
+def test_regrouped_chains_compile_to_the_left_to_right_function(expr, order):
+    # canonicity: equal functions are the same node of one manager
+    enc = Encoding(lin(REGROUP_MODEL), order)
+    assert enc.compile_pred(expr) == left_to_right(enc, expr)
+
+
+def test_chain_encodes_in_linear_operations():
+    # n booleans, e_i sets b_i once b_{i-1} holds.  Combined deepest first,
+    # each conjunct of the initial predicate costs one operation; a
+    # left-to-right conjunction costs n(n+1)/2 and recurses n levels deep.
+    n = 2000
+    lines = ["controllable " + ", ".join(f"e_{i}" for i in range(n)) + ";"]
+    lines += ["plant chain {"]
+    lines += [f"  disc bool b_{i} = false;" for i in range(n)]
+    lines += ["  location s: initial; marked;", "  edge e_0 do b_0 := true;"]
+    lines += [f"  edge e_{i} when b_{i - 1} do b_{i} := true;"
+              for i in range(1, n)]
+    model = lin("\n".join(lines + ["}"]))
+    sym = build_symbolic(model, list(range(n)), granularity="event")
+    assert sym.manager.op_total == 6 * n - 4
+    assert sym.manager.size(sym.initial) == n
 
 
 def test_variable_layout_of_producer_consumer(models_dir):

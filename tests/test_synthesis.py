@@ -501,14 +501,14 @@ def test_controlled_count_follows_strengthened_guards():
 # strengthen), then sweeps, edge_applications, reach_calls, peak_nodes and
 # controlled_states.
 GOLDEN = """
-agv_mutex           off off naive     2559 669  1653  145     -   80 2  52 4  417  91
-agv_mutex           off off compound  1282 669   463   69     -   69 2  52 4  217  91
-agv_mutex           off on  naive     5794 669  1997  249  2766   95 2 136 6  511  91
-agv_mutex           off on  compound  2535 669   605  130  1026   87 2 136 6  255  91
-agv_mutex           on  off naive     2096 669  1182  145     -   80 1  23 2  405  91
-agv_mutex           on  off compound  1117 669   290   69     -   69 1  23 2  217  91
-agv_mutex           on  on  naive     5294 669  1997  249  2266   95 2  87 5  510  91
-agv_mutex           on  on  compound  2203 669   605  130   694   87 2  87 5  254  91
+agv_mutex           off off naive     2551 661  1653  145     -   80 2  52 4  417  91
+agv_mutex           off off compound  1274 661   463   69     -   69 2  52 4  217  91
+agv_mutex           off on  naive     5786 661  1997  249  2766   95 2 136 6  511  91
+agv_mutex           off on  compound  2527 661   605  130  1026   87 2 136 6  255  91
+agv_mutex           on  off naive     2080 661  1182  145     -   80 1  23 2  405  91
+agv_mutex           on  off compound  1101 661   290   69     -   69 1  23 2  217  91
+agv_mutex           on  on  naive     5286 661  1997  249  2266   95 2  87 5  510  91
+agv_mutex           on  on  compound  2195 661   605  130   694   87 2  87 5  254  91
 cat_mouse           off off naive      904 170   610   79     -   39 2  36 4  124   6
 cat_mouse           off off compound   461 170   204   41     -   40 2  36 4   78   6
 cat_mouse           off on  naive     1108 170   549   79   265   39 2  60 6  124   6
@@ -517,28 +517,28 @@ cat_mouse           on  off naive      902 170   610   77     -   39 2  30 3  12
 cat_mouse           on  off compound   459 170   204   39     -   40 2  30 3   78   6
 cat_mouse           on  on  naive     1106 170   549   77   265   39 2  41 4  124   6
 cat_mouse           on  on  compound   531 170   197   39    79   40 2  41 4   78   6
-dining_philosophers off off naive    32562 649 29742  143     - 2015 2 270 4 1872 241
-dining_philosophers off off compound 12980 649 10658  143     - 1517 2 270 4  982 241
-dining_philosophers off on  naive    37346 649 28282  143  6256 2003 2 330 6 1872 241
-dining_philosophers off on  compound 14378 649 10658  143  1410 1505 2 330 6  982 241
-dining_philosophers on  off naive    22183 649 19363  143     - 2015 1 125 2 1380 241
-dining_philosophers on  off compound  8960 649  6638  143     - 1517 1 125 2  982 241
-dining_philosophers on  on  naive    28427 649 19363  143  6256 2003 1 154 3 1765 241
-dining_philosophers on  on  compound 10358 649  6638  143  1410 1505 1 154 3  982 241
-producer_consumer   off off naive     7577 967  5994  369     -  235 2 158 4  767 249
-producer_consumer   off off compound  3354 967  2117  178     -   80 2 158 4  353 249
-producer_consumer   off on  naive    20424 967  7352 1043 10667  374 2 354 6 1157 249
-producer_consumer   off on  compound  8969 967  2558  559  4512  352 2 354 6  474 249
-producer_consumer   on  off naive     5658 967  4070  369     -  238 1  79 2  603 249
-producer_consumer   on  off compound  2506 967  1267  178     -   80 1  79 2  353 249
-producer_consumer   on  on  naive    17735 967  7352 1043  7978  374 2 254 5 1045 249
-producer_consumer   on  on  compound  7382 967  2558  559  2925  352 2 254 5  474 249
+dining_philosophers off off naive    32518 605 29742  143     - 2015 2 270 4 1872 241
+dining_philosophers off off compound 12936 605 10658  143     - 1517 2 270 4  982 241
+dining_philosophers off on  naive    37302 605 28282  143  6256 2003 2 330 6 1872 241
+dining_philosophers off on  compound 14334 605 10658  143  1410 1505 2 330 6  982 241
+dining_philosophers on  off naive    22139 605 19363  143     - 2015 1 125 2 1380 241
+dining_philosophers on  off compound  8916 605  6638  143     - 1517 1 125 2  982 241
+dining_philosophers on  on  naive    28383 605 19363  143  6256 2003 1 154 3 1765 241
+dining_philosophers on  on  compound 10314 605  6638  143  1410 1505 1 154 3  982 241
+producer_consumer   off off naive     7550 938  5996  369     -  235 2 158 4  767 249
+producer_consumer   off off compound  3325 938  2117  178     -   80 2 158 4  353 249
+producer_consumer   off on  naive    20397 938  7354 1043 10667  374 2 354 6 1157 249
+producer_consumer   off on  compound  8940 938  2558  559  4512  352 2 354 6  474 249
+producer_consumer   on  off naive     5629 938  4072  369     -  238 1  79 2  603 249
+producer_consumer   on  off compound  2475 938  1267  178     -   80 1  79 2  353 249
+producer_consumer   on  on  naive    17708 938  7354 1043  7978  374 2 254 5 1045 249
+producer_consumer   on  on  compound  7353 938  2558  559  2925  352 2 254 5  474 249
 sensor_input        off off naive      586 198   351   21     -   13 2  20 4  148  30
 sensor_input        off off compound   325 198   117    3     -    4 2  20 4   82  30
 sensor_input        off on  naive     1444 198   457   98   666   20 2  60 6  194  30
 sensor_input        off on  compound   678 198   149   35   271   20 2  60 6   94  30
-sensor_input        on  off naive      539 198   303   21     -   13 1  10 2  148  30
-sensor_input        on  off compound   294 198    85    3     -    4 1  10 2   82  30
+sensor_input        on  off naive      538 198   303   21     -   13 1  10 2  148  30
+sensor_input        on  off compound   293 198    85    3     -    4 1  10 2   82  30
 sensor_input        on  on  naive     1325 198   457   98   547   20 2  38 5  180  30
 sensor_input        on  on  compound   577 198   149   35   170   20 2  38 5   92  30
 empty               off off naive       74  37    13   24     -    0 1   5 2   15   0
