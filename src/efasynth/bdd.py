@@ -13,7 +13,11 @@ relational products (:meth:`BddManager.relnext`, :meth:`BddManager.relprev`)
 rely on this layout and quantify exactly the current-state variables whose
 primed partner occurs in the transition relation; bits that are not assigned
 by the relation keep their source value implicitly, so partial relations
-need no explicit frame conjuncts.
+need no explicit frame conjuncts.  Given a state set ``into``, they return
+its union with the product in the same recursion, so a fixed-point step
+``acc | (image(acc) & r)`` is one recursion with no separate union, after
+the relational product of Burch, Clarke & Long, "Symbolic model checking
+with partitioned transition relations" (VLSI 1991).
 
 Node lifetime is explicit.  Nodes are never deleted; ``live`` counts the
 decision nodes reachable from the registered roots or from a node returned
@@ -645,6 +649,7 @@ class BddManager:
         t: NodeRef,
         constrain: NodeRef | None = None,
         assigned: Iterable[int] | None = None,
+        into: NodeRef | None = None,
     ) -> NodeRef:
         """Image of state set ``p`` under relation ``t``.
 
@@ -659,8 +664,13 @@ class BddManager:
         its values, erasing it from the support even though the bit does
         not keep its source value.  It must cover the odd support of ``t``;
         by default the odd support itself is used.
+
+        ``into`` is a state set the result is joined to: the call returns
+        ``into | (image & constrain)`` in one product, with no separate
+        union, and stops early wherever ``into`` is true or equals
+        ``constrain``.
         """
-        return self._relational(_RELNEXT, p, t, constrain, assigned)
+        return self._relational(_RELNEXT, p, t, constrain, assigned, into)
 
     def relprev(
         self,
@@ -668,30 +678,35 @@ class BddManager:
         t: NodeRef,
         constrain: NodeRef | None = None,
         assigned: Iterable[int] | None = None,
+        into: NodeRef | None = None,
     ) -> NodeRef:
         """Preimage of state set ``p`` under relation ``t``.
 
         States with a ``t``-successor inside ``p``, intersected with
         ``constrain`` when given; all sets over current-state levels.
-        ``assigned`` is as for :meth:`relnext`.
+        ``assigned`` and ``into`` are as for :meth:`relnext`: with ``into``
+        the result is ``into | (preimage & constrain)``.
         """
-        return self._relational(_RELPREV, p, t, constrain, assigned)
+        return self._relational(_RELPREV, p, t, constrain, assigned, into)
 
-    def _relational(self, op, p, t, constrain, assigned) -> NodeRef:
+    def _relational(self, op, p, t, constrain, assigned, into) -> NodeRef:
         pn, tn = self._unwrap(p), self._unwrap(t)
         rn = 1 if constrain is None else self._unwrap(constrain)
+        an = 0 if into is None else self._unwrap(into)
         self._check_state_predicate(
             pn, "source set" if op == _RELNEXT else "target set"
         )
         if rn != 1:
             self._check_state_predicate(rn, "constraint set")
+        if an > 1:
+            self._check_state_predicate(an, "accumulated set")
         quant = self._assigned_levels(tn, assigned)
         if op == _RELNEXT:
             # the image forgets the source values of the assigned bits
             quant >>= 1
         sid = self._intern_set(quant)
         try:
-            return self._wrap(self._relprod(op, pn, tn, rn, sid))
+            return self._wrap(self._relprod(op, pn, tn, rn, sid, an))
         finally:
             self._end()
 
@@ -715,9 +730,11 @@ class BddManager:
             )
         return odd
 
-    def _relprod(self, op: int, p: int, t: int, r: int, sid: int) -> int:
-        """Relational product of state set ``p`` and relation ``t`` within
-        ``r``, in the direction of ``op``.
+    def _relprod(
+        self, op: int, p: int, t: int, r: int, sid: int, a: int
+    ) -> int:
+        """``a`` joined with the relational product of state set ``p`` and
+        relation ``t`` within ``r``, in the direction of ``op``.
 
         Both directions split on one current/next pair ``(c, c+1)`` at a
         time.  The image (``_RELNEXT``) ends when ``t`` is true and
@@ -728,48 +745,73 @@ class BddManager:
         the image result at ``c = j`` is the union over ``i`` of the product
         of ``p_i`` and ``t_ij``; the preimage is the same rule on the
         transposed cofactors ``t_ji``.
+
+        The accumulator ``a`` is split with ``r``.  Without one (``a`` is
+        false) the two products of a quantified pair are joined by an OR;
+        with one they chain, the first product's result becoming the
+        second's accumulator, so the union costs no separate pass.  A call
+        ends as soon as ``a`` is true or equals ``r``: nothing it could add
+        lies outside ``r``.  A false ``a`` leaves the cache key as it is
+        without one, so plain products share their entries and counts.
         """
-        if p == 0 or t == 0 or r == 0:
-            return 0
+        if a == 1 or a == r or p == 0 or t == 0 or r == 0:
+            return a
         image = op == _RELNEXT
-        if image and t == 1:
-            return self._apply(_AND, self._exists(p, sid), r)
-        if not image and p == 1:
-            return self._apply(_AND, self._exists(t, sid), r)
-        key = (((p << 32 | t) << 32 | r) << 32 | sid) << 4 | op
+        if (t if image else p) == 1:
+            rest = self._exists(p if image else t, sid)
+            return self._apply(_OR, a, self._apply(_AND, rest, r))
+        key = ((((a << 32 | p) << 32 | t) << 32 | r) << 32 | sid) << 4 | op
         cached = self._cache.get(key)
         if cached is not None:
             return cached
         self._ops[op] += 1
-        quant, _ = self._sets[sid]
-        c = (min(self._var[p], self._var[t], self._var[r]) >> 1) << 1
-        p0, p1 = self._cof(p, c)
-        r0, r1 = self._cof(r, c)
-        tc0, tc1 = self._cof(t, c)
-        if (c if image else c + 1) in quant:
-            t00, t01 = self._cof(tc0, c + 1)
-            t10, t11 = self._cof(tc1, c + 1)
+        var, low, high = self._var, self._low, self._high
+        # The pair of the top level of the four operands; only t has odd
+        # levels, so only t can be split on c + 1.
+        vp, vt, vr, va = var[p], var[t], var[r], var[a]
+        c = vp if vp < vt else vt
+        if vr < c:
+            c = vr
+        if va < c:
+            c = va
+        c &= ~1
+        p0, p1 = (low[p], high[p]) if vp == c else (p, p)
+        r0, r1 = (low[r], high[r]) if vr == c else (r, r)
+        a0, a1 = (low[a], high[a]) if va == c else (a, a)
+        tc0, tc1 = (low[t], high[t]) if vt == c else (t, t)
+        if (c if image else c + 1) in self._sets[sid][0]:
+            t00, t01 = (
+                (low[tc0], high[tc0]) if var[tc0] == c + 1 else (tc0, tc0)
+            )
+            t10, t11 = (
+                (low[tc1], high[tc1]) if var[tc1] == c + 1 else (tc1, tc1)
+            )
             if not image:
                 t01, t10 = t10, t01
-            res = self._node(
-                c,
-                self._apply(
+            if a:
+                lo = self._relprod(
+                    op, p1, t10, r0, sid,
+                    self._relprod(op, p0, t00, r0, sid, a0),
+                )
+                hi = self._relprod(
+                    op, p1, t11, r1, sid,
+                    self._relprod(op, p0, t01, r1, sid, a1),
+                )
+            else:
+                lo = self._apply(
                     _OR,
-                    self._relprod(op, p0, t00, r0, sid),
-                    self._relprod(op, p1, t10, r0, sid),
-                ),
-                self._apply(
+                    self._relprod(op, p0, t00, r0, sid, 0),
+                    self._relprod(op, p1, t10, r0, sid, 0),
+                )
+                hi = self._apply(
                     _OR,
-                    self._relprod(op, p0, t01, r1, sid),
-                    self._relprod(op, p1, t11, r1, sid),
-                ),
-            )
+                    self._relprod(op, p0, t01, r1, sid, 0),
+                    self._relprod(op, p1, t11, r1, sid, 0),
+                )
         else:
-            res = self._node(
-                c,
-                self._relprod(op, p0, tc0, r0, sid),
-                self._relprod(op, p1, tc1, r1, sid),
-            )
+            lo = self._relprod(op, p0, tc0, r0, sid, a0)
+            hi = self._relprod(op, p1, tc1, r1, sid, a1)
+        res = self._node(c, lo, hi)
         self._cache[key] = res
         return res
 

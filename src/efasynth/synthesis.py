@@ -21,8 +21,9 @@ every edge (reachability) or every stage but the one that changed last
 as soon as no initial state survives.
 
 Edge application is either *naive* — a total relation per edge, framing
-every unassigned variable, with explicit rename/conjoin/quantify steps —
-or *compound*, the fused image/preimage over partial relations.  All four
+every unassigned variable, with explicit rename/conjoin/quantify steps and
+a separate union — or *compound*: image/preimage and union in one product
+over partial relations (``relnext``/``relprev`` with ``into``).  All four
 combinations of application and stopping rule compute the same sets; they
 differ in the operation and node counts reported by the manager, which is
 the point of keeping them.
@@ -264,13 +265,9 @@ class FixedPointEngine:
         return levels
 
     def _apply_compound(self, rel, edge, restriction, backward, acc):
-        mgr = self.mgr
-        assigned = self.assigned_levels(edge)
-        if backward:
-            step = mgr.relprev(acc, rel, constrain=restriction, assigned=assigned)
-        else:
-            step = mgr.relnext(acc, rel, constrain=restriction, assigned=assigned)
-        return acc | step
+        product = self.mgr.relprev if backward else self.mgr.relnext
+        return product(acc, rel, constrain=restriction,
+                       assigned=self.assigned_levels(edge), into=acc)
 
     def reach(self, start, edges, restriction, backward: bool) -> NodeRef:
         """Least fixed point of ``start | step(...) & restriction``."""

@@ -277,6 +277,56 @@ def test_relprev_matches_naive_composition(seed):
         assert mgr.relprev(p, t, r) == (want & r)
 
 
+@pytest.mark.parametrize("seed", [8, 9, 10, 11])
+def test_accumulating_products_match_a_separate_union(seed):
+    mgr = fresh(3)
+    rng = random.Random(seed)
+    for _ in range(12):
+        assigned = set(rng.sample(range(3), rng.randrange(4)))
+        levels = [2 * i + 1 for i in sorted(assigned)]
+        t = random_relation(mgr, rng, assigned)
+        p, r, s = (
+            from_table(mgr, [0, 2, 4], rng.randrange(1 << 8)) for _ in range(3)
+        )
+        # s & r is the case of a fixed point: the set grows inside r
+        for a in (mgr.false, mgr.true, r, s, s & r):
+            for product in (mgr.relnext, mgr.relprev):
+                want = a | product(p, t, r, levels)
+                assert product(p, t, r, levels, into=a) == want
+                assert product(p, t, into=a) == a | product(p, t)
+
+
+def test_accumulating_into_false_counts_as_the_plain_product():
+    def run(into):
+        mgr = fresh(3)
+        rng = random.Random(5)
+        out = []
+        for _ in range(10):
+            assigned = set(rng.sample(range(3), rng.randrange(4)))
+            levels = [2 * i + 1 for i in sorted(assigned)]
+            t = random_relation(mgr, rng, assigned)
+            p, r = (
+                from_table(mgr, [0, 2, 4], rng.randrange(1 << 8))
+                for _ in range(2)
+            )
+            kw = {"into": mgr.false} if into else {}
+            out.append(mgr.relnext(p, t, r, levels, **kw).node)
+            out.append(mgr.relprev(p, t, r, levels, **kw).node)
+        return out, mgr.op_counts(), mgr.peak_nodes, mgr.allocated_nodes
+
+    assert run(into=True) == run(into=False)
+
+
+def test_accumulated_set_must_be_a_state_set_of_the_manager():
+    mgr = fresh(2)
+    t = mgr.apply("biimp", mgr.var(1), mgr.var(0))
+    for product in (mgr.relnext, mgr.relprev):
+        with pytest.raises(BddError):
+            product(mgr.var(0), t, into=fresh(2).var(0))
+        with pytest.raises(BddError):
+            product(mgr.var(0), t, into=mgr.var(0) & mgr.var(3))
+
+
 def test_relnext_keeps_unassigned_source_constraints():
     # Guard reads x without assigning it: the image must not forget the
     # source value of x.
@@ -407,7 +457,8 @@ def random_step(mgr, rng, pool):
     states = [p for p in pool if not any(l % 2 for l in mgr.support(p))]
     if kind == 7:
         return mgr.relnext(rng.choice(states), g)
-    return mgr.relprev(rng.choice(states), g, constrain=rng.choice(states))
+    return mgr.relprev(rng.choice(states), g, constrain=rng.choice(states),
+                       into=rng.choice(states))
 
 
 @pytest.mark.parametrize("seed", range(12))

@@ -433,3 +433,23 @@ def test_oracle_counts(producer, capsys):
 def test_oracle_cap_exits_1(producer, capsys):
     assert main(["oracle", producer, "--cap", "10"]) == 1
     assert "exceeds" in capsys.readouterr().err
+
+
+def test_readme_quick_start_report_is_current(models_dir, tmp_path, capsys):
+    # The README shows the report of its quick-start command; every line
+    # it shows but the elision and the wall time must be printed verbatim.
+    readme = (models_dir.parent / "README.md").read_text()
+    quick = readme.split("## Quick start", 1)[1]
+    command, report = quick.split("```")[1], quick.split("```")[3]
+    assert command.split() == ["sh", "synth", "run",
+                               "models/producer_consumer.efa"]
+    shown = [
+        line for line in report.splitlines()[1:]
+        if line and line != "..." and not line.startswith("wall_time_s")
+    ]
+    assert len(shown) > 10
+    out = tmp_path / "producer_consumer.sup.efa"
+    assert main(["run", str(models_dir / "producer_consumer.efa"),
+                 "--out", str(out)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert [line for line in shown if line not in printed] == []

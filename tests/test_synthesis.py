@@ -502,53 +502,53 @@ def test_controlled_count_follows_strengthened_guards():
 # controlled_states.
 GOLDEN = """
 agv_mutex           off off naive     2551 661  1653  145     -   80 2  52 4  417  91
-agv_mutex           off off compound  1274 661   463   69     -   69 2  52 4  217  91
+agv_mutex           off off compound  1128 661   331   47     -   77 2  52 4  217  91
 agv_mutex           off on  naive     5786 661  1997  249  2766   95 2 136 6  511  91
-agv_mutex           off on  compound  2527 661   605  130  1026   87 2 136 6  255  91
+agv_mutex           off on  compound  1934 661   369   94   700   92 2 136 6  252  91
 agv_mutex           on  off naive     2080 661  1182  145     -   80 1  23 2  405  91
-agv_mutex           on  off compound  1101 661   290   69     -   69 1  23 2  217  91
+agv_mutex           on  off compound  1012 661   215   47     -   77 1  23 2  217  91
 agv_mutex           on  on  naive     5286 661  1997  249  2266   95 2  87 5  510  91
-agv_mutex           on  on  compound  2195 661   605  130   694   87 2  87 5  254  91
+agv_mutex           on  on  compound  1659 661   369   94   425   92 2  87 5  252  91
 cat_mouse           off off naive      904 170   610   79     -   39 2  36 4  124   6
-cat_mouse           off off compound   461 170   204   41     -   40 2  36 4   78   6
+cat_mouse           off off compound   382 170   136   28     -   42 2  36 4   78   6
 cat_mouse           off on  naive     1108 170   549   79   265   39 2  60 6  124   6
-cat_mouse           off on  compound   533 170   197   41    79   40 2  60 6   78   6
+cat_mouse           off on  compound   413 170   136   28    31   42 2  60 6   78   6
 cat_mouse           on  off naive      902 170   610   77     -   39 2  30 3  124   6
-cat_mouse           on  off compound   459 170   204   39     -   40 2  30 3   78   6
+cat_mouse           on  off compound   380 170   136   26     -   42 2  30 3   78   6
 cat_mouse           on  on  naive     1106 170   549   77   265   39 2  41 4  124   6
-cat_mouse           on  on  compound   531 170   197   39    79   40 2  41 4   78   6
+cat_mouse           on  on  compound   411 170   136   26    31   42 2  41 4   78   6
 dining_philosophers off off naive    32518 605 29742  143     - 2015 2 270 4 1872 241
-dining_philosophers off off compound 12936 605 10658  143     - 1517 2 270 4  982 241
+dining_philosophers off off compound 11131 605  8500  143     - 1870 2 270 4  982 241
 dining_philosophers off on  naive    37302 605 28282  143  6256 2003 2 330 6 1872 241
-dining_philosophers off on  compound 14334 605 10658  143  1410 1505 2 330 6  982 241
+dining_philosophers off on  compound 11475 605  8500  143   344 1870 2 330 6  982 241
 dining_philosophers on  off naive    22139 605 19363  143     - 2015 1 125 2 1380 241
-dining_philosophers on  off compound  8916 605  6638  143     - 1517 1 125 2  982 241
+dining_philosophers on  off compound  7412 605  4781  143     - 1870 1 125 2  982 241
 dining_philosophers on  on  naive    28383 605 19363  143  6256 2003 1 154 3 1765 241
-dining_philosophers on  on  compound 10314 605  6638  143  1410 1505 1 154 3  982 241
+dining_philosophers on  on  compound  7756 605  4781  143   344 1870 1 154 3  982 241
 producer_consumer   off off naive     7550 938  5996  369     -  235 2 158 4  767 249
-producer_consumer   off off compound  3325 938  2117  178     -   80 2 158 4  353 249
+producer_consumer   off off compound  3112 938  1816  155     -  191 2 158 4  353 249
 producer_consumer   off on  naive    20397 938  7354 1043 10667  374 2 354 6 1157 249
-producer_consumer   off on  compound  8940 938  2558  559  4512  352 2 354 6  474 249
+producer_consumer   off on  compound  7611 938  1814  466  4002  370 2 354 6  452 249
 producer_consumer   on  off naive     5629 938  4072  369     -  238 1  79 2  603 249
-producer_consumer   on  off compound  2475 938  1267  178     -   80 1  79 2  353 249
+producer_consumer   on  off compound  2388 938  1092  155     -  191 1  79 2  353 249
 producer_consumer   on  on  naive    17708 938  7354 1043  7978  374 2 254 5 1045 249
-producer_consumer   on  on  compound  7353 938  2558  559  2925  352 2 254 5  474 249
+producer_consumer   on  on  compound  5905 938  1814  466  2296  370 2 254 5  439 249
 sensor_input        off off naive      586 198   351   21     -   13 2  20 4  148  30
-sensor_input        off off compound   325 198   117    3     -    4 2  20 4   82  30
+sensor_input        off off compound   304 198    88    3     -   12 2  20 4   83  30
 sensor_input        off on  naive     1444 198   457   98   666   20 2  60 6  194  30
-sensor_input        off on  compound   678 198   149   35   271   20 2  60 6   94  30
+sensor_input        off on  compound   524 198    87   26   188   20 2  60 6   90  30
 sensor_input        on  off naive      538 198   303   21     -   13 1  10 2  148  30
-sensor_input        on  off compound   293 198    85    3     -    4 1  10 2   82  30
+sensor_input        on  off compound   287 198    71    3     -   12 1  10 2   83  30
 sensor_input        on  on  naive     1325 198   457   98   547   20 2  38 5  180  30
-sensor_input        on  on  compound   577 198   149   35   170   20 2  38 5   92  30
+sensor_input        on  on  compound   452 198    87   26   116   20 2  38 5   88  30
 empty               off off naive       74  37    13   24     -    0 1   5 2   15   0
-empty               off off compound    49  37     3    9     -    0 1   5 2   13   0
+empty               off off compound    43  37     0    6     -    0 1   5 2   13   0
 empty               off on  naive       74  37    13   24     0    0 1   5 2   15   0
-empty               off on  compound    49  37     3    9     0    0 1   5 2   13   0
+empty               off on  compound    43  37     0    6     0    0 1   5 2   13   0
 empty               on  off naive       74  37    13   24     -    0 1   5 2   15   0
-empty               on  off compound    49  37     3    9     -    0 1   5 2   13   0
+empty               on  off compound    43  37     0    6     -    0 1   5 2   13   0
 empty               on  on  naive       74  37    13   24     0    0 1   5 2   15   0
-empty               on  on  compound    49  37     3    9     0    0 1   5 2   13   0
+empty               on  on  compound    43  37     0    6     0    0 1   5 2   13   0
 """
 GOLDEN_ROWS = [line.split() for line in GOLDEN.strip().splitlines()]
 
