@@ -17,7 +17,11 @@ need no explicit frame conjuncts.  Given a state set ``into``, they return
 its union with the product in the same recursion, so a fixed-point step
 ``acc | (image(acc) & r)`` is one recursion with no separate union, after
 the relational product of Burch, Clarke & Long, "Symbolic model checking
-with partitioned transition relations" (VLSI 1991).
+with partitioned transition relations" (VLSI 1991).  Each ends where its
+answer is known without a further split: the image (``relnext``) when the
+relation is true, the preimage (``relprev``) when the target set is true,
+or when the relation is true and no quantified level is left at or below
+the target set's top level, where the target set is its own preimage.
 
 Node lifetime is explicit.  Nodes are never deleted; ``live`` counts the
 decision nodes reachable from the registered roots or from a node returned
@@ -35,9 +39,12 @@ cache are packed into one ``int`` of 32-bit fields (node ids, levels,
 interned set and map ids; ids are checked against 2**32 as they are handed
 out) with the operation code in the low four bits, after Brace, Rudell &
 Bryant, "Efficient implementation of a BDD package" (DAC 1990).  The support
-of a node is memoized as an ``int`` bitmask of levels.  The manager holds no
-reference to anything that refers back to it, so a dropped manager is freed
-by reference counting alone.
+of a node is memoized as an ``int`` bitmask of levels, computed on demand;
+whether a node's diagram holds an odd level is one byte per node, set as
+the node is made, so checking that an operand is a state set costs no walk
+and memoizes nothing.  The manager holds no reference to anything that
+refers back to it, so a dropped manager is freed by reference counting
+alone.
 
 The walks that build nothing (support, size, satisfying-assignment count,
 rendering) are one bottom-up fold, ``_fold``, on an explicit stack, and
@@ -184,6 +191,8 @@ class BddManager:
         self._epoch = 0
         self._held = 0
         self._support_memo: dict[int, int] = {0: 0, 1: 0}
+        # Per node: 1 when an odd level occurs in its diagram.
+        self._odd_below = bytearray(2)
 
     @property
     def false(self) -> NodeRef:
@@ -250,6 +259,8 @@ class BddManager:
             self._var.append(var)
             self._low.append(low)
             self._high.append(high)
+            odd = self._odd_below
+            odd.append(var & 1 | odd[low] | odd[high])
             ref.append(0)
             mark.append(epoch)
             self._unique[key] = u
@@ -636,8 +647,8 @@ class BddManager:
     # relational products
 
     def _check_state_predicate(self, u: int, what: str) -> None:
-        odd = self._support(u) & self._odd
-        if odd:
+        if self._odd_below[u]:
+            odd = self._support(u) & self._odd
             raise BddError(
                 f"{what} mentions next-state level {_levels_of(odd)[0]}; "
                 "state predicates must use current-state (even) levels"
@@ -685,7 +696,9 @@ class BddManager:
         States with a ``t``-successor inside ``p``, intersected with
         ``constrain`` when given; all sets over current-state levels.
         ``assigned`` and ``into`` are as for :meth:`relnext`: with ``into``
-        the result is ``into | (preimage & constrain)``.
+        the result is ``into | (preimage & constrain)``.  The product ends
+        where ``p`` is true, or where ``t`` is true and no quantified level
+        lies at or below ``p``'s top level.
         """
         return self._relational(_RELPREV, p, t, constrain, assigned, into)
 
@@ -740,11 +753,15 @@ class BddManager:
         time.  The image (``_RELNEXT``) ends when ``t`` is true and
         quantifies the source bit ``c`` of an assigned pair; ``sid`` holds
         those even levels.  The preimage (``_RELPREV``) ends when ``p`` is
-        true and quantifies the target bit ``c+1``; ``sid`` holds those odd
-        levels.  With ``t_ij`` the cofactor of ``t`` at ``c = i, c+1 = j``,
-        the image result at ``c = j`` is the union over ``i`` of the product
-        of ``p_i`` and ``t_ij``; the preimage is the same rule on the
-        transposed cofactors ``t_ji``.
+        true, or when ``t`` is true and every quantified level lies above
+        ``p``'s top level, so ``p`` is its own preimage and the result is
+        ``a | (p & r)``; it quantifies the target bit ``c+1``, and ``sid``
+        holds those odd levels.  A true ``t`` with a quantified level still
+        at or below ``p``'s top, an assigned bit the relation leaves
+        vacuous, goes on splitting.  With ``t_ij`` the cofactor of ``t`` at
+        ``c = i, c+1 = j``, the image result at ``c = j`` is the union over
+        ``i`` of the product of ``p_i`` and ``t_ij``; the preimage is the
+        same rule on the transposed cofactors ``t_ji``.
 
         The accumulator ``a`` is split with ``r``.  Without one (``a`` is
         false) the two products of a quantified pair are joined by an OR;
@@ -760,6 +777,12 @@ class BddManager:
         if (t if image else p) == 1:
             rest = self._exists(p if image else t, sid)
             return self._apply(_OR, a, self._apply(_AND, rest, r))
+        if t == 1 and self._sets[sid][1] < self._var[p]:
+            # a preimage whose relation is used up: every quantified level
+            # lies above p's top, so each state of p is its own predecessor
+            return a if p == a else self._apply(
+                _OR, a, self._apply(_AND, p, r)
+            )
         key = ((((a << 32 | p) << 32 | t) << 32 | r) << 32 | sid) << 4 | op
         cached = self._cache.get(key)
         if cached is not None:

@@ -420,15 +420,14 @@ def _enforce_targets(sym_edges, enc, pp, mode: str):
     """Stage 6: keep only transitions whose successors satisfy ``pp``."""
     mgr = enc.manager
     for edge in sym_edges:
-        t = edge.guard & edge.update
-        ok = mgr.relprev(pp, t)
+        # the preimage under guard & update lies in the guard already
+        ok = mgr.relprev(pp, edge.guard & edge.update)
         if mode == "implication":
             if not (edge.guard & mgr.negate(ok)).is_false:
-                edge.guard = edge.guard & ok
+                edge.guard = ok
         else:  # 'restrict': same states modulo pp, smaller predicates
-            guard = edge.guard & ok
             # an empty pp is no care set: every guard agrees on it
-            edge.guard = guard if pp.is_false else mgr.restrict(guard, pp)
+            edge.guard = ok if pp.is_false else mgr.restrict(ok, pp)
 
 
 def build_symbolic(

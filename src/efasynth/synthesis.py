@@ -28,22 +28,26 @@ combinations of application and stopping rule compute the same sets; they
 differ in the operation and node counts reported by the manager, which is
 the point of keeping them.
 
-Once the behavior is stable, guards of controllable edges are
-strengthened with the preimage of the result so the emitted model blocks
-exactly the transitions that would leave it.  State counting runs after
-the headline metrics are frozen: the uncontrolled count walks the plant
-guards (requirement conditions stripped), the controlled count walks the
-strengthened guards inside the final behavior.  Reachable states are a
-unique least fixed point, so counting uses one method under every
-configuration, whatever ``granularity``, ``edge_apply`` and ``early_stop``
-say: the edges merged per event, one compound image per event relation,
-and early stopping.  It runs :meth:`FixedPointEngine.reach` on an engine
-of its own, so ``reach_calls`` and ``edge_applications`` count synthesis
-alone.  Its operations are left out of ``operations`` and reported apart
-as ``count_operations``; ``unstaged_operations`` is the part of
+Once the behavior is stable, the guard of each controllable edge becomes
+the preimage of the result under the edge's relation, guard and update:
+that preimage lies inside the guard, so it is the strengthened guard
+itself, and the emitted model blocks exactly the transitions that would
+leave the behavior.
+
+State counting runs after the headline metrics are frozen: the
+uncontrolled count walks the plant guards (requirement conditions
+stripped), the controlled count walks the strengthened guards inside the
+final behavior.  Reachable states are a unique least fixed point, so
+counting uses one method under every configuration, whatever
+``granularity``, ``edge_apply`` and ``early_stop`` say: the edges merged
+per event, one compound image per event relation, and early stopping.
+It runs :meth:`FixedPointEngine.reach` on an engine of its own, so
+``reach_calls`` and ``edge_applications`` count synthesis alone.  Its
+operations are left out of ``operations`` and reported apart as
+``count_operations``; ``unstaged_operations`` is the part of
 ``operations`` done between stage calls (the complement of the forbidden
-states, the empty-supervisor checks and the surviving initial states), so
-the stages and it add up to ``operations``.
+states, the empty-supervisor checks and the surviving initial states),
+so the stages and it add up to ``operations``.
 """
 
 from __future__ import annotations
@@ -302,7 +306,8 @@ def _strengthen(engine: FixedPointEngine, behavior: NodeRef) -> list[SymEdge]:
     out = []
     for edge in engine.sym.base_edges:
         if edge.controllable and not edge.is_input:
-            guard = edge.guard & mgr.relprev(behavior, engine.relation(edge))
+            # the preimage under guard & update already lies in the guard
+            guard = mgr.relprev(behavior, engine.relation(edge))
             mgr.register_root(guard)
             out.append(dataclasses.replace(edge, guard=guard))
         else:

@@ -240,13 +240,13 @@ def naive_image(mgr, p, t, assigned):
     return mgr.replace(shifted, {1: 0, 3: 2, 5: 4})
 
 
-def naive_preimage(mgr, p, t, assigned):
+def naive_preimage(mgr, p, t, assigned, pairs=3):
     frame = mgr.true
-    for i in range(3):
+    for i in range(pairs):
         if i not in assigned:
             frame = frame & mgr.apply("biimp", mgr.var(2 * i), mgr.var(2 * i + 1))
-    p_next = mgr.replace(p, {0: 1, 2: 3, 4: 5})
-    return mgr.exists(t & frame & p_next, [1, 3, 5])
+    p_next = mgr.replace(p, {2 * i: 2 * i + 1 for i in range(pairs)})
+    return mgr.exists(t & frame & p_next, [2 * i + 1 for i in range(pairs)])
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -296,6 +296,42 @@ def test_accumulating_products_match_a_separate_union(seed):
                 assert product(p, t, into=a) == a | product(p, t)
 
 
+@pytest.mark.parametrize("seed", [12, 13, 14, 15])
+def test_preimage_ends_where_the_relation_does(seed):
+    # Relations over the two upper pairs and state sets over all five, so
+    # most calls reach t == true with levels of p still below; some
+    # assigned levels lie below the relation, where the product must go on.
+    mgr = fresh(5)
+    rng = random.Random(seed)
+    states = [0, 2, 4, 6, 8]
+    for _ in range(8):
+        on = sorted(rng.sample(range(2), rng.randrange(3)))
+        vacuous = sorted(rng.sample(range(2, 5), rng.randrange(3)))
+        levels = sorted([0, 2] + [2 * i + 1 for i in on])
+        t = from_table(mgr, levels, rng.randrange(1 << (1 << len(levels))))
+        assigned = [2 * i + 1 for i in on + vacuous]
+        p, r, s = (
+            from_table(mgr, states, rng.randrange(1 << 32)) for _ in range(3)
+        )
+        want = naive_preimage(mgr, p, t, set(on + vacuous), pairs=5)
+        # the argument shapes of a backward fixed-point step
+        for a, c in ((p, r), (p & r, r), (s & r, r), (p, mgr.true)):
+            got = mgr.relprev(p, t, c, assigned, into=a)
+            assert got == a | (want & c)
+        assert mgr.relprev(p, t, assigned=assigned) == want
+
+
+def test_preimage_of_a_used_up_relation_costs_one_operation():
+    # x0' := 1 into x0 & x2 & ... & x10: below pair 0 nothing is quantified
+    mgr = fresh(6)
+    rest = mgr.true
+    for level in range(2, 12, 2):
+        rest = rest & mgr.var(level)
+    before = mgr.op_counts()["relprev"]
+    assert mgr.relprev(mgr.var(0) & rest, mgr.var(1)) == rest
+    assert mgr.op_counts()["relprev"] - before == 1
+
+
 def test_accumulating_into_false_counts_as_the_plain_product():
     def run(into):
         mgr = fresh(3)
@@ -325,6 +361,34 @@ def test_accumulated_set_must_be_a_state_set_of_the_manager():
             product(mgr.var(0), t, into=fresh(2).var(0))
         with pytest.raises(BddError):
             product(mgr.var(0), t, into=mgr.var(0) & mgr.var(3))
+
+
+def test_state_set_check_finds_odd_levels_anywhere_below():
+    mgr = fresh(5)
+    x = mgr.var
+    t = mgr.apply("biimp", x(1), x(0))
+    valid = x(2) | x(4)
+    assert mgr.relprev(valid, t, valid, into=valid) == valid
+    # built inside a relation first, where odd levels are allowed
+    inner = x(0) & (x(4) | x(9))
+    assert mgr.relprev(x(0), inner) == x(0)
+    bad = [
+        (x(0) & (x(2) | x(9)), 9),  # in one branch only
+        (inner, 9),
+        (x(1) & valid, 1),  # above a node of a valid set
+        (x(0) & (valid | x(7) & x(8)), 7),  # beside one
+    ]
+    for f, level in bad:
+        message = f"next-state level {level};"
+        for product in (mgr.relnext, mgr.relprev):
+            with pytest.raises(BddError, match=message):
+                product(f, t)
+            with pytest.raises(BddError, match=message):
+                product(valid, t, constrain=f)
+            with pytest.raises(BddError, match=message):
+                product(valid, t, into=f)
+    # the nodes under a rejected set are still good state sets
+    assert mgr.relprev(valid, t, valid, into=valid) == valid
 
 
 def test_relnext_keeps_unassigned_source_constraints():

@@ -501,46 +501,46 @@ def test_controlled_count_follows_strengthened_guards():
 # strengthen), then sweeps, edge_applications, reach_calls, peak_nodes and
 # controlled_states.
 GOLDEN = """
-agv_mutex           off off naive     2551 661  1653  145     -   80 2  52 4  417  91
-agv_mutex           off off compound  1128 661   331   47     -   77 2  52 4  217  91
-agv_mutex           off on  naive     5786 661  1997  249  2766   95 2 136 6  511  91
-agv_mutex           off on  compound  1934 661   369   94   700   92 2 136 6  252  91
-agv_mutex           on  off naive     2080 661  1182  145     -   80 1  23 2  405  91
-agv_mutex           on  off compound  1012 661   215   47     -   77 1  23 2  217  91
-agv_mutex           on  on  naive     5286 661  1997  249  2266   95 2  87 5  510  91
-agv_mutex           on  on  compound  1659 661   369   94   425   92 2  87 5  252  91
-cat_mouse           off off naive      904 170   610   79     -   39 2  36 4  124   6
-cat_mouse           off off compound   382 170   136   28     -   42 2  36 4   78   6
-cat_mouse           off on  naive     1108 170   549   79   265   39 2  60 6  124   6
-cat_mouse           off on  compound   413 170   136   28    31   42 2  60 6   78   6
-cat_mouse           on  off naive      902 170   610   77     -   39 2  30 3  124   6
-cat_mouse           on  off compound   380 170   136   26     -   42 2  30 3   78   6
-cat_mouse           on  on  naive     1106 170   549   77   265   39 2  41 4  124   6
-cat_mouse           on  on  compound   411 170   136   26    31   42 2  41 4   78   6
-dining_philosophers off off naive    32518 605 29742  143     - 2015 2 270 4 1872 241
-dining_philosophers off off compound 11131 605  8500  143     - 1870 2 270 4  982 241
-dining_philosophers off on  naive    37302 605 28282  143  6256 2003 2 330 6 1872 241
-dining_philosophers off on  compound 11475 605  8500  143   344 1870 2 330 6  982 241
-dining_philosophers on  off naive    22139 605 19363  143     - 2015 1 125 2 1380 241
-dining_philosophers on  off compound  7412 605  4781  143     - 1870 1 125 2  982 241
-dining_philosophers on  on  naive    28383 605 19363  143  6256 2003 1 154 3 1765 241
-dining_philosophers on  on  compound  7756 605  4781  143   344 1870 1 154 3  982 241
-producer_consumer   off off naive     7550 938  5996  369     -  235 2 158 4  767 249
-producer_consumer   off off compound  3112 938  1816  155     -  191 2 158 4  353 249
-producer_consumer   off on  naive    20397 938  7354 1043 10667  374 2 354 6 1157 249
-producer_consumer   off on  compound  7611 938  1814  466  4002  370 2 354 6  452 249
-producer_consumer   on  off naive     5629 938  4072  369     -  238 1  79 2  603 249
-producer_consumer   on  off compound  2388 938  1092  155     -  191 1  79 2  353 249
-producer_consumer   on  on  naive    17708 938  7354 1043  7978  374 2 254 5 1045 249
-producer_consumer   on  on  compound  5905 938  1814  466  2296  370 2 254 5  439 249
-sensor_input        off off naive      586 198   351   21     -   13 2  20 4  148  30
-sensor_input        off off compound   304 198    88    3     -   12 2  20 4   83  30
-sensor_input        off on  naive     1444 198   457   98   666   20 2  60 6  194  30
-sensor_input        off on  compound   524 198    87   26   188   20 2  60 6   90  30
-sensor_input        on  off naive      538 198   303   21     -   13 1  10 2  148  30
-sensor_input        on  off compound   287 198    71    3     -   12 1  10 2   83  30
-sensor_input        on  on  naive     1325 198   457   98   547   20 2  38 5  180  30
-sensor_input        on  on  compound   452 198    87   26   116   20 2  38 5   88  30
+agv_mutex           off off naive     2465 611  1653  145     -   44 2  52 4  417  91
+agv_mutex           off off compound  1023 611   314   44     -   42 2  52 4  217  91
+agv_mutex           off on  naive     5695 611  1997  249  2766   54 2 136 6  511  91
+agv_mutex           off on  compound  1825 611   352   91   700   53 2 136 6  252  91
+agv_mutex           on  off naive     1994 611  1182  145     -   44 1  23 2  405  91
+agv_mutex           on  off compound   911 611   202   44     -   42 1  23 2  217  91
+agv_mutex           on  on  naive     5195 611  1997  249  2266   54 2  87 5  510  91
+agv_mutex           on  on  compound  1550 611   352   91   425   53 2  87 5  252  91
+cat_mouse           off off naive      888 162   610   79     -   31 2  36 4  124   6
+cat_mouse           off off compound   359 162   133   28     -   30 2  36 4   78   6
+cat_mouse           off on  naive     1092 162   549   79   265   31 2  60 6  124   6
+cat_mouse           off on  compound   390 162   133   28    31   30 2  60 6   78   6
+cat_mouse           on  off naive      886 162   610   77     -   31 2  30 3  124   6
+cat_mouse           on  off compound   357 162   133   26     -   30 2  30 3   78   6
+cat_mouse           on  on  naive     1090 162   549   77   265   31 2  41 4  124   6
+cat_mouse           on  on  compound   388 162   133   26    31   30 2  41 4   78   6
+dining_philosophers off off naive    31648 605 29742  143     - 1145 2 270 4 1872 241
+dining_philosophers off off compound  8865 605  6982  143     - 1122 2 270 4  982 241
+dining_philosophers off on  naive    36432 605 28282  143  6256 1133 2 330 6 1872 241
+dining_philosophers off on  compound  9204 605  6977  143   344 1122 2 330 6  982 241
+dining_philosophers on  off naive    21269 605 19363  143     - 1145 1 125 2 1380 241
+dining_philosophers on  off compound  5735 605  3852  143     - 1122 1 125 2  982 241
+dining_philosophers on  on  naive    27513 605 19363  143  6256 1133 1 154 3 1765 241
+dining_philosophers on  on  compound  6079 605  3852  143   344 1122 1 154 3  982 241
+producer_consumer   off off naive     7421 875  5996  369     -  169 2 158 4  767 249
+producer_consumer   off off compound  2965 875  1802  153     -  123 2 158 4  353 249
+producer_consumer   off on  naive    20213 875  7354 1043 10667  253 2 354 6 1157 249
+producer_consumer   off on  compound  7366 875  1785  460  3999  226 2 354 6  452 249
+producer_consumer   on  off naive     5497 875  4072  369     -  169 1  79 2  603 249
+producer_consumer   on  off compound  2247 875  1084  153     -  123 1  79 2  353 249
+producer_consumer   on  on  naive    17524 875  7354 1043  7978  253 2 254 5 1045 249
+producer_consumer   on  on  compound  5662 875  1785  460  2295  226 2 254 5  439 249
+sensor_input        off off naive      576 187   352   21     -   13 2  20 4  148  30
+sensor_input        off off compound   293 187    88    3     -   12 2  20 4   83  30
+sensor_input        off on  naive     1435 187   458   98   667   20 2  60 6  194  30
+sensor_input        off on  compound   515 187    89   26   188   20 2  60 6   90  30
+sensor_input        on  off naive      527 187   303   21     -   13 1  10 2  148  30
+sensor_input        on  off compound   276 187    71    3     -   12 1  10 2   83  30
+sensor_input        on  on  naive     1316 187   458   98   548   20 2  38 5  180  30
+sensor_input        on  on  compound   443 187    89   26   116   20 2  38 5   88  30
 empty               off off naive       74  37    13   24     -    0 1   5 2   15   0
 empty               off off compound    43  37     0    6     -    0 1   5 2   13   0
 empty               off on  naive       74  37    13   24     0    0 1   5 2   15   0
