@@ -377,11 +377,9 @@ def compile_edges(enc: Encoding) -> list[SymEdge]:
     edges = []
     for edge in enc.model.edges:
         guard = enc.compile_pred(edge.guard)
-        update, error = mgr.true, mgr.false
-        for name, rhs in edge.updates:
-            one_update, one_error = enc.assignment(name, rhs)
-            update = update & one_update
-            error = error | one_error
+        pairs = [enc.assignment(name, rhs) for name, rhs in edge.updates]
+        update = combine(mgr, "and", [u for u, _ in pairs])
+        error = combine(mgr, "or", [e for _, e in pairs])
         edges.append(
             SymEdge(
                 edge.event, controllable[edge.event], guard, error, update,
@@ -423,8 +421,7 @@ def _enforce_targets(sym_edges, enc, pp, mode: str):
         # the preimage under guard & update lies in the guard already
         ok = mgr.relprev(pp, edge.guard & edge.update)
         if mode == "implication":
-            if not (edge.guard & mgr.negate(ok)).is_false:
-                edge.guard = ok
+            edge.guard = ok
         else:  # 'restrict': same states modulo pp, smaller predicates
             # an empty pp is no care set: every guard agrees on it
             edge.guard = ok if pp.is_false else mgr.restrict(ok, pp)

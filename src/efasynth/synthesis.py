@@ -42,8 +42,13 @@ counting uses one method under every configuration, whatever
 ``granularity``, ``edge_apply`` and ``early_stop`` say: the edges merged
 per event, one compound image per event relation, and early stopping.
 It runs :meth:`FixedPointEngine.reach` on an engine of its own, so
-``reach_calls`` and ``edge_applications`` count synthesis alone.  Its
-operations are left out of ``operations`` and reported apart as
+``reach_calls`` and ``edge_applications`` count synthesis alone.  On a
+model with input variables, a count runs over the other variables only
+when the plant invariants bound each input on its own and the count's
+restriction leaves the inputs free within them: the input edges then
+reach every allowed input value, so the reachable set is a cylinder over
+the inputs (see :func:`_count_states`).  Counting operations are left out
+of ``operations`` and reported apart as
 ``count_operations``; ``unstaged_operations`` is the part of
 ``operations`` done between stage calls (the complement of the forbidden
 states, the empty-supervisor checks and the surviving initial states),
@@ -59,7 +64,7 @@ from dataclasses import dataclass, field
 from .bdd import BddManager, NodeRef
 from .encode import (
     GRANULARITIES, PLANT_INVS, SymEdge, SymbolicModel, _merge_events,
-    build_symbolic,
+    build_symbolic, combine,
 )
 from .transform import LinearModel
 from . import varorder
@@ -361,7 +366,40 @@ def _synthesize_behavior(engine: FixedPointEngine):
 def _count_states(sym: SymbolicModel, behavior, strengthened):
     """Uncontrolled and controlled reachable state counts, on an engine of
     their own that merges the edges per event and stops early whatever the
-    run's configuration says."""
+    run's configuration says.
+
+    Each count is the least fixed point ``R`` of ``start & restriction``
+    under every event relation, kept inside ``restriction``; ``start`` lies
+    inside ``care = restriction & pp``, and so does ``R``, because every
+    edge leads from a ``pp`` state to ``pp`` states.  When the model has
+    input variables, with state levels ``I``, a count runs over the other
+    variables only if two conditions hold:
+
+    * (P) ``pp == AND_k EXISTS (I - I_k). pp``: at each valuation of the
+      other variables the allowed input valuations form a box, one range
+      per input (always true with one input);
+    * (R) ``care == EXISTS I. care & pp``: the restriction does not
+      constrain the inputs beyond ``pp``.
+
+    The projected count drops the input edges, reaches from
+    ``EXISTS I. start`` within ``EXISTS I. care`` under ``EXISTS I. (pp &
+    t)`` for each remaining event relation ``t``, and counts the result
+    conjoined with ``care``.  It is exact: no model edge assigns an input,
+    and an input edge moves one input to any other value that keeps
+    ``pp``, so single-input moves connect every point of each box, which
+    under (R) lies in ``care``.  ``R`` is then closed under changing the
+    inputs, i.e. it is the cylinder ``EXISTS I. R & care``, and by
+    induction over both fixed points ``EXISTS I. R`` is the projected
+    reach: a projected step from ``x`` takes some ``pp`` input valuation
+    of ``x``, which (R) puts in ``care`` and the cylinder in ``R``.
+    Without (P), single-input moves may not connect the allowed
+    valuations (``plant invariant a = b`` allows 00 and 11 only); without
+    (R), an input valuation inside ``pp`` may lie outside the restriction.
+    A failed check, or a model without inputs, counts over every variable.
+    Under (P), (R) holds for every behavior :func:`synthesize` counts in:
+    input events are uncontrollable, so controllability keeps all of a box
+    or none of it; the check guards other callers.
+    """
     mgr = sym.manager
     counter = FixedPointEngine(
         sym, SynthesisConfig(edge_apply="compound", early_stop=True)
@@ -369,8 +407,39 @@ def _count_states(sym: SymbolicModel, behavior, strengthened):
     plant_edges = [
         dataclasses.replace(e, guard=e.guard_plant) for e in sym.base_edges
     ]
+    by_input = [
+        s.levels for s in sym.enc.symvars if s.var.kind == "input"
+    ]
+    inputs = [lvl for levels in by_input for lvl in levels]
+    # (P), which holds trivially with one input
+    boxed = bool(inputs) and (len(by_input) == 1 or sym.pp == combine(
+        mgr, "and", [
+            mgr.exists(sym.pp, [lvl for lvl in inputs if lvl not in levels])
+            for levels in by_input
+        ],
+    ))
+
+    def project(edge):
+        """The edge with relation ``EXISTS I. (pp & t)``, rooted."""
+        rel = mgr.exists(sym.pp & counter.relation(edge), inputs)
+        edge = dataclasses.replace(edge, guard=rel, update=mgr.true)
+        counter.relation(edge)
+        return edge
 
     def count(start, edges, restriction):
+        if boxed:
+            care = counter._root(restriction & sym.pp)
+            free = counter._root(mgr.exists(care, inputs))
+            # (R) holds trivially for the plant count's true restriction
+            if restriction.is_true or care == free & sym.pp:
+                merged = _merge_events(
+                    sym.enc, sym.events, [e for e in edges if not e.is_input]
+                )
+                reached = counter.reach(
+                    mgr.exists(start, inputs), [project(e) for e in merged],
+                    free, backward=False,
+                )
+                return mgr.sat_count(reached & care, sym.enc.state_levels)
         merged = _merge_events(sym.enc, sym.events, edges)
         reached = counter.reach(start, merged, restriction, backward=False)
         return mgr.sat_count(reached, sym.enc.state_levels)

@@ -185,8 +185,25 @@ def test_chain_encodes_in_linear_operations():
               for i in range(1, n)]
     model = lin("\n".join(lines + ["}"]))
     sym = build_symbolic(model, list(range(n)), granularity="event")
-    assert sym.manager.op_total == 6 * n - 4
+    assert sym.manager.op_total == 5 * n - 3
     assert sym.manager.size(sym.initial) == n
+
+
+def test_edge_updates_combine_in_linear_operations():
+    # One edge assigns n booleans.  Conjoined deepest first, each update
+    # costs one operation; left to right, n(n-1)/2 and n levels of
+    # recursion.
+    n = 2000
+    lines = ["controllable e;", "plant p {"]
+    lines += [f"  disc bool b_{i} = false;" for i in range(n)]
+    lines += ["  location s: initial; marked;",
+              "  edge e do " + ", ".join(f"b_{i} := true" for i in range(n))
+              + ";", "}"]
+    enc = Encoding(lin("\n".join(lines)), list(range(n)))
+    (edge,) = compile_edges(enc)
+    assert enc.manager.op_total == n - 1
+    assert enc.manager.size(edge.update) == n
+    assert edge.error.is_false
 
 
 def test_variable_layout_of_producer_consumer(models_dir):

@@ -2,7 +2,9 @@
 
 import dataclasses
 import gc
+import importlib.util
 import itertools
+import random
 import weakref
 
 import pytest
@@ -10,10 +12,11 @@ import pytest
 from efasynth.emit import emit
 from efasynth.oracle import ExplicitOracle
 from efasynth.parser import parse_file, parse_spec, unparse
+from efasynth import synthesis
 from efasynth.synthesis import (
-    PRESETS, FixedPointEngine, SynthesisConfig, synthesize,
+    PRESETS, FixedPointEngine, SynthesisConfig, _count_states, synthesize,
 )
-from efasynth.encode import build_symbolic
+from efasynth.encode import _merge_events, build_symbolic
 from efasynth.transform import linearize, plantify
 from efasynth.varorder import compute_order
 
@@ -492,6 +495,245 @@ def test_controlled_count_follows_strengthened_guards():
         assert m["controlled_states"] == 3, config
 
 
+def plain_counts(sym, behavior, strengthened):
+    """The reference for ``_count_states``: both forward reaches over every
+    variable, input edges included, with the edges merged per event."""
+    mgr = sym.manager
+    counter = FixedPointEngine(
+        sym, SynthesisConfig(edge_apply="compound", early_stop=True)
+    )
+    plant_edges = [
+        dataclasses.replace(e, guard=e.guard_plant) for e in sym.base_edges
+    ]
+
+    def count(start, edges, restriction):
+        merged = _merge_events(sym.enc, sym.events, edges)
+        reached = counter.reach(start, merged, restriction, backward=False)
+        return mgr.sat_count(reached, sym.enc.state_levels)
+
+    try:
+        return (
+            count(sym.initial, plant_edges, mgr.true),
+            count(sym.initial & behavior, strengthened, behavior),
+        )
+    finally:
+        counter.close()
+
+
+@pytest.fixture(scope="module")
+def families(models_dir):
+    path = models_dir.parent / "synthbench" / "families.py"
+    spec = importlib.util.spec_from_file_location("families", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("preset", ["v08", "v40"])
+@pytest.mark.parametrize("name", [
+    "agv_mutex", "cat_mouse", "dining_philosophers", "producer_consumer",
+    "philosophers(6)", "chain(30)",
+])
+def test_input_free_models_count_over_every_variable(
+    models_dir, families, monkeypatch, name, preset
+):
+    # Without inputs the count is the plain one, operation for operation.
+    if "(" in name:
+        family, size = name.rstrip(")").split("(")
+        text = getattr(families, family)(int(size))
+    else:
+        text = (models_dir / f"{name}.efa").read_text()
+    model = lin(parse_spec(text))
+    assert not any(v.kind == "input" for v in model.variables)
+    m = synthesize(model, SynthesisConfig.preset(preset)).metrics
+    monkeypatch.setattr(synthesis, "_count_states", plain_counts)
+    ref = synthesize(model, SynthesisConfig.preset(preset)).metrics
+    keys = ("count_operations", "uncontrolled_states", "controlled_states")
+    assert [m[k] for k in keys] == [ref[k] for k in keys]
+
+
+def random_input_model(rng):
+    """A plant over ``x``, ``y`` and a location, with 1-3 inputs read in
+    guards, update right-hand sides, requirements and markers, and plant
+    invariants that may couple inputs with the state and with each other."""
+    inputs = []  # (declaration, atoms, right-hand sides for x and for y)
+    for k in range(rng.randint(1, 3)):
+        kind = rng.choice(["bool", "enum", "int"])
+        name = f"i{k}"
+        if kind == "bool":
+            inputs.append((f"input bool {name};", [name, f"not {name}"],
+                           ["x"], [name]))
+        elif kind == "enum":  # three values in two bits
+            inputs.append((
+                f"input enum {{lo{k}, mid{k}, hi{k}}} {name};",
+                [f"{name} = lo{k}", f"{name} != hi{k}"],
+                ["x"], [f"{name} = mid{k}"],
+            ))
+        else:
+            inputs.append((f"input int[1..3] {name};",
+                           [f"{name} < 3", f"{name} = 2"],
+                           [name, f"{name} - 1"], [f"{name} > 1"]))
+    input_atoms = [a for _, atoms, _, _ in inputs for a in atoms]
+    state_atoms = ["x < 2", "x = 3", "y", "not y"]
+
+    def pred(atoms):
+        picked = rng.sample(atoms, rng.randint(1, 2))
+        return f" {rng.choice(['and', 'or'])} ".join(picked)
+
+    def edge(event, target):
+        parts = [f"edge {event}"]
+        if rng.random() < 0.7:
+            parts.append(f"when {pred(input_atoms + state_atoms)}")
+        rhs_x = ["x + 1", "0"] + [r for _, _, rx, _ in inputs for r in rx]
+        rhs_y = ["not y"] + [r for _, _, _, ry in inputs for r in ry]
+        updates = []
+        if rng.random() < 0.6:
+            updates.append(f"x := {rng.choice(rhs_x)}")
+        if rng.random() < 0.4:
+            updates.append(f"y := {rng.choice(rhs_y)}")
+        if updates:
+            parts.append("do " + ", ".join(updates))
+        parts.append(f"goto {target}")
+        return "    " + " ".join(parts) + ";"
+
+    lines = ["controllable c1, c2;", "uncontrollable u1;"]
+    lines += [decl for decl, _, _, _ in inputs]
+    lines += ["plant p {", "  disc int[0..3] x = 0;", "  disc bool y = false;",
+              "  location a:", "    initial; marked;",
+              edge("c1", "b"), edge("u1", "a"), "  location b:",
+              "    marked;" if rng.random() < 0.5 else "",
+              edge("c2", "a"), edge("u1", "b"), "}"]
+    lines.append(f"requirement invariant c1 needs {pred(input_atoms)};")
+    if rng.random() < 0.3:
+        lines.append(f"requirement invariant u1 needs {pred(input_atoms)};")
+    if rng.random() < 0.5:
+        lines.append(
+            f"requirement invariant {pred(input_atoms + state_atoms)};"
+        )
+    if rng.random() < 0.5:
+        lines.append(
+            f"plant invariant not ({rng.choice(state_atoms)})"
+            f" or {rng.choice(input_atoms)};"
+        )
+    if len(inputs) > 1 and rng.random() < 0.5:
+        lines.append(f"plant invariant {pred(input_atoms)};")
+    if len(inputs) > 1 and rng.random() < 0.3:
+        # two inputs that only move together: no single-input move is left
+        one, two = rng.sample([atoms for _, atoms, _, _ in inputs], 2)
+        lines.append(
+            f"plant invariant ({rng.choice(one)}) = ({rng.choice(two)});"
+        )
+    if rng.random() < 0.5:
+        lines.append(f"marked {pred(input_atoms + state_atoms)};")
+    return "\n".join(lines) + "\n"
+
+
+def test_projected_counts_match_plain_counts_and_oracle(monkeypatch):
+    # Record for each count whether it dropped the input edges, so both
+    # the projected count and its fallbacks are seen to run.
+    paths = set()
+    reach = FixedPointEngine.reach
+
+    def spy(self, start, edges, restriction, backward):
+        if not backward:
+            paths.add((restriction.is_true,
+                       not any(e.is_input for e in edges)))
+        return reach(self, start, edges, restriction, backward)
+
+    monkeypatch.setattr(FixedPointEngine, "reach", spy)
+    rng = random.Random(13)
+    for _ in range(60):
+        text = random_input_model(rng)
+        model = lin(parse_spec(text))
+        oracle = ExplicitOracle(model)
+        expected = (
+            len(oracle.plant_reachable),
+            len(oracle.controlled_reachable) if oracle.nonempty else 0,
+        )
+        for preset in ("v08", "v40"):
+            result = synthesize(model, SynthesisConfig.preset(preset))
+            m = result.metrics
+            counts = (m["uncontrolled_states"], m["controlled_states"])
+            us, cs = plain_counts(result.sym, result.controlled, result.edges)
+            assert counts == (us, cs if result.nonempty else 0), text
+            assert counts == expected, (preset, text)
+    # (plant count?, projected?)
+    assert paths == {(True, True), (True, False), (False, True),
+                     (False, False)}
+
+
+def test_coupled_inputs_are_counted_over_every_variable():
+    # a = b rules out every single-input move: the inputs stay where they
+    # start.  Projected, the count would be 2 values of x times 2 of (a, b).
+    text = """
+    controllable go;
+    input bool a;
+    input bool b;
+    plant p {
+      disc bool x = false;
+      location s:
+        initial; marked;
+        edge go when a do x := true;
+    }
+    plant invariant a = b;
+    """
+    model = lin(parse_spec(text))
+    assert len(ExplicitOracle(model).plant_reachable) == 3
+    for preset in ("v08", "v40"):
+        m = synthesize(model, SynthesisConfig.preset(preset)).metrics
+        assert (m["uncontrolled_states"], m["controlled_states"]) == (3, 3)
+
+
+def test_a_behavior_that_constrains_an_input_is_counted_plainly():
+    # Within not (x and i), go from (x, i) = (0, 1) leads outside, and the
+    # input edge cannot bring (1, 0) in: 2 controlled states.  Projected,
+    # x = 1 would look reachable through i = 1 and (1, 0) would count.
+    text = """
+    controllable go;
+    input bool i;
+    plant p {
+      disc bool x = false;
+      location s:
+        initial; marked;
+        edge go when i do x := true;
+    }
+    """
+    model = lin(parse_spec(text))
+    sym = build_symbolic(model, compute_order(model, "model"))
+    mgr = sym.manager
+    (x,), (i,) = sym.enc.bits("x"), sym.enc.bits("i")
+    behavior = mgr.negate(x & i)
+    assert _count_states(sym, behavior, sym.base_edges) == (4, 2)
+    assert plain_counts(sym, behavior, sym.base_edges) == (4, 2)
+
+
+def test_projected_count_stays_inside_the_care_set():
+    # The behavior keeps only (x, i) = (1, 0) at x = 1, which the plant
+    # invariant rules out, so no state with x = 1 is reachable and neither
+    # is x = 2.  The projected reach is bounded by EXISTS i. (behavior &
+    # pp), which leaves x = 1 out; EXISTS i. behavior would let it in, and
+    # (2, 0) and (2, 1) would count.
+    text = """
+    controllable go;
+    input bool i;
+    plant p {
+      disc int[0..2] x = 0;
+      location s:
+        initial; marked;
+        edge go when x < 2 do x := x + 1;
+    }
+    plant invariant x != 1 or i;
+    """
+    model = lin(parse_spec(text))
+    sym = build_symbolic(model, compute_order(model, "model"))
+    mgr = sym.manager
+    x0, x1 = sym.enc.bits("x")
+    (i,) = sym.enc.bits("i")
+    behavior = mgr.negate(x1) & (mgr.negate(x0) | mgr.negate(i)) | x1
+    assert _count_states(sym, behavior, sym.base_edges) == (5, 2)
+    assert plain_counts(sym, behavior, sym.base_edges) == (5, 2)
+
+
 # Counters of the fixed-point driver per model and toggles (granularity,
 # order and plant invariants at their v40 values).  They pin where the
 # round-robin loops stop, including the bail-out on an empty supervisor;
@@ -501,54 +743,54 @@ def test_controlled_count_follows_strengthened_guards():
 # strengthen), then sweeps, edge_applications, reach_calls, peak_nodes and
 # controlled_states.
 GOLDEN = """
-agv_mutex           off off naive     2465 611  1653  145     -   44 2  52 4  417  91
-agv_mutex           off off compound  1023 611   314   44     -   42 2  52 4  217  91
-agv_mutex           off on  naive     5695 611  1997  249  2766   54 2 136 6  511  91
-agv_mutex           off on  compound  1825 611   352   91   700   53 2 136 6  252  91
-agv_mutex           on  off naive     1994 611  1182  145     -   44 1  23 2  405  91
-agv_mutex           on  off compound   911 611   202   44     -   42 1  23 2  217  91
-agv_mutex           on  on  naive     5195 611  1997  249  2266   54 2  87 5  510  91
-agv_mutex           on  on  compound  1550 611   352   91   425   53 2  87 5  252  91
-cat_mouse           off off naive      888 162   610   79     -   31 2  36 4  124   6
-cat_mouse           off off compound   359 162   133   28     -   30 2  36 4   78   6
-cat_mouse           off on  naive     1092 162   549   79   265   31 2  60 6  124   6
-cat_mouse           off on  compound   390 162   133   28    31   30 2  60 6   78   6
-cat_mouse           on  off naive      886 162   610   77     -   31 2  30 3  124   6
-cat_mouse           on  off compound   357 162   133   26     -   30 2  30 3   78   6
-cat_mouse           on  on  naive     1090 162   549   77   265   31 2  41 4  124   6
-cat_mouse           on  on  compound   388 162   133   26    31   30 2  41 4   78   6
-dining_philosophers off off naive    31648 605 29742  143     - 1145 2 270 4 1872 241
-dining_philosophers off off compound  8865 605  6982  143     - 1122 2 270 4  982 241
-dining_philosophers off on  naive    36432 605 28282  143  6256 1133 2 330 6 1872 241
-dining_philosophers off on  compound  9204 605  6977  143   344 1122 2 330 6  982 241
-dining_philosophers on  off naive    21269 605 19363  143     - 1145 1 125 2 1380 241
-dining_philosophers on  off compound  5735 605  3852  143     - 1122 1 125 2  982 241
-dining_philosophers on  on  naive    27513 605 19363  143  6256 1133 1 154 3 1765 241
-dining_philosophers on  on  compound  6079 605  3852  143   344 1122 1 154 3  982 241
-producer_consumer   off off naive     7421 875  5996  369     -  169 2 158 4  767 249
-producer_consumer   off off compound  2965 875  1802  153     -  123 2 158 4  353 249
-producer_consumer   off on  naive    20213 875  7354 1043 10667  253 2 354 6 1157 249
-producer_consumer   off on  compound  7366 875  1785  460  3999  226 2 354 6  452 249
-producer_consumer   on  off naive     5497 875  4072  369     -  169 1  79 2  603 249
-producer_consumer   on  off compound  2247 875  1084  153     -  123 1  79 2  353 249
-producer_consumer   on  on  naive    17524 875  7354 1043  7978  253 2 254 5 1045 249
-producer_consumer   on  on  compound  5662 875  1785  460  2295  226 2 254 5  439 249
-sensor_input        off off naive      576 187   352   21     -   13 2  20 4  148  30
-sensor_input        off off compound   293 187    88    3     -   12 2  20 4   83  30
-sensor_input        off on  naive     1435 187   458   98   667   20 2  60 6  194  30
-sensor_input        off on  compound   515 187    89   26   188   20 2  60 6   90  30
-sensor_input        on  off naive      527 187   303   21     -   13 1  10 2  148  30
-sensor_input        on  off compound   276 187    71    3     -   12 1  10 2   83  30
-sensor_input        on  on  naive     1316 187   458   98   548   20 2  38 5  180  30
-sensor_input        on  on  compound   443 187    89   26   116   20 2  38 5   88  30
-empty               off off naive       74  37    13   24     -    0 1   5 2   15   0
-empty               off off compound    43  37     0    6     -    0 1   5 2   13   0
-empty               off on  naive       74  37    13   24     0    0 1   5 2   15   0
-empty               off on  compound    43  37     0    6     0    0 1   5 2   13   0
-empty               on  off naive       74  37    13   24     -    0 1   5 2   15   0
-empty               on  off compound    43  37     0    6     -    0 1   5 2   13   0
-empty               on  on  naive       74  37    13   24     0    0 1   5 2   15   0
-empty               on  on  compound    43  37     0    6     0    0 1   5 2   13   0
+agv_mutex           off off naive     2354 495  1653  146     -   44 2  52 4  417  91
+agv_mutex           off off compound   912 495   314   45     -   42 2  52 4  217  91
+agv_mutex           off on  naive     5584 495  1997  250  2766   54 2 136 6  511  91
+agv_mutex           off on  compound  1714 495   352   92   700   53 2 136 6  252  91
+agv_mutex           on  off naive     1883 495  1182  146     -   44 1  23 2  405  91
+agv_mutex           on  off compound   800 495   202   45     -   42 1  23 2  217  91
+agv_mutex           on  on  naive     5084 495  1997  250  2266   54 2  87 5  510  91
+agv_mutex           on  on  compound  1439 495   352   92   425   53 2  87 5  252  91
+cat_mouse           off off naive      873 145   610   81     -   31 2  36 4  124   6
+cat_mouse           off off compound   345 145   134   30     -   30 2  36 4   78   6
+cat_mouse           off on  naive     1078 145   549   81   266   31 2  60 6  124   6
+cat_mouse           off on  compound   376 145   134   30    31   30 2  60 6   78   6
+cat_mouse           on  off naive      870 145   610   78     -   31 2  30 3  124   6
+cat_mouse           on  off compound   342 145   134   27     -   30 2  30 3   78   6
+cat_mouse           on  on  naive     1075 145   549   78   266   31 2  41 4  124   6
+cat_mouse           on  on  compound   373 145   134   27    31   30 2  41 4   78   6
+dining_philosophers off off naive    31528 479 29742  149     - 1145 2 270 4 1872 241
+dining_philosophers off off compound  8745 479  6982  149     - 1122 2 270 4  982 241
+dining_philosophers off on  naive    36312 479 28282  149  6256 1133 2 330 6 1872 241
+dining_philosophers off on  compound  9084 479  6977  149   344 1122 2 330 6  982 241
+dining_philosophers on  off naive    21149 479 19363  149     - 1145 1 125 2 1380 241
+dining_philosophers on  off compound  5615 479  3852  149     - 1122 1 125 2  982 241
+dining_philosophers on  on  naive    27393 479 19363  149  6256 1133 1 154 3 1765 241
+dining_philosophers on  on  compound  5959 479  3852  149   344 1122 1 154 3  982 241
+producer_consumer   off off naive     7352 800  5996  375     -  169 2 158 4  767 249
+producer_consumer   off off compound  2896 800  1802  159     -  123 2 158 4  353 249
+producer_consumer   off on  naive    20145 800  7354 1049 10668  253 2 354 6 1157 249
+producer_consumer   off on  compound  7298 800  1785  466  4000  226 2 354 6  452 249
+producer_consumer   on  off naive     5428 800  4072  375     -  169 1  79 2  603 249
+producer_consumer   on  off compound  2178 800  1084  159     -  123 1  79 2  353 249
+producer_consumer   on  on  naive    17456 800  7354 1049  7979  253 2 254 5 1045 249
+producer_consumer   on  on  compound  5594 800  1785  466  2296  226 2 254 5  439 249
+sensor_input        off off naive      553 162   352   23     -   13 2  20 4  148  30
+sensor_input        off off compound   270 162    88    5     -   12 2  20 4   83  30
+sensor_input        off on  naive     1416 162   458  104   667   20 2  60 6  194  30
+sensor_input        off on  compound   496 162    89   32   188   20 2  60 6   90  30
+sensor_input        on  off naive      504 162   303   23     -   13 1  10 2  148  30
+sensor_input        on  off compound   253 162    71    5     -   12 1  10 2   83  30
+sensor_input        on  on  naive     1297 162   458  104   548   20 2  38 5  180  30
+sensor_input        on  on  compound   424 162    89   32   116   20 2  38 5   88  30
+empty               off off naive       72  35    13   24     -    0 1   5 2   15   0
+empty               off off compound    41  35     0    6     -    0 1   5 2   13   0
+empty               off on  naive       72  35    13   24     0    0 1   5 2   15   0
+empty               off on  compound    41  35     0    6     0    0 1   5 2   13   0
+empty               on  off naive       72  35    13   24     -    0 1   5 2   15   0
+empty               on  off compound    41  35     0    6     -    0 1   5 2   13   0
+empty               on  on  naive       72  35    13   24     0    0 1   5 2   15   0
+empty               on  on  compound    41  35     0    6     0    0 1   5 2   13   0
 """
 GOLDEN_ROWS = [line.split() for line in GOLDEN.strip().splitlines()]
 
