@@ -17,11 +17,15 @@ need no explicit frame conjuncts.  Given a state set ``into``, they return
 its union with the product in the same recursion, so a fixed-point step
 ``acc | (image(acc) & r)`` is one recursion with no separate union, after
 the relational product of Burch, Clarke & Long, "Symbolic model checking
-with partitioned transition relations" (VLSI 1991).  Each ends where its
-answer is known without a further split: the image (``relnext``) when the
-relation is true, the preimage (``relprev``) when the target set is true,
-or when the relation is true and no quantified level is left at or below
-the target set's top level, where the target set is its own preimage.
+with partitioned transition relations" (VLSI 1991).  There is one
+accumulation rule: the two products of a quantified pair chain, the first
+one's result accumulating into the second, and a plain product is the
+same recursion with an empty accumulator, so no two sub-products are ever
+joined by a separate union.  Each ends where its answer is known without
+a further split: the image (``relnext``) when the relation is true, the
+preimage (``relprev``) when the target set is true, or when the relation
+is true and no quantified level is left at or below the target set's top
+level, where the target set is its own preimage.
 
 Node lifetime is explicit.  Nodes are never deleted; ``live`` counts the
 decision nodes reachable from the registered roots or from a node returned
@@ -763,13 +767,12 @@ class BddManager:
         ``i`` of the product of ``p_i`` and ``t_ij``; the preimage is the
         same rule on the transposed cofactors ``t_ji``.
 
-        The accumulator ``a`` is split with ``r``.  Without one (``a`` is
-        false) the two products of a quantified pair are joined by an OR;
-        with one they chain, the first product's result becoming the
-        second's accumulator, so the union costs no separate pass.  A call
-        ends as soon as ``a`` is true or equals ``r``: nothing it could add
-        lies outside ``r``.  A false ``a`` leaves the cache key as it is
-        without one, so plain products share their entries and counts.
+        The accumulator ``a`` is split with ``r``, and the two products of
+        a quantified pair chain: the first product's result is the second's
+        accumulator, so their union costs no separate pass.  A plain
+        product is the case of a false ``a`` and takes the same path.  A
+        call ends as soon as ``a`` is true or equals ``r``: nothing it
+        could add lies outside ``r``.
         """
         if a == 1 or a == r or p == 0 or t == 0 or r == 0:
             return a
@@ -811,26 +814,12 @@ class BddManager:
             )
             if not image:
                 t01, t10 = t10, t01
-            if a:
-                lo = self._relprod(
-                    op, p1, t10, r0, sid,
-                    self._relprod(op, p0, t00, r0, sid, a0),
-                )
-                hi = self._relprod(
-                    op, p1, t11, r1, sid,
-                    self._relprod(op, p0, t01, r1, sid, a1),
-                )
-            else:
-                lo = self._apply(
-                    _OR,
-                    self._relprod(op, p0, t00, r0, sid, 0),
-                    self._relprod(op, p1, t10, r0, sid, 0),
-                )
-                hi = self._apply(
-                    _OR,
-                    self._relprod(op, p0, t01, r1, sid, 0),
-                    self._relprod(op, p1, t11, r1, sid, 0),
-                )
+            lo = self._relprod(
+                op, p1, t10, r0, sid, self._relprod(op, p0, t00, r0, sid, a0)
+            )
+            hi = self._relprod(
+                op, p1, t11, r1, sid, self._relprod(op, p0, t01, r1, sid, a1)
+            )
         else:
             lo = self._relprod(op, p0, tc0, r0, sid, a0)
             hi = self._relprod(op, p1, tc1, r1, sid, a1)

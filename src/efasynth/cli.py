@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import os
 import sys
@@ -58,6 +59,16 @@ def _read_spec(path: Path, allow_supervisor: bool = False) -> Specification:
             EXIT_DIAGNOSTICS, "\n".join(str(d) for d in diags)
         )
     return spec
+
+
+def _write(path, text: str) -> None:
+    """Write ``text`` to ``path`` as it is; an unwritable path is a
+    diagnostic, like an unreadable one."""
+    try:
+        with open(path, "w", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise Failure(EXIT_DIAGNOSTICS, f"cannot write {path}: {exc}")
 
 
 def _linearized(spec: Specification) -> tuple[Specification, LinearModel]:
@@ -165,12 +176,12 @@ def cmd_run(args) -> int:
     report = _report(path, config, result, simplify, wall)
     _print_report(report)
     if args.stats_json:
-        Path(args.stats_json).write_text(json.dumps(report, indent=2) + "\n")
+        _write(args.stats_json, json.dumps(report, indent=2) + "\n")
     if not result.nonempty:
         print("empty supervisor")
         return EXIT_EMPTY
     out_path = Path(args.out) if args.out else path.with_suffix(".sup.efa")
-    out_path.write_text(unparse(emit(plant, result, simplify=simplify)))
+    _write(out_path, unparse(emit(plant, result, simplify=simplify)))
     print(f"wrote {out_path}")
     return EXIT_OK
 
@@ -252,13 +263,14 @@ def cmd_bench(args) -> int:
         print("warning: non-identical repetitions flagged above")
 
     if args.csv:
-        with open(args.csv, "w", newline="") as handle:
-            writer = csv.DictWriter(handle, fieldnames=BENCH_COLUMNS)
-            writer.writeheader()
-            writer.writerows(rows)
+        table = io.StringIO()
+        writer = csv.DictWriter(table, fieldnames=BENCH_COLUMNS)
+        writer.writeheader()
+        writer.writerows(rows)
+        _write(args.csv, table.getvalue())
     if args.json:
         payload = {"schema": 1, "baseline": configs[0], "rows": rows}
-        Path(args.json).write_text(json.dumps(payload, indent=2) + "\n")
+        _write(args.json, json.dumps(payload, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -359,7 +371,7 @@ def _build_parser() -> _Parser:
         "oracle", help="explicit-state cross-check (small models only)"
     )
     oracle.add_argument("model")
-    oracle.add_argument("--cap", type=int, default=10 ** 6,
+    oracle.add_argument("--cap", type=_positive_int, default=10 ** 6,
                         help="refuse universes larger than this")
     oracle.set_defaults(func=cmd_oracle)
     return parser

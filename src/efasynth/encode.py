@@ -31,7 +31,9 @@ result at every step.
    uncontrollable events contribute forbidden states instead of relying on
    the guard alone
 8. compile initial (conjoined with ``pp``) and marked predicates
-9. optionally merge the edges of each event into one relation
+9. optionally merge the edges of each event into one relation: a merged
+   edge has guard true, error false and the union of its branches'
+   ``guard & update``, framed to the assigned variables, as its update
 """
 
 from __future__ import annotations
@@ -345,7 +347,8 @@ class SymEdge:
     error: NodeRef  # encoded-range overflow of the raw updates
     update: NodeRef  # partial relation over the assigned variables' pairs
     assigned: frozenset[str]
-    guard_plant: NodeRef = None  # guard without requirement conditions
+    # guard without requirement conditions; None on a merged edge
+    guard_plant: NodeRef = None
     is_input: bool = False
 
 
@@ -517,6 +520,7 @@ def build_symbolic(
     for edge in rooted:
         mgr.register_root(edge.guard)
         mgr.register_root(edge.update)
+    for edge in base_edges:
         mgr.register_root(edge.guard_plant)
     for root in (initial, marked, forbidden, pp, *req_guards.values()):
         mgr.register_root(root)
@@ -525,7 +529,14 @@ def build_symbolic(
 
 def _merge_events(enc, events, edges) -> list[SymEdge]:
     """Stage 9: one relation per event, framing each branch's unassigned
-    variables so partial-relation semantics still hold."""
+    variables so partial-relation semantics still hold.
+
+    A merged edge carries its relation alone, in the shape of an input
+    edge: guard true, error false, and the union of the framed branches
+    ``guard & update`` as its update.  Each branch implies its guard, so a
+    guard union would add nothing to the relation; guard strengthening,
+    emission and plant guards read the per-edge ``base_edges``.
+    """
     mgr = enc.manager
     by_event: dict[str, list[SymEdge]] = {}
     for edge in edges:
@@ -539,21 +550,14 @@ def _merge_events(enc, events, edges) -> list[SymEdge]:
             merged.append(group[0])
             continue
         assigned = frozenset().union(*(e.assigned for e in group))
-        guard = mgr.false
         update = mgr.false
-        guard_plant = mgr.false
         for edge in group:
             branch = edge.guard & edge.update
             for var in sorted(assigned - edge.assigned):
                 branch = branch & enc.frame(var)
             update = update | branch
-            guard = guard | edge.guard
-            guard_plant = guard_plant | edge.guard_plant
-        merged.append(
-            SymEdge(
-                name, controllable, guard, mgr.false, update, assigned,
-                guard_plant=guard_plant,
-                is_input=group[0].is_input,
-            )
-        )
+        merged.append(SymEdge(
+            name, controllable, mgr.true, mgr.false, update, assigned,
+            is_input=group[0].is_input,
+        ))
     return merged

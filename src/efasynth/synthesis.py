@@ -23,7 +23,11 @@ as soon as no initial state survives.
 Edge application is either *naive* — a total relation per edge, framing
 every unassigned variable, with explicit rename/conjoin/quantify steps and
 a separate union — or *compound*: image/preimage and union in one product
-over partial relations (``relnext``/``relprev`` with ``into``).  All four
+over partial relations (``relnext``/``relprev`` with ``into``).  A naive
+step re-derives nothing the relation already holds: ``build_symbolic``
+folded ``not error`` into every guard, and the relation is rooted
+conjoined with the restriction, so the source states of a preimage lie in
+it already; only an image is conjoined with the restriction.  All four
 combinations of application and stopping rule compute the same sets; they
 differ in the operation and node counts reported by the manager, which is
 the point of keeping them.
@@ -249,14 +253,14 @@ class FixedPointEngine:
     # -- one application of one edge to the accumulated set
 
     def _apply_naive(self, gur, edge, restriction, backward, acc):
+        # gur is total_relation(edge) & restriction, and every guard
+        # excludes its edge's range errors already
         mgr = self.mgr
         if backward:
             shifted = mgr.replace(acc, self._up)
-            conj = gur & shifted & mgr.negate(edge.error)
-            pre = mgr.exists(conj, self.enc.next_levels)
-            return acc | (pre & restriction)
-        conj = gur & acc & mgr.negate(edge.error)
-        mid = mgr.exists(conj, self.enc.state_levels)
+            pre = mgr.exists(gur & shifted, self.enc.next_levels)
+            return acc | pre
+        mid = mgr.exists(gur & acc, self.enc.state_levels)
         img = mgr.replace(mid, self._down)
         return acc | (img & restriction)
 

@@ -332,6 +332,24 @@ def test_preimage_of_a_used_up_relation_costs_one_operation():
     assert mgr.op_counts()["relprev"] - before == 1
 
 
+def test_plain_products_chain_the_two_products_of_a_pair():
+    # x0' = x0 ^ x2 reaches either value of x0' from either value of x0,
+    # so both products of pair 0 are non-empty; they yield states with
+    # x2 = 0 and x2 = 1 respectively, so chaining the second onto the
+    # first meets only false accumulators where a union would be needed
+    for product, naive in (
+        ("relnext", naive_image), ("relprev", naive_preimage)
+    ):
+        mgr = fresh(3)
+        x0, x0n, x2, x2n, x4 = (mgr.var(l) for l in (0, 1, 2, 3, 4))
+        t = mgr.apply("biimp", x0n, x0 ^ x2) & mgr.apply("biimp", x2n, x2)
+        p = x0 ^ x4
+        before = mgr.op_counts()["or"]
+        got = getattr(mgr, product)(p, t)
+        assert mgr.op_counts()["or"] == before
+        assert got == naive(mgr, p, t, {0, 1})
+
+
 def test_accumulating_into_false_counts_as_the_plain_product():
     def run(into):
         mgr = fresh(3)

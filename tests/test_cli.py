@@ -218,6 +218,25 @@ def test_bench_ignores_emitted_models(producer, tmp_path, capsys):
     assert "producer_consumer.sup" not in stdout
 
 
+@pytest.mark.parametrize("target", ["missing", "directory"])
+@pytest.mark.parametrize("command, flag", [
+    ("run", "--out"), ("run", "--stats-json"),
+    ("bench", "--csv"), ("bench", "--json"),
+])
+def test_unwritable_output_exits_1(producer, tmp_path, capsys, command,
+                                   flag, target):
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    model = suite / "producer_consumer.efa"
+    model.write_text(open(producer).read())
+    path = tmp_path / "no" / "x.out" if target == "missing" else tmp_path
+    args = [str(model)] if command == "run" else [str(suite), "--reps", "1"]
+    assert main([command, *args, flag, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    assert f"cannot write {path}: " in err
+
+
 def test_bench_empty_dir_exits_1(tmp_path, capsys):
     assert main(["bench", str(tmp_path)]) == 1
 
@@ -433,6 +452,14 @@ def test_oracle_counts(producer, capsys):
 def test_oracle_cap_exits_1(producer, capsys):
     assert main(["oracle", producer, "--cap", "10"]) == 1
     assert "exceeds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_oracle_nonpositive_cap_exits_1(producer, capsys, cap):
+    assert main(["oracle", producer, "--cap", cap]) == 1
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    assert "--cap" in err and "positive integer" in err
 
 
 def test_readme_quick_start_report_is_current(models_dir, tmp_path, capsys):

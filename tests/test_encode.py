@@ -370,7 +370,8 @@ def test_event_merge_matches_documented_construction():
     enc = Encoding(model, [0, 1, 2])
     e1, e2 = merge_example_edges(enc)
     (merged,) = _merge_events(enc, [("e", True)], [e1, e2])
-    assert merged.guard.is_true  # x <= 4 or x >= 4 covers the encoded range
+    # the merged edge carries its relation alone, in its update
+    assert merged.guard.is_true and merged.error.is_false
     assert merged.assigned == frozenset({"y", "z"})
     want = (e1.guard & e1.update & enc.frame("z")) | (
         e2.guard & e2.update & enc.frame("y")
@@ -393,7 +394,33 @@ def test_merged_relation_preserves_images():
             lit = mgr.var(lvl) if value >> bit & 1 else mgr.nvar(lvl)
             point = point & lit
     separate = mgr.relnext(point, g1 & u1) | mgr.relnext(point, g2 & u2)
-    together = mgr.relnext(point, merged.guard & merged.update)
+    together = mgr.relnext(point, merged.update)
     assert separate == together
     # and the image is exactly {(4,2,5), (4,1,6)}
     assert mgr.sat_count(separate, enc.state_levels) == 2
+
+
+def test_merged_edge_carries_only_its_relation():
+    # Guards x <= 2 and x >= 5 leave x = 3, 4 disabled, so a guard union
+    # would not be true: the merged guard is true by construction.
+    from efasynth.encode import SymEdge
+    from efasynth.model import BinaryOp, IntLit, VarRef
+
+    model = lin(MERGE_VARS)
+    enc = Encoding(model, [0, 1, 2])
+    mgr = enc.manager
+    g1 = enc.compile_pred(BinaryOp("<=", VarRef("x"), IntLit(2)))
+    g2 = enc.compile_pred(BinaryOp(">=", VarRef("x"), IntLit(5)))
+    u1, _ = enc.assignment("y", BinaryOp("-", VarRef("y"), IntLit(1)))
+    u2, _ = enc.assignment("z", VarRef("x"))
+    e1 = SymEdge("e", True, g1, mgr.false, u1, frozenset({"y"}),
+                 guard_plant=g1)
+    e2 = SymEdge("e", True, g2, mgr.false, u2, frozenset({"z"}),
+                 guard_plant=g2)
+    (merged,) = _merge_events(enc, [("e", True)], [e1, e2])
+    assert merged.guard.is_true
+    assert merged.error.is_false
+    p = enc.domain_predicate()
+    branches = mgr.relnext(p, g1 & u1) | mgr.relnext(p, g2 & u2)
+    assert not branches.is_false
+    assert mgr.relnext(p, merged.update) == branches
