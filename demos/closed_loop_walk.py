@@ -39,7 +39,7 @@ def main():
         moves = []
         vetoed = set()
         for edge in oracle.edges:
-            for dst in edge.allowed[state]:
+            for dst in edge.allowed.get(state, ()):
                 if not edge.controllable or dst in oracle.safe:
                     moves.append((edge.event, dst))
                 elif edge.controllable:

@@ -11,6 +11,11 @@ The universe is every in-domain valuation (the declared ranges, not the
 wider encoded ranges); states breaking a plant state invariant are
 dropped up front, mirroring how the symbolic side treats the plant
 invariant as the universe of discourse.
+
+Memory is O(universe + transitions): each edge keeps a map from a state
+index to its successors, with no entry for a state that has none, and
+one pass over the states evaluates each state's valuation once for the
+static sets and every edge.
 """
 
 from __future__ import annotations
@@ -35,11 +40,14 @@ class _Edge:
     event: str
     controllable: bool
     is_input: bool
-    # plant-level successor lists per state index (guard, no range error,
-    # in-domain target, plant event conditions)
-    plant: list[list[int]]
-    # additionally obeying requirement event conditions
-    allowed: list[list[int]]
+    # state index -> its non-empty plant-level successor list (guard, no
+    # range error, in-domain target, plant event conditions); a state
+    # without successors has no entry, so the map grows with the
+    # transitions, not with the universe
+    plant: dict[int, list[int]]
+    # the same, additionally obeying requirement event conditions; the
+    # very object ``plant`` when no requirement condition cut a transition
+    allowed: dict[int, list[int]]
 
 
 def _values(domain) -> list:
@@ -102,100 +110,91 @@ class ExplicitOracle:
             return True
 
         # -- universe: in-domain valuations satisfying plant invariants
-        self.states: list[tuple] = []
-        self.index: dict[tuple, int] = {}
-        for combo in itertools.product(*map(_values, domains)):
+        def in_plant(combo):
             values = dict(zip(names, combo))
-            if all(pred(p, values) for p in plant_invs):
-                self.index[combo] = len(self.states)
-                self.states.append(combo)
+            return all(pred(p, values) for p in plant_invs)
 
-        n = len(self.states)
-        self.initial = {
-            i for i, s in enumerate(self.states)
-            if pred(model.initial, dict(zip(names, s)))
-        }
-        self.marked = {
-            i for i, s in enumerate(self.states)
-            if pred(model.marked, dict(zip(names, s)))
+        combos = itertools.product(*map(_values, domains))
+        self.states: list[tuple] = (
+            list(filter(in_plant, combos)) if plant_invs else list(combos)
+        )
+        self.index: dict[tuple, int] = {
+            s: i for i, s in enumerate(self.states)
         }
 
-        # -- forbidden states
+        # -- one pass over the states: static sets and every transition
+        controllable = {ev.name: ev.controllable for ev in model.events}
+        at = {name: k for k, name in enumerate(names)}
+        lows = [
+            var.domain.lo if isinstance(var.domain, IntDomain) else 0
+            for var in model.variables
+        ]
+        spans = [1 << _width(var.domain) for var in model.variables]
+        steps = [
+            (edge, controllable[edge.event],
+             [(at[name], rhs) for name, rhs in edge.updates], {}, {})
+            for edge in model.edges
+        ]
+        inputs = [
+            (at[var.name], _values(var.domain), {})
+            for var in model.variables if var.kind == "input"
+        ]
+        self.initial: set[int] = set()
+        self.marked: set[int] = set()
         self.forbidden: set[int] = set()
         for i, s in enumerate(self.states):
             values = dict(zip(names, s))
+            if pred(model.initial, values):
+                self.initial.add(i)
+            if pred(model.marked, values):
+                self.marked.add(i)
             if any(not pred(p, values) for p in req_invs):
                 self.forbidden.add(i)
-
-        # -- transitions
-        controllable = {ev.name: ev.controllable for ev in model.events}
-        widths = {var.name: _width(var.domain) for var in model.variables}
-        lows = {
-            var.name: (var.domain.lo if isinstance(var.domain, IntDomain) else 0)
-            for var in model.variables
-        }
-        in_state_domain = {
-            var.name: set(_values(var.domain)) for var in model.variables
-        }
-        self.edges: list[_Edge] = []
-        for edge in model.edges:
-            ctrl = controllable[edge.event]
-            plant = [[] for _ in range(n)]
-            allowed = [[] for _ in range(n)]
-            for i, s in enumerate(self.states):
-                values = dict(zip(names, s))
+            for edge, ctrl, updates, plant, allowed in steps:
                 if not pred(edge.guard, values):
                     continue
-                news = {
-                    name: int(eval_expr(rhs, values, {}, self._codes))
-                    for name, rhs in edge.updates
-                }
+                target = list(s)
+                for k, rhs in updates:
+                    target[k] = int(eval_expr(rhs, values, {}, self._codes))
                 # encoded-range overflow: uncontrollable ones poison the state
-                error = any(
-                    not 0 <= value - lows[name] < (1 << widths[name])
-                    for name, value in news.items()
-                )
-                if error:
+                if any(
+                    not 0 <= target[k] - lows[k] < spans[k] for k, _ in updates
+                ):
                     if not ctrl:
                         self.forbidden.add(i)
                     continue
-                if any(
-                    value not in in_state_domain[name]
-                    for name, value in news.items()
-                ):
-                    continue  # leaves the declared domain
-                target = dict(values)
-                target.update(news)
-                if not all(pred(p, target) for p in plant_invs):
-                    continue
                 if not condition_holds("plant", edge.event, values):
                     continue
-                j = self.index.get(tuple(target[name] for name in names))
+                # a target outside the declared domains or the plant
+                # invariants is not in the universe: no transition
+                j = self.index.get(tuple(target))
                 if j is None:
                     continue
-                plant[i].append(j)
+                plant[i] = succs = [j]
                 if condition_holds("requirement", edge.event, values):
-                    allowed[i].append(j)
+                    allowed[i] = succs
                 elif not ctrl:
                     # requirements cannot refuse what nobody can prevent
                     self.forbidden.add(i)
-            self.edges.append(_Edge(edge.event, ctrl, False, plant, allowed))
+            for k, domain_values, plant in inputs:
+                succs = []
+                for value in domain_values:
+                    if value != s[k]:
+                        j = self.index.get(s[:k] + (value,) + s[k + 1:])
+                        if j is not None:
+                            succs.append(j)
+                if succs:
+                    plant[i] = succs
 
-        for var in model.variables:
-            if var.kind != "input":
-                continue
-            at = names.index(var.name)
-            plant = [[] for _ in range(n)]
-            for i, s in enumerate(self.states):
-                for value in _values(var.domain):
-                    if value == s[at]:
-                        continue
-                    j = self.index.get(s[:at] + (value,) + s[at + 1:])
-                    if j is not None:
-                        plant[i].append(j)
-            self.edges.append(
-                _Edge(f"input_{var.name}", False, True, plant, plant)
-            )
+        self.edges: list[_Edge] = [
+            _Edge(edge.event, ctrl, False, plant,
+                  plant if len(allowed) == len(plant) else allowed)
+            for edge, ctrl, _, plant, allowed in steps
+        ]
+        self.edges += [
+            _Edge(f"input_{names[k]}", False, True, plant, plant)
+            for k, _, plant in inputs
+        ]
 
         self._synthesize()
 
@@ -208,7 +207,7 @@ class ExplicitOracle:
             start = start & within
         pre: dict[int, list[int]] = {}
         for edge in edges:
-            for src, dsts in enumerate(edge.allowed):
+            for src, dsts in edge.allowed.items():
                 for dst in dsts:
                     pre.setdefault(dst, []).append(src)
         reach = set(start)
@@ -261,7 +260,7 @@ class ExplicitOracle:
 
         def supervised(state):
             for edge in self.edges:
-                for dst in edge.allowed[state]:
+                for dst in edge.allowed.get(state, ()):
                     if not edge.controllable or dst in self.safe:
                         yield dst
 
@@ -271,7 +270,7 @@ class ExplicitOracle:
 
         def plant_level(state):
             for edge in self.edges:
-                yield from edge.plant[state]
+                yield from edge.plant.get(state, ())
 
         self.plant_reachable = self._forward(self.initial, plant_level, None)
 
@@ -281,7 +280,7 @@ class ExplicitOracle:
         """Events the supervised system can take from a controlled state."""
         out = set()
         for edge in self.edges:
-            for dst in edge.allowed[state]:
+            for dst in edge.allowed.get(state, ()):
                 if not edge.controllable or dst in self.safe:
                     out.add(edge.event)
                     break
@@ -298,7 +297,7 @@ class ExplicitOracle:
         for edge in self.edges:
             if edge.event != event:
                 continue
-            for src, dsts in enumerate(edge.allowed):
+            for src, dsts in edge.allowed.items():
                 if any(dst in targets for dst in dsts):
                     out.add(src)
         return out

@@ -94,9 +94,9 @@ def _tokenize(text: str, filename: str) -> list[_Token]:
             col += j - i
             i = j
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(_Token("nat", text[i:j], Span(filename, line, col, j - i)))
             col += j - i

@@ -152,6 +152,15 @@ def test_run_parse_error_exits_1(tmp_path, capsys):
     assert "expected" in capsys.readouterr().err
 
 
+def test_run_non_decimal_digit_exits_1(tmp_path, capsys):
+    model = tmp_path / "bad.efa"
+    model.write_text(_guarded("x = \u00b2"))
+    assert main(["run", str(model)]) == 1
+    err = capsys.readouterr().err
+    assert "unexpected character" in err
+    assert "internal error" not in err
+
+
 def test_run_rejects_supervisor_input(producer, tmp_path, capsys):
     out = tmp_path / "sup.efa"
     assert main(["run", producer, "--out", str(out)]) == 0

@@ -1,8 +1,11 @@
 """Explicit-state oracle tests plus agreement with the symbolic encoding."""
 
+import itertools
+
 import pytest
 
 from efasynth.encode import build_symbolic
+from efasynth.model import IntDomain, domain_size, eval_expr
 from efasynth.oracle import ExplicitOracle, UniverseTooLarge
 from efasynth.parser import parse_file, parse_spec
 from efasynth.transform import linearize, plantify
@@ -89,8 +92,8 @@ def test_range_trap_oracle_sets():
     bump = oracle.edges[0]
     assert bump.event == "bump"
     # bump from 3 or 4 lands outside the declared domain: no transition
-    assert bump.plant[3] == []
-    assert bump.plant[4] == []
+    assert 3 not in bump.plant
+    assert 4 not in bump.plant
     assert oracle.safe == {0, 1, 2, 3, 4}
     assert oracle.nonempty
     assert oracle.controlled_reachable == {0, 1, 2, 3, 4}
@@ -144,7 +147,7 @@ def test_plant_invariant_restricts_universe():
     oracle = ExplicitOracle(lin(parse_spec(text)))
     assert len(oracle.states) == 5
     # stepping to 5 would leave the plant invariant: not a transition at all
-    assert oracle.edges[0].plant[4] == []
+    assert 4 not in oracle.edges[0].plant
     assert oracle.forbidden == set()
     assert oracle.controlled_reachable == {0, 1, 2, 3, 4}
 
@@ -167,6 +170,88 @@ def test_requirement_invariant_marks_forbidden():
     # inc is controllable, so the bad states are simply never entered
     assert oracle.controlled_reachable == {0, 1, 2, 3, 4}
     assert oracle.enabled_events(4) == set()
+
+
+def brute_force_counts(model):
+    """Plant-level and allowed transition counts per oracle edge (model
+    edges, then input variables), from eval_expr over every in-domain
+    valuation."""
+    names = [var.name for var in model.variables]
+    domains = {
+        var.name: range(var.domain.lo, var.domain.hi + 1)
+        if isinstance(var.domain, IntDomain) else range(domain_size(var.domain))
+        for var in model.variables
+    }
+
+    def holds(expr, values):
+        return bool(eval_expr(expr, values, {}, model.codes))
+
+    def in_universe(values):
+        return all(values[name] in domains[name] for name in names) and all(
+            holds(inv.predicate, values) for inv in model.invariants
+            if inv.kind == "state" and inv.side == "plant"
+        )
+
+    def conditions_hold(event, plant_side, values):
+        return all(
+            holds(inv.predicate, values) == (inv.kind == "needs")
+            for inv in model.invariants
+            if inv.kind != "state" and inv.event == event
+            and (inv.side == "plant") == plant_side
+        )
+
+    universe = [
+        values for values in (
+            dict(zip(names, combo))
+            for combo in itertools.product(*(domains[n] for n in names))
+        )
+        if in_universe(values)
+    ]
+    counts = []
+    for edge in model.edges:
+        plant = allowed = 0
+        for values in universe:
+            if not (holds(edge.guard, values)
+                    and conditions_hold(edge.event, True, values)):
+                continue
+            target = dict(values)
+            for name, rhs in edge.updates:
+                target[name] = int(eval_expr(rhs, values, {}, model.codes))
+            # a range error always leaves the declared domain
+            if in_universe(target):
+                plant += 1
+                allowed += conditions_hold(edge.event, False, values)
+        counts.append((plant, allowed))
+    for var in model.variables:
+        if var.kind == "input":
+            n = sum(
+                in_universe({**values, var.name: value})
+                for values in universe for value in domains[var.name]
+                if value != values[var.name]
+            )
+            counts.append((n, n))
+    return counts
+
+
+@pytest.mark.parametrize(
+    "text",
+    [RANGE_TRAP, SE_MODEL, INPUT_MODEL,
+     # pins the sensor once x moves: those states have no input successor
+     INPUT_MODEL + "plant invariant x = 0 or sensor = 2;\n"],
+    ids=["range", "se", "input", "pinned-input"],
+)
+def test_successor_maps_hold_exactly_the_transitions(text):
+    model = lin(parse_spec(text))
+    oracle = ExplicitOracle(model)
+    counts = brute_force_counts(model)
+    assert len(oracle.edges) == len(counts)
+    for edge, (plant, allowed) in zip(oracle.edges, counts):
+        # a state without successors has no entry at all
+        assert all(edge.plant.values()) and all(edge.allowed.values())
+        assert sum(map(len, edge.plant.values())) == plant
+        assert sum(map(len, edge.allowed.values())) == allowed
+        # an edge no requirement condition cuts shares its plant map
+        assert (edge.allowed is edge.plant) == (allowed == plant)
 
 
 def test_universe_cap():
@@ -238,8 +323,9 @@ def test_transitions_match_symbolic(text):
             for i in range(len(oracle.states)):
                 src = point(mgr, oracle.assignment_for(enc, i))
                 image = mgr.relnext(src, t)
-                assert mgr.sat_count(image, enc.state_levels) == len(succs[i])
-                for j in succs[i]:
+                dsts = succs.get(i, [])
+                assert mgr.sat_count(image, enc.state_levels) == len(dsts)
+                for j in dsts:
                     assert mgr.evaluate(image, oracle.assignment_for(enc, j))
 
 
@@ -252,6 +338,7 @@ def test_producer_transitions_match_symbolic(producer):
         for i in range(0, len(oracle.states), 7):
             src = point(mgr, oracle.assignment_for(enc, i))
             image = mgr.relnext(src, t)
-            assert mgr.sat_count(image, enc.state_levels) == len(oedge.allowed[i])
-            for j in oedge.allowed[i]:
+            dsts = oedge.allowed.get(i, [])
+            assert mgr.sat_count(image, enc.state_levels) == len(dsts)
+            for j in dsts:
                 assert mgr.evaluate(image, oracle.assignment_for(enc, j))

@@ -93,6 +93,12 @@ def test_subtraction_left_associative():
     assert expr.left == BinaryOp("-", BinaryOp("-", IntLit(5), IntLit(2)), IntLit(1))
 
 
+def test_any_decimal_digit_reads_as_a_number():
+    # int() reads every Unicode decimal digit, so the tokenizer accepts them
+    expr = parse_spec("initial ３ = 3;").init_preds[0]
+    assert expr == BinaryOp("=", IntLit(3), IntLit(3))
+
+
 def test_binary_operators_associate_left():
     expr = parse_spec("initial a or b or c and d and e;").init_preds[0]
     assert expr == BinaryOp(
@@ -149,6 +155,8 @@ def test_round_trip_shipped_models(models_dir):
         ("initial 1 +;", "expected an expression"),
         ("whatever;", "expected a declaration"),
         ("plant p { location l: } $", "unexpected character"),
+        # a digit that is not decimal, which int() cannot read
+        ("plant p { disc int[0..3] x = ²; location l: }", "unexpected character"),
     ],
 )
 def test_syntax_errors(text, fragment):

@@ -151,7 +151,7 @@ def test_strengthened_guards_block_exactly_unsafe_steps(producer_model,
             continue
         for i in range(0, len(oracle.states), 3):
             enabled = mgr.evaluate(sedge.guard, oracle.assignment_for(enc, i))
-            wants = any(j in oracle.safe for j in oedge.allowed[i])
+            wants = any(j in oracle.safe for j in oedge.allowed.get(i, []))
             assert enabled == wants, (sedge.event, oracle.values_of(i))
 
 
