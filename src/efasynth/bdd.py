@@ -27,6 +27,18 @@ preimage (``relprev``) when the target set is true, or when the relation
 is true and no quantified level is left at or below the target set's top
 level, where the target set is its own preimage.
 
+A forward fixed point over many partial relations is computed by
+saturation (:meth:`BddManager.saturate`), after Ciardo, Lüttgen &
+Siminiceanu, "Saturation: an efficient iteration strategy for symbolic
+state-space generation" (TACAS 2001).  Each relation starts at its top
+pair, the first pair in the variable order that it reads or assigns, and
+leaves every level above it alone, so it fires on the sub-diagrams at
+that pair only, once they are saturated under the relations that start
+below.  A round-robin of images would instead walk the whole reached set
+above each relation and end with a sweep that only confirms nothing
+changed.  Saturation steps take a computed-cache tag of their own and
+count as ``relnext`` operations.
+
 Node lifetime is explicit.  Nodes are never deleted; ``live`` counts the
 decision nodes reachable from the registered roots or from a node returned
 by ``_node`` during the public operation in flight, and ``peak`` is the
@@ -58,6 +70,7 @@ nothing, so it refuses a fixed level after a free one in the support.
 
 from __future__ import annotations
 
+import contextlib
 from typing import Iterable, Mapping
 
 __all__ = ["BddError", "BddManager", "NodeRef"]
@@ -72,6 +85,8 @@ _OP_NAMES = (
 )
 _AND, _OR, _XOR, _DIFF, _IMP, _BIIMP, _NOT, _ITE, _EXISTS, _REPLACE, \
     _RESTRICT, _RELNEXT, _RELPREV = range(13)
+# Computed-cache tag of saturation, whose steps count as relnext.
+_SATURATE = 13
 _COMMUTATIVE = frozenset((_AND, _OR, _XOR, _BIIMP))
 
 # Truth table of each binary connective: f(0,0), f(0,1), f(1,0), f(1,1),
@@ -183,6 +198,10 @@ class BddManager:
         self._sets: list[tuple[frozenset[int], int]] = []  # (levels, max)
         self._map_ids: dict[tuple[tuple[int, int], ...], int] = {}
         self._maps: list[tuple[dict[int, int], int]] = []  # (map, max key)
+        # Interned relation sets of saturate: per pair, the next pair a
+        # relation starts at and the firings of the relations starting there.
+        self._relset_ids: dict[tuple[tuple[int, int], ...], int] = {}
+        self._relsets: list[tuple[list[int], list[tuple]]] = []
         self._num_vars = 0
         self._odd = 0  # mask of the odd levels allocated so far
         self._labels: list[str] = []
@@ -377,6 +396,18 @@ class BddManager:
     def op_total(self) -> int:
         return sum(self._ops)
 
+    @contextlib.contextmanager
+    def fresh_cache(self):
+        """Run the block on an empty computed cache, then restore the one
+        it replaced: the block's operation counts depend on its own work
+        alone, and later operations see the hits they would have seen
+        without it.  Node ids never die, so every entry stays valid."""
+        saved, self._cache = self._cache, {}
+        try:
+            yield
+        finally:
+            self._cache = saved
+
     # ------------------------------------------------------------------
     # interning helpers
 
@@ -404,6 +435,49 @@ class BddManager:
             self._map_ids[key] = mid
             self._maps.append((dict(mapping), max(mapping) if mapping else -1))
         return mid
+
+    def _intern_relations(self, rels: tuple[tuple[int, int], ...]) -> int:
+        """Id of the relation set ``rels``, pairs of a relation node and the
+        mask of the odd levels it assigns.
+
+        A relation starts at its top pair, the lowest even level of its
+        support and assigned levels.  The set is stored per pair ``c`` (as
+        ``c >> 1``): the next pair at or below ``c`` where a relation starts,
+        and the firings of the relations starting at ``c``, ``(sid, i, j,
+        t_ij)`` with ``t_ij`` the non-false cofactor of the relation at
+        ``c = i, c+1 = j`` (``i == j`` when ``c+1`` is not assigned).  The
+        identity and the empty relation fire nowhere."""
+        gid = self._relset_ids.get(rels)
+        if gid is not None:
+            return gid
+        gid = len(self._relsets)
+        if gid >= _KEY_LIMIT:
+            raise BddError("relation-set table full")
+        by_pair: dict[int, list[tuple]] = {}
+        for t, quant in rels:
+            levels = self._support(t) | quant
+            if t == 0 or not levels:
+                continue
+            c = ((levels & -levels).bit_length() - 1) & ~1
+            sid = self._intern_set(quant >> 1)
+            firings = by_pair.setdefault(c, [])
+            for i, ti in enumerate(self._cof(t, c)):
+                if quant >> (c + 1) & 1:
+                    tij = self._cof(ti, c + 1)
+                    firings += [(sid, i, j, tij[j]) for j in (0, 1) if tij[j]]
+                elif ti:
+                    firings.append((sid, i, i, ti))
+        pairs = max(by_pair, default=-2) // 2 + 1
+        fires = [tuple(by_pair.get(2 * k, ())) for k in range(pairs)]
+        nxt = [_TERMINAL_LEVEL] * pairs
+        top = _TERMINAL_LEVEL
+        for k in reversed(range(pairs)):
+            if fires[k]:
+                top = 2 * k
+            nxt[k] = top
+        self._relset_ids[rels] = gid
+        self._relsets.append((nxt, fires))
+        return gid
 
     # ------------------------------------------------------------------
     # boolean connectives
@@ -825,6 +899,98 @@ class BddManager:
             hi = self._relprod(op, p1, tc1, r1, sid, a1)
         res = self._node(c, lo, hi)
         self._cache[key] = res
+        return res
+
+    def saturate(
+        self,
+        start: NodeRef,
+        relations: Iterable[tuple[NodeRef, Iterable[int] | None]],
+        constrain: NodeRef | None = None,
+    ) -> NodeRef:
+        """Least state set that contains ``start & constrain``, lies inside
+        ``constrain`` and is closed under the image of every relation.
+
+        ``relations`` holds ``(t, assigned)`` pairs, each read as
+        :meth:`relnext` reads its relation and assigned levels (``assigned``
+        may be ``None``).  The set is the fixed point of a round-robin of
+        ``relnext(acc, t, constrain, assigned, into=acc)`` steps, computed
+        by saturation; its steps count as ``relnext`` operations.
+        """
+        pn = self._unwrap(start)
+        rn = 1 if constrain is None else self._unwrap(constrain)
+        self._check_state_predicate(pn, "start set")
+        self._check_state_predicate(rn, "constraint set")
+        rels = []
+        for t, assigned in relations:
+            tn = self._unwrap(t)
+            rels.append((tn, self._assigned_levels(tn, assigned)))
+        gid = self._intern_relations(tuple(rels))
+        try:
+            return self._wrap(
+                self._saturate(0, self._apply(_AND, pn, rn), rn, gid)
+            )
+        finally:
+            self._end()
+
+    def _saturate(self, c: int, p: int, r: int, gid: int) -> int:
+        """The least set that contains ``p``, lies inside ``r`` (as ``p``
+        does) and is closed under the relations of set ``gid`` that start
+        at pair ``c`` or below.
+
+        Such relations neither read nor write a level above their top
+        pair, so each acts on the sub-diagrams at its top pair alone, after
+        Ciardo, Lüttgen & Siminiceanu, "Saturation: an efficient iteration
+        strategy for symbolic state-space generation" (TACAS 2001).  ``c``
+        first moves down to the first pair where ``p`` or ``r`` decides or
+        a relation starts; below the last such start the result is ``p``.
+        Otherwise both cofactors of ``p`` are saturated at
+        ``c + 2``, and the relations starting at ``c`` fire from cofactor
+        ``i`` into cofactor ``j``, each firing one accumulating image whose
+        changed result is saturated again at ``c + 2``, until a pass changes
+        nothing.  A firing whose source has not changed since it last fired
+        is skipped: its image lies in the target already.  The result is
+        also cached as its own saturation, so a changed set re-saturates
+        only its new sub-diagrams.
+        """
+        if p == 0 or r == 0:
+            return 0
+        if p == r:
+            return p
+        nxt, fires = self._relsets[gid]
+        top = nxt[c >> 1] if c >> 1 < len(nxt) else _TERMINAL_LEVEL
+        if top == _TERMINAL_LEVEL:
+            return p
+        var = self._var
+        c = min(top, var[p], var[r])
+        key = (((c << 32 | p) << 32 | r) << 32 | gid) << 4 | _SATURATE
+        cached = self._cache.get(key)
+        if cached is not None:
+            return cached
+        self._ops[_RELNEXT] += 1
+        p0, p1 = self._cof(p, c)
+        rs = self._cof(r, c)
+        s = [self._saturate(c + 2, p0, rs[0], gid),
+             self._saturate(c + 2, p1, rs[1], gid)]
+        if c == top:
+            firings = fires[c >> 1]
+            last = [-1] * len(firings)
+            changed = True
+            while changed:
+                changed = False
+                for m, (sid, i, j, t) in enumerate(firings):
+                    if s[i] == last[m]:
+                        continue
+                    last[m] = s[i]
+                    new = self._relprod(_RELNEXT, s[i], t, rs[j], sid, s[j])
+                    if new != s[j]:
+                        s[j] = self._saturate(c + 2, new, rs[j], gid)
+                        changed = True
+        res = self._node(c, s[0], s[1])
+        self._cache[key] = res
+        c = min(top, var[res], var[r])
+        self._cache[
+            (((c << 32 | res) << 32 | r) << 32 | gid) << 4 | _SATURATE
+        ] = res
         return res
 
     # ------------------------------------------------------------------

@@ -40,20 +40,23 @@ leave the behavior.
 
 State counting runs after the headline metrics are frozen: the
 uncontrolled count walks the plant guards (requirement conditions
-stripped), the controlled count walks the strengthened guards inside the
-final behavior.  Reachable states are a unique least fixed point, so
-counting uses one method under every configuration, whatever
-``granularity``, ``edge_apply`` and ``early_stop`` say: the edges merged
-per event, one compound image per event relation, and early stopping.
-It runs :meth:`FixedPointEngine.reach` on an engine of its own, so
-``reach_calls`` and ``edge_applications`` count synthesis alone.  On a
-model with input variables, a count runs over the other variables only
-when the plant invariants bound each input on its own and the count's
-restriction leaves the inputs free within them: the input edges then
-reach every allowed input value, so the reachable set is a cylinder over
-the inputs (see :func:`_count_states`).  Counting operations are left out
-of ``operations`` and reported apart as
-``count_operations``; ``unstaged_operations`` is the part of
+stripped), the controlled count walks the base guards inside the final
+behavior, which allows the same steps as the strengthened guards there.
+Reachable states are a unique least fixed point, so counting uses one
+method under every configuration, whatever ``granularity``,
+``edge_apply`` and ``early_stop`` say: the edges merged per event and
+saturation (:meth:`BddManager.saturate`), which fires each event relation
+on the sub-diagrams that start at its top level.  It calls no
+:class:`FixedPointEngine`, so ``reach_calls`` and ``edge_applications``
+count synthesis alone, and it runs on an empty computed cache, so its
+operations do not depend on what synthesis cached.  On a model with input
+variables, a count runs over the other variables only when the plant
+invariants bound each input on its own and the count's restriction leaves
+the inputs free within them: the input edges then reach every allowed
+input value, so the reachable set is a cylinder over the inputs (see
+:func:`_count_states`).  Counting operations are left out of
+``operations`` and reported apart as ``count_operations``;
+``unstaged_operations`` is the part of
 ``operations`` done between stage calls (the complement of the forbidden
 states, the empty-supervisor checks and the surviving initial states),
 so the stages and it add up to ``operations``.
@@ -195,6 +198,13 @@ def _iterate(mgr: BddManager, steps, acc: NodeRef, early_stop: bool,
         mgr.release_root(acc)
 
 
+def _odd_levels(enc, assigned: frozenset[str]) -> tuple[int, ...]:
+    """The next-state levels of the variables named in ``assigned``."""
+    return tuple(
+        lvl + 1 for name in sorted(assigned) for lvl in enc.by_name[name].levels
+    )
+
+
 class FixedPointEngine:
     """Reachability with selectable application and stopping strategy."""
 
@@ -269,11 +279,7 @@ class FixedPointEngine:
         relation can lose an assigned bit from its support."""
         levels = self._levels.get(edge.assigned)
         if levels is None:
-            levels = tuple(
-                lvl + 1
-                for name in sorted(edge.assigned)
-                for lvl in self.enc.by_name[name].levels
-            )
+            levels = _odd_levels(self.enc, edge.assigned)
             self._levels[edge.assigned] = levels
         return levels
 
@@ -367,17 +373,26 @@ def _synthesize_behavior(engine: FixedPointEngine):
     return behavior, -(-runs // nst), stage_ops
 
 
-def _count_states(sym: SymbolicModel, behavior, strengthened):
-    """Uncontrolled and controlled reachable state counts, on an engine of
-    their own that merges the edges per event and stops early whatever the
-    run's configuration says.
+def _count_states(sym: SymbolicModel, behavior):
+    """Uncontrolled and controlled reachable state counts, by saturation
+    (:meth:`BddManager.saturate`) over the edges merged per event, whatever
+    the run's configuration says.
 
     Each count is the least fixed point ``R`` of ``start & restriction``
     under every event relation, kept inside ``restriction``; ``start`` lies
     inside ``care = restriction & pp``, and so does ``R``, because every
-    edge leads from a ``pp`` state to ``pp`` states.  When the model has
-    input variables, with state levels ``I``, a count runs over the other
-    variables only if two conditions hold:
+    edge leads from a ``pp`` state to ``pp`` states.  The uncontrolled
+    count walks the plant guards within ``true``.  The controlled count
+    walks the base edges within the behavior, not the strengthened guards:
+    a strengthened guard is ``relprev(behavior, guard & update)``, so from
+    a state of the behavior it allows exactly the steps of its edge that
+    end inside the behavior, which are the only steps the count keeps.
+    The base relations start where their edges read or write, while a
+    strengthened guard spans every level the behavior decides, and
+    saturation fires each relation at the pair where it starts.
+
+    When the model has input variables, with state levels ``I``, a count
+    runs over the other variables only if two conditions hold:
 
     * (P) ``pp == AND_k EXISTS (I - I_k). pp``: at each valuation of the
       other variables the allowed input valuations form a box, one range
@@ -405,15 +420,11 @@ def _count_states(sym: SymbolicModel, behavior, strengthened):
     or none of it; the check guards other callers.
     """
     mgr = sym.manager
-    counter = FixedPointEngine(
-        sym, SynthesisConfig(edge_apply="compound", early_stop=True)
-    )
+    enc = sym.enc
     plant_edges = [
         dataclasses.replace(e, guard=e.guard_plant) for e in sym.base_edges
     ]
-    by_input = [
-        s.levels for s in sym.enc.symvars if s.var.kind == "input"
-    ]
+    by_input = [s.levels for s in enc.symvars if s.var.kind == "input"]
     inputs = [lvl for levels in by_input for lvl in levels]
     # (P), which holds trivially with one input
     boxed = bool(inputs) and (len(by_input) == 1 or sym.pp == combine(
@@ -423,37 +434,36 @@ def _count_states(sym: SymbolicModel, behavior, strengthened):
         ],
     ))
 
-    def project(edge):
-        """The edge with relation ``EXISTS I. (pp & t)``, rooted."""
-        rel = mgr.exists(sym.pp & counter.relation(edge), inputs)
-        edge = dataclasses.replace(edge, guard=rel, update=mgr.true)
-        counter.relation(edge)
-        return edge
+    def relations(edges, project):
+        """``(guard & update, assigned odd levels)`` per event, with the
+        inputs quantified out of ``pp & relation`` when ``project``."""
+        out = []
+        for edge in _merge_events(enc, sym.events, edges):
+            rel = edge.guard & edge.update
+            if project:
+                rel = mgr.exists(sym.pp & rel, inputs)
+            out.append((rel, _odd_levels(enc, edge.assigned)))
+        return out
 
     def count(start, edges, restriction):
         if boxed:
-            care = counter._root(restriction & sym.pp)
-            free = counter._root(mgr.exists(care, inputs))
+            care = restriction & sym.pp
+            free = mgr.exists(care, inputs)
             # (R) holds trivially for the plant count's true restriction
             if restriction.is_true or care == free & sym.pp:
-                merged = _merge_events(
-                    sym.enc, sym.events, [e for e in edges if not e.is_input]
+                reached = mgr.saturate(
+                    mgr.exists(start, inputs),
+                    relations([e for e in edges if not e.is_input], True),
+                    free,
                 )
-                reached = counter.reach(
-                    mgr.exists(start, inputs), [project(e) for e in merged],
-                    free, backward=False,
-                )
-                return mgr.sat_count(reached & care, sym.enc.state_levels)
-        merged = _merge_events(sym.enc, sym.events, edges)
-        reached = counter.reach(start, merged, restriction, backward=False)
-        return mgr.sat_count(reached, sym.enc.state_levels)
+                return mgr.sat_count(reached & care, enc.state_levels)
+        reached = mgr.saturate(start, relations(edges, False), restriction)
+        return mgr.sat_count(reached, enc.state_levels)
 
-    try:
-        us = count(sym.initial, plant_edges, mgr.true)
-        cs = count(sym.initial & behavior, strengthened, behavior)
-    finally:
-        counter.close()
-    return us, cs
+    return (
+        count(sym.initial, plant_edges, mgr.true),
+        count(sym.initial & behavior, sym.base_edges, behavior),
+    )
 
 
 def synthesize(
@@ -513,13 +523,15 @@ def synthesize(
         "nonempty": nonempty,
     }
 
+    engine.close()
     before_count = mgr.op_total
-    # the engine's relations stay rooted while counting reuses them
-    us, cs = _count_states(sym, behavior, strengthened)
+    # an empty computed cache makes count_operations a function of the
+    # count alone; the synthesis cache comes back for emission
+    with mgr.fresh_cache():
+        us, cs = _count_states(sym, behavior)
     metrics["count_operations"] = mgr.op_total - before_count
     metrics["uncontrolled_states"] = us
     metrics["controlled_states"] = cs if nonempty else 0
-    engine.close()
 
     return SynthesisResult(
         model, config, order, sym, behavior, initial, nonempty,

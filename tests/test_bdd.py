@@ -464,6 +464,117 @@ def test_assigned_levels_must_cover_support():
 
 
 # ----------------------------------------------------------------------
+# saturation
+
+
+def round_robin(mgr, start, relations, constrain):
+    """The reference for ``saturate``: accumulating images in list order
+    until a full sweep changes nothing."""
+    acc = start & constrain
+    while True:
+        before = acc
+        for t, assigned in relations:
+            acc = mgr.relnext(acc, t, constrain, assigned, into=acc)
+        if acc == before:
+            return acc
+
+
+def sparse_table(rng, rows, density):
+    return sum(1 << row for row in range(rows) if rng.random() < density)
+
+
+def window_relation(mgr, rng, pairs):
+    """A partial relation over a window of at most three adjacent pairs,
+    so relations start at different pairs.  It reads the window and
+    assigns some of its bits; other bits of the window may be listed as
+    assigned although the diagram leaves them vacuous."""
+    lo = rng.randrange(pairs)
+    window = range(lo, min(pairs, lo + rng.randint(1, 3)))
+    on = sorted(rng.sample(window, rng.randint(0, len(window))))
+    levels = sorted([2 * i for i in window] + [2 * i + 1 for i in on])
+    t = from_table(mgr, levels, sparse_table(rng, 1 << len(levels), 0.2))
+    vacuous = [i for i in window if i not in on and rng.random() < 0.3]
+    if not vacuous and rng.random() < 0.5:
+        return t, None  # the odd support is the assigned set
+    return t, [2 * i + 1 for i in sorted(on + vacuous)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_saturation_matches_a_round_robin_fixed_point(seed):
+    mgr = fresh(5)
+    rng = random.Random(seed)
+    states = [0, 2, 4, 6, 8]
+    for _ in range(10):
+        relations = [
+            window_relation(mgr, rng, 5) for _ in range(rng.randint(1, 5))
+        ]
+        start = from_table(mgr, states, sparse_table(rng, 32, 0.1))
+        constrain = from_table(mgr, states, sparse_table(rng, 32, 0.7))
+        for c in (constrain, mgr.true):
+            assert mgr.saturate(start, relations, c) == round_robin(
+                mgr, start, relations, c
+            )
+        assert mgr.saturate(start, relations) == round_robin(
+            mgr, start, relations, mgr.true
+        )
+
+
+def test_saturation_of_nothing():
+    mgr = fresh(3)
+    t = mgr.nvar(2) & mgr.var(3)  # x1 := true once x1 is false
+    p, c = mgr.nvar(2) & mgr.var(0), mgr.nvar(4)
+    assert mgr.saturate(mgr.false, [(t, None)], c) == mgr.false
+    assert mgr.saturate(p, [], c) == p & c
+    assert mgr.saturate(p, [(mgr.true, None), (mgr.false, [5])]) == p
+    assert mgr.saturate(p, [(t, None)], c) == mgr.var(0) & c
+    # x2 is listed as assigned: the image forgets its value
+    assert mgr.saturate(p, [(t, [3, 5])]) == mgr.var(0)
+
+
+def test_saturation_takes_state_sets_only():
+    mgr = fresh(2)
+    t = mgr.var(1)
+    with pytest.raises(BddError, match="start set"):
+        mgr.saturate(mgr.var(1), [(t, None)])
+    with pytest.raises(BddError, match="constraint set"):
+        mgr.saturate(mgr.var(0), [(t, None)], mgr.var(2) & mgr.var(3))
+    with pytest.raises(BddError):
+        mgr.saturate(mgr.var(0), [(t, [3])])  # t assigns level 1
+
+
+def test_saturation_counts_are_deterministic():
+    def run():
+        mgr = fresh(5)
+        rng = random.Random(7)
+        relations = [window_relation(mgr, rng, 5) for _ in range(4)]
+        start = from_table(mgr, [0, 2, 4, 6, 8], sparse_table(rng, 32, 0.1))
+        before = mgr.op_counts()
+        mgr.saturate(start, relations)
+        after = mgr.op_counts()
+        # a repeated call is answered from the computed cache
+        total = mgr.op_total
+        mgr.saturate(start, relations)
+        assert mgr.op_total == total
+        return {k: after[k] - before[k] for k in after}
+
+    first = run()
+    assert first == run()
+    assert first["relnext"] > 0 and len(first) == 13
+
+
+def test_relation_set_ids_are_bounded(monkeypatch):
+    # Relation-set ids are packed into computed-cache keys like level-set
+    # ids; from a false start a call builds no node.
+    monkeypatch.setattr(bdd, "_KEY_LIMIT", 4)
+    mgr = fresh(1)
+    t = mgr.var(1)
+    for k in range(1, 5):  # ids 0..3
+        mgr.saturate(mgr.false, [(t, None)] * k)
+    with pytest.raises(BddError, match="relation-set"):
+        mgr.saturate(mgr.false, [(t, None)] * 5)
+
+
+# ----------------------------------------------------------------------
 # counting, lifetime, determinism
 
 

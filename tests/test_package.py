@@ -79,7 +79,7 @@ def test_only_the_bdd_kernels_and_the_reference_evaluator_recurse():
         graph = _call_graph(ast.parse(path.read_text(), str(path)))
         recursive |= {f"{path.stem}.{name}" for name in _on_a_cycle(graph)}
     kernels = ["_apply", "_not", "_ite", "_exists", "_replace", "_restrict",
-               "_relprod"]
+               "_relprod", "_saturate"]
     assert recursive == {f"bdd.BddManager.{k}" for k in kernels} | {
         "model.eval_expr"
     }

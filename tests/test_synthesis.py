@@ -535,9 +535,9 @@ def families(models_dir):
     "philosophers(6)", "chain(30)",
 ])
 def test_input_free_models_count_over_every_variable(
-    models_dir, families, monkeypatch, name, preset
+    models_dir, families, name, preset
 ):
-    # Without inputs the count is the plain one, operation for operation.
+    # Without inputs the count is over every variable, as the plain one.
     if "(" in name:
         family, size = name.rstrip(")").split("(")
         text = getattr(families, family)(int(size))
@@ -545,11 +545,10 @@ def test_input_free_models_count_over_every_variable(
         text = (models_dir / f"{name}.efa").read_text()
     model = lin(parse_spec(text))
     assert not any(v.kind == "input" for v in model.variables)
-    m = synthesize(model, SynthesisConfig.preset(preset)).metrics
-    monkeypatch.setattr(synthesis, "_count_states", plain_counts)
-    ref = synthesize(model, SynthesisConfig.preset(preset)).metrics
-    keys = ("count_operations", "uncontrolled_states", "controlled_states")
-    assert [m[k] for k in keys] == [ref[k] for k in keys]
+    result = synthesize(model, SynthesisConfig.preset(preset))
+    m = result.metrics
+    us, cs = plain_counts(result.sym, result.controlled, result.edges)
+    assert (m["uncontrolled_states"], m["controlled_states"]) == (us, cs)
 
 
 def random_input_model(rng):
@@ -630,17 +629,23 @@ def random_input_model(rng):
 
 def test_projected_counts_match_plain_counts_and_oracle(monkeypatch):
     # Record for each count whether it dropped the input edges, so both
-    # the projected count and its fallbacks are seen to run.
+    # the projected count and its fallbacks are seen to run.  Each count
+    # merges its edges once, the plant count first.
     paths = set()
-    reach = FixedPointEngine.reach
+    count_states, merge = synthesis._count_states, synthesis._merge_events
+    merged = []
 
-    def spy(self, start, edges, restriction, backward):
-        if not backward:
-            paths.add((restriction.is_true,
-                       not any(e.is_input for e in edges)))
-        return reach(self, start, edges, restriction, backward)
+    def count_spy(sym, behavior):
+        merged.clear()
+        return count_states(sym, behavior)
 
-    monkeypatch.setattr(FixedPointEngine, "reach", spy)
+    def merge_spy(enc, events, edges):
+        paths.add((not merged, not any(e.is_input for e in edges)))
+        merged.append(edges)
+        return merge(enc, events, edges)
+
+    monkeypatch.setattr(synthesis, "_count_states", count_spy)
+    monkeypatch.setattr(synthesis, "_merge_events", merge_spy)
     rng = random.Random(13)
     for _ in range(60):
         text = random_input_model(rng)
@@ -650,13 +655,16 @@ def test_projected_counts_match_plain_counts_and_oracle(monkeypatch):
             len(oracle.plant_reachable),
             len(oracle.controlled_reachable) if oracle.nonempty else 0,
         )
-        for preset in ("v08", "v40"):
-            result = synthesize(model, SynthesisConfig.preset(preset))
+        for preset, forward in itertools.product(("v08", "v40"),
+                                                 (False, True)):
+            config = SynthesisConfig.preset(preset)
+            config.forward = forward
+            result = synthesize(model, config)
             m = result.metrics
             counts = (m["uncontrolled_states"], m["controlled_states"])
             us, cs = plain_counts(result.sym, result.controlled, result.edges)
             assert counts == (us, cs if result.nonempty else 0), text
-            assert counts == expected, (preset, text)
+            assert counts == expected, (preset, forward, text)
     # (plant count?, projected?)
     assert paths == {(True, True), (True, False), (False, True),
                      (False, False)}
@@ -703,7 +711,7 @@ def test_a_behavior_that_constrains_an_input_is_counted_plainly():
     mgr = sym.manager
     (x,), (i,) = sym.enc.bits("x"), sym.enc.bits("i")
     behavior = mgr.negate(x & i)
-    assert _count_states(sym, behavior, sym.base_edges) == (4, 2)
+    assert _count_states(sym, behavior) == (4, 2)
     assert plain_counts(sym, behavior, sym.base_edges) == (4, 2)
 
 
@@ -730,8 +738,64 @@ def test_projected_count_stays_inside_the_care_set():
     x0, x1 = sym.enc.bits("x")
     (i,) = sym.enc.bits("i")
     behavior = mgr.negate(x1) & (mgr.negate(x0) | mgr.negate(i)) | x1
-    assert _count_states(sym, behavior, sym.base_edges) == (5, 2)
+    assert _count_states(sym, behavior) == (5, 2)
     assert plain_counts(sym, behavior, sym.base_edges) == (5, 2)
+
+
+@pytest.mark.parametrize("forward", [False, True])
+@pytest.mark.parametrize("preset", ["v08", "v40"])
+def test_saturated_counts_match_round_robin_counts(
+    models_dir, families, preset, forward
+):
+    # Saturation over the base edges inside the behavior counts what the
+    # round-robin reach over the strengthened edges counts.  The forward
+    # stage changes the behavior the controlled count stays inside.
+    texts = [path.read_text() for path in sorted(models_dir.glob("*.efa"))]
+    for text in texts + [EMPTY, families.tank(2, 12)]:
+        config = SynthesisConfig.preset(preset)
+        config.forward = forward
+        result = synthesize(lin(parse_spec(text)), config)
+        m = result.metrics
+        us, cs = plain_counts(result.sym, result.controlled, result.edges)
+        assert (m["uncontrolled_states"], m["controlled_states"]) == (
+            us, cs if result.nonempty else 0
+        )
+
+
+@pytest.mark.parametrize("preset", ["v08", "v40"])
+def test_count_operations_depend_on_the_count_alone(models_dir, preset):
+    # Counting runs on an empty computed cache, so synthesis work that
+    # early stopping or compound application saves cannot move it, and a
+    # count after clearing the cache does the same work.
+    for path in sorted(models_dir.glob("*.efa")):
+        model = lin(parse_spec(path.read_text()))
+        counted = set()
+        for early_stop, edge_apply in itertools.product(
+            (False, True), ("naive", "compound")
+        ):
+            config = SynthesisConfig.preset(preset)
+            config.early_stop, config.edge_apply = early_stop, edge_apply
+            result = synthesize(model, config)
+            counted.add(result.metrics["count_operations"])
+            mgr = result.manager
+            mgr._cache.clear()
+            before = mgr.op_total
+            _count_states(result.sym, result.controlled)
+            counted.add(mgr.op_total - before)
+        assert len(counted) == 1, (path.name, counted)
+
+
+@pytest.mark.parametrize("family,size,bound", [
+    # six operations per boolean: one saturation step on the way down, the
+    # image that sets the next boolean, the step that saturates it, the
+    # image that finds nothing new, the union inside it, and the relation
+    ("chain", 400, 6 * 400),
+    ("philosophers", 15, 5000),
+])
+def test_state_counts_scale_linearly(families, family, size, bound):
+    text = getattr(families, family)(size)
+    m = synthesize(lin(parse_spec(text)), SynthesisConfig.preset("v40")).metrics
+    assert m["count_operations"] <= bound
 
 
 # Counters of the fixed-point driver per model and toggles (granularity,
