@@ -41,7 +41,9 @@ leave the behavior.
 State counting runs after the headline metrics are frozen: the
 uncontrolled count walks the plant guards (requirement conditions
 stripped), the controlled count walks the base guards inside the final
-behavior, which allows the same steps as the strengthened guards there.
+behavior, which allows the same steps as the strengthened guards there;
+after a nonempty run with the forward stage the behavior is that reach
+already and is counted as it is.
 Reachable states are a unique least fixed point, so counting uses one
 method under every configuration, whatever ``granularity``,
 ``edge_apply`` and ``early_stop`` say: the edges merged per event and
@@ -66,6 +68,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import time
 from dataclasses import dataclass, field
 
 from .bdd import BddManager, NodeRef
@@ -373,7 +376,7 @@ def _synthesize_behavior(engine: FixedPointEngine):
     return behavior, -(-runs // nst), stage_ops
 
 
-def _count_states(sym: SymbolicModel, behavior):
+def _count_states(sym: SymbolicModel, behavior, closed: bool = False):
     """Uncontrolled and controlled reachable state counts, by saturation
     (:meth:`BddManager.saturate`) over the edges merged per event, whatever
     the run's configuration says.
@@ -389,7 +392,22 @@ def _count_states(sym: SymbolicModel, behavior):
     end inside the behavior, which are the only steps the count keeps.
     The base relations start where their edges read or write, while a
     strengthened guard spans every level the behavior decides, and
-    saturation fires each relation at the pair where it starts.
+    saturation fires each relation at the pair where it starts.  With
+    ``closed``, the behavior is forward-closed from ``sym.initial &
+    behavior`` under the same edges (a nonempty run with the forward
+    stage), so it is its own controlled reach and is counted as it is.
+
+    Every relation is first simplified against ``pp`` (``restrict``, after
+    Coudert & Madre, ICCAD 1990).  This is exact: ``restrict(t, pp)``
+    agrees with ``t`` on every step from a ``pp`` state, and saturation
+    fires a relation only from states of ``R``, which lie in ``pp``.  It
+    matters because a guard may carry ``pp`` over every variable (the
+    implication-mode guards of stage 6 keep the domain conjunct of each
+    unassigned variable), and so would start at the top pair, where
+    saturation falls back to round-robin images; ``restrict`` never adds a
+    variable, so the simplified relation starts where its edge reads or
+    writes.  With no state in ``pp`` nothing is reachable and both counts
+    are 0 (``restrict`` needs a nonempty care set).
 
     When the model has input variables, with state levels ``I``, a count
     runs over the other variables only if two conditions hold:
@@ -414,6 +432,9 @@ def _count_states(sym: SymbolicModel, behavior):
     Without (P), single-input moves may not connect the allowed
     valuations (``plant invariant a = b`` allows 00 and 11 only); without
     (R), an input valuation inside ``pp`` may lie outside the restriction.
+    The projected relations are simplified once more, against ``pp_free
+    = EXISTS I. pp``: the projected reach stays inside ``EXISTS I. care``,
+    which lies in ``pp_free``.
     A failed check, or a model without inputs, counts over every variable.
     Under (P), (R) holds for every behavior :func:`synthesize` counts in:
     input events are uncontrollable, so controllability keeps all of a box
@@ -421,6 +442,8 @@ def _count_states(sym: SymbolicModel, behavior):
     """
     mgr = sym.manager
     enc = sym.enc
+    if sym.pp.is_false:
+        return 0, 0
     plant_edges = [
         dataclasses.replace(e, guard=e.guard_plant) for e in sym.base_edges
     ]
@@ -433,15 +456,17 @@ def _count_states(sym: SymbolicModel, behavior):
             for levels in by_input
         ],
     ))
+    pp_free = mgr.exists(sym.pp, inputs)
 
     def relations(edges, project):
-        """``(guard & update, assigned odd levels)`` per event, with the
-        inputs quantified out of ``pp & relation`` when ``project``."""
+        """``(guard & update, assigned odd levels)`` per event, simplified
+        against ``pp``, with the inputs quantified out of ``pp & relation``
+        and the result simplified against ``pp_free`` when ``project``."""
         out = []
         for edge in _merge_events(enc, sym.events, edges):
-            rel = edge.guard & edge.update
+            rel = mgr.restrict(edge.guard & edge.update, sym.pp)
             if project:
-                rel = mgr.exists(sym.pp & rel, inputs)
+                rel = mgr.restrict(mgr.exists(sym.pp & rel, inputs), pp_free)
             out.append((rel, _odd_levels(enc, edge.assigned)))
         return out
 
@@ -460,10 +485,11 @@ def _count_states(sym: SymbolicModel, behavior):
         reached = mgr.saturate(start, relations(edges, False), restriction)
         return mgr.sat_count(reached, enc.state_levels)
 
-    return (
-        count(sym.initial, plant_edges, mgr.true),
-        count(sym.initial & behavior, sym.base_edges, behavior),
-    )
+    if closed:
+        controlled = mgr.sat_count(behavior, enc.state_levels)
+    else:
+        controlled = count(sym.initial & behavior, sym.base_edges, behavior)
+    return count(sym.initial, plant_edges, mgr.true), controlled
 
 
 def synthesize(
@@ -527,8 +553,10 @@ def synthesize(
     before_count = mgr.op_total
     # an empty computed cache makes count_operations a function of the
     # count alone; the synthesis cache comes back for emission
+    start = time.perf_counter()
     with mgr.fresh_cache():
-        us, cs = _count_states(sym, behavior)
+        us, cs = _count_states(sym, behavior, closed=config.forward and nonempty)
+    metrics["count_s"] = time.perf_counter() - start
     metrics["count_operations"] = mgr.op_total - before_count
     metrics["uncontrolled_states"] = us
     metrics["controlled_states"] = cs if nonempty else 0

@@ -76,6 +76,7 @@ def test_run_stats_json(producer, tmp_path, capsys):
     }
     assert report["operations"] > 0 and report["peak_nodes"] > 0
     assert report["count_operations"] > 0
+    assert report["count_s"] >= 0
     assert report["unstaged_operations"] + sum(
         report["stage_operations"].values()
     ) == report["operations"]
@@ -364,6 +365,28 @@ def test_run_unsatisfiable_plant_invariant_exits_2(tmp_path, capsys, config):
     model.write_text(_guarded("x < 3") + "plant invariant x > 3;\n")
     assert main(["run", str(model), "--config", config]) == 2
     assert "internal error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("forward", ["off", "on"])
+@pytest.mark.parametrize("plant_inv", ["implication", "restrict"])
+@pytest.mark.parametrize("config", ["v08", "v40"])
+def test_run_with_inputs_and_no_plant_state_counts_nothing(
+    tmp_path, capsys, config, plant_inv, forward
+):
+    # with an input, the count would take the projected path; with no
+    # state in the plant invariants there is nothing to count
+    model, stats = tmp_path / "none.efa", tmp_path / "stats.json"
+    model.write_text(
+        _guarded("x < 3").replace("controllable go;",
+                                  "controllable go;\ninput bool i;")
+        + "plant invariant x > 3;\n"
+    )
+    assert main(["run", str(model), "--config", config,
+                 "--plant-inv", plant_inv, "--forward", forward,
+                 "--stats-json", str(stats)]) in (0, 2)
+    assert "internal error" not in capsys.readouterr().err
+    report = json.loads(stats.read_text())
+    assert (report["uncontrolled_states"], report["controlled_states"]) == (0, 0)
 
 
 @pytest.mark.parametrize("config", ["v08", "v40"])

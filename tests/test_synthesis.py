@@ -13,6 +13,7 @@ from efasynth.emit import emit
 from efasynth.oracle import ExplicitOracle
 from efasynth.parser import parse_file, parse_spec, unparse
 from efasynth import synthesis
+from efasynth.bdd import BddManager
 from efasynth.synthesis import (
     PRESETS, FixedPointEngine, SynthesisConfig, _count_states, synthesize,
 )
@@ -181,6 +182,8 @@ def test_empty_supervisor_detected():
 def test_metrics_are_deterministic(producer_model):
     a = synthesize(producer_model, SynthesisConfig.preset("v40")).metrics
     b = synthesize(producer_model, SynthesisConfig.preset("v40")).metrics
+    # every metric but count_s, the state count's wall time, is a counter
+    assert a.pop("count_s") >= 0 and b.pop("count_s") >= 0
     assert a == b
 
 
@@ -630,14 +633,19 @@ def random_input_model(rng):
 def test_projected_counts_match_plain_counts_and_oracle(monkeypatch):
     # Record for each count whether it dropped the input edges, so both
     # the projected count and its fallbacks are seen to run.  Each count
-    # merges its edges once, the plant count first.
+    # that saturates merges its edges once, the plant count first; a
+    # nonempty run with the forward stage counts its behavior as it is, so
+    # only the plant count merges, and plant invariants that no state
+    # satisfies leave nothing to count.
     paths = set()
     count_states, merge = synthesis._count_states, synthesis._merge_events
     merged = []
 
-    def count_spy(sym, behavior):
+    def count_spy(sym, behavior, closed=False):
         merged.clear()
-        return count_states(sym, behavior)
+        counts = count_states(sym, behavior, closed)
+        assert len(merged) == (0 if sym.pp.is_false else 1 if closed else 2)
+        return counts
 
     def merge_spy(enc, events, edges):
         paths.add((not merged, not any(e.is_input for e in edges)))
@@ -668,6 +676,61 @@ def test_projected_counts_match_plain_counts_and_oracle(monkeypatch):
     # (plant count?, projected?)
     assert paths == {(True, True), (True, False), (False, True),
                      (False, False)}
+
+
+# The plant invariant ties the input to x: d = 2 needs x >= 1.  Over
+# three values in two bits, ``pp`` also holds the domain conjunct of d.
+TIED_INPUT = """
+controllable up, open;
+uncontrollable slip, close;
+input int[0..2] d;
+plant p {
+  disc int[0..3] x = 0;
+  location a:
+    initial; marked;
+    edge up when d != 0 and x < 3 do x := x + 1;
+    edge slip when d = 2 do x := x - 1;
+    edge open when d = 1 goto b;
+  location b:
+    edge close do x := 0 goto a;
+}
+plant invariant d != 2 or x >= 1;
+requirement invariant x <= 2;
+"""
+
+# No state satisfies the plant invariants, so ``pp`` is false.
+NO_STATE = """
+controllable go;
+input bool i;
+plant p {
+  disc int[0..3] x = 0;
+  location a:
+    initial; marked;
+    edge go when i do x := x + 1;
+}
+plant invariant x > 3;
+"""
+
+
+@pytest.mark.parametrize("text,expected", [
+    (TIED_INPUT, (22, 16)), (NO_STATE, (0, 0)),
+])
+def test_counts_of_relations_simplified_against_pp_are_exact(text, expected):
+    model = lin(parse_spec(text))
+    oracle = ExplicitOracle(model)
+    assert (len(oracle.plant_reachable),
+            len(oracle.controlled_reachable)) == expected
+    for preset, forward, plant_inv in itertools.product(
+        ("v08", "v40"), (False, True), ("implication", "restrict")
+    ):
+        config = SynthesisConfig.preset(preset)
+        config.forward, config.plant_inv = forward, plant_inv
+        result = synthesize(model, config)
+        m = result.metrics
+        counts = (m["uncontrolled_states"], m["controlled_states"])
+        assert counts == expected, (preset, forward, plant_inv)
+        us, cs = plain_counts(result.sym, result.controlled, result.edges)
+        assert counts == (us, cs if result.nonempty else 0)
 
 
 def test_coupled_inputs_are_counted_over_every_variable():
@@ -760,6 +823,34 @@ def test_saturated_counts_match_round_robin_counts(
         assert (m["uncontrolled_states"], m["controlled_states"]) == (
             us, cs if result.nonempty else 0
         )
+
+
+@pytest.mark.parametrize("preset", ["v08", "v40"])
+def test_forward_closed_behavior_is_counted_as_it_is(
+    models_dir, families, preset, monkeypatch
+):
+    # With the forward stage a nonempty behavior is forward-closed from its
+    # initial states under the same edges, so it is its own controlled
+    # reach: only the plant count saturates.  The full saturation stays the
+    # reference.
+    saturations = []
+    saturate = BddManager.saturate
+
+    def spy(self, *args, **kwargs):
+        saturations.append(args)
+        return saturate(self, *args, **kwargs)
+
+    monkeypatch.setattr(BddManager, "saturate", spy)
+    texts = [path.read_text() for path in sorted(models_dir.glob("*.efa"))]
+    for text in texts + [families.tank(2, 12)]:
+        config = SynthesisConfig.preset(preset)
+        config.forward = True
+        saturations.clear()
+        result = synthesize(lin(parse_spec(text)), config)
+        assert result.nonempty and len(saturations) == 1
+        full = _count_states(result.sym, result.controlled)
+        m = result.metrics
+        assert (m["uncontrolled_states"], m["controlled_states"]) == full
 
 
 @pytest.mark.parametrize("preset", ["v08", "v40"])
@@ -888,3 +979,20 @@ def test_driver_counters_golden(models_dir, row):
         m["sweeps"], m["edge_applications"], m["reach_calls"],
         m["peak_nodes"], m["controlled_states"],
     ] == counts
+
+
+@pytest.mark.parametrize("k,cap,preset,bound", [
+    (3, 24, "v08", 10_000),
+    (3, 24, "v40", 10_000),
+    (3, 60, "v40", 30_000),
+])
+def test_tank_count_relations_start_where_their_edges_do(
+    families, k, cap, preset, bound
+):
+    # Simplified against pp, no counting relation carries the domain
+    # predicate of every variable, so saturation fires each one where its
+    # edge reads or writes (7,916, 8,997 and 22,779 operations; 22,216,
+    # 25,613 and 108,250 when every relation started at the top pair).
+    text = families.tank(k, cap)
+    m = synthesize(lin(parse_spec(text)), SynthesisConfig.preset(preset)).metrics
+    assert m["count_operations"] <= bound
