@@ -106,8 +106,14 @@ _KEY_LIMIT = 1 << 32
 
 
 def _levels_of(mask: int) -> list[int]:
-    """The levels set in ``mask``, in increasing order."""
-    return [l for l, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+    """The levels set in ``mask``, in increasing order; the walk visits
+    the set bits only, not every level below the highest."""
+    levels = []
+    while mask:
+        low = mask & -mask
+        levels.append(low.bit_length() - 1)
+        mask ^= low
+    return levels
 
 
 class BddError(Exception):

@@ -27,6 +27,7 @@ from __future__ import annotations
 import dataclasses
 
 from .bdd import NodeRef
+from .encode import edges_by_event
 from .model import (
     FALSE, TRUE, Automaton, BinaryOp, BoolDomain, Edge, EnumDomain, EnumLit,
     Expr, IntLit, Location, LocRef, Specification, UnaryOp, VarRef,
@@ -57,7 +58,6 @@ def lower_bdd_to_expr(f: NodeRef, enc, model) -> Expr:
     never enumerated, so the expression may disagree there.
     """
     mgr = enc.manager
-    owner = {lvl: sym for sym in enc.symvars for lvl in sym.levels}
     location_names = {
         aut: {code: name for name, code in table.items()}
         for aut, table in model.location_codes.items()
@@ -112,7 +112,7 @@ def lower_bdd_to_expr(f: NodeRef, enc, model) -> Expr:
         g = todo.pop()
         if g.is_false or g.is_true or g in groups:
             continue
-        sym = owner[mgr.top_level(g)]
+        sym = enc.by_level[mgr.top_level(g)]
         by_child: dict[NodeRef, list[int]] = {}
         for code in range(sym.codes):
             bits = {lvl: code >> bit & 1 for bit, lvl in enumerate(sym.levels)}
@@ -156,15 +156,15 @@ def emit(
     model = result.model
 
     guards: dict[str, NodeRef] = {}
+    by_event = edges_by_event(sym.base_edges)
     for name, controllable in sym.events:
         if not controllable:
             continue
         guard = result.event_guards[name]
         if simplify:
             plant = mgr.false
-            for edge in sym.base_edges:
-                if edge.event == name:
-                    plant = plant | edge.guard_plant
+            for edge in by_event.get(name, ()):
+                plant = plant | edge.guard_plant
             assumption = (
                 plant & sym.pp
                 & sym.req_guards.get(name, mgr.true) & result.controlled

@@ -49,7 +49,7 @@ from .transform import LinearModel
 
 __all__ = [
     "Encoding", "GRANULARITIES", "PLANT_INVS", "SymEdge", "SymbolicModel",
-    "build_symbolic", "compile_edges",
+    "build_symbolic", "compile_edges", "edges_by_event",
 ]
 
 # The values of build_symbolic's two switches.
@@ -204,6 +204,7 @@ class Encoding:
         self.order = list(order)
         self.symvars: list[SymVar] = []
         self.by_name: dict[str, SymVar] = {}
+        self.by_level: dict[int, SymVar] = {}  # even levels only
         for index in order:
             var = model.variables[index]
             size = domain_size(var.domain)
@@ -216,6 +217,7 @@ class Encoding:
             sym = SymVar(var, width, lo, levels)
             self.symvars.append(sym)
             self.by_name[var.name] = sym
+            self.by_level.update(dict.fromkeys(levels, sym))
         self.state_levels = [
             lvl for sym in self.symvars for lvl in sym.levels
         ]
@@ -527,6 +529,14 @@ def build_symbolic(
     return sym
 
 
+def edges_by_event(edges: list[SymEdge]) -> dict[str, list[SymEdge]]:
+    """The edges of each event, in the order of ``edges``."""
+    by_event: dict[str, list[SymEdge]] = {}
+    for edge in edges:
+        by_event.setdefault(edge.event, []).append(edge)
+    return by_event
+
+
 def _merge_events(enc, events, edges) -> list[SymEdge]:
     """Stage 9: one relation per event, framing each branch's unassigned
     variables so partial-relation semantics still hold.
@@ -538,9 +548,7 @@ def _merge_events(enc, events, edges) -> list[SymEdge]:
     emission and plant guards read the per-edge ``base_edges``.
     """
     mgr = enc.manager
-    by_event: dict[str, list[SymEdge]] = {}
-    for edge in edges:
-        by_event.setdefault(edge.event, []).append(edge)
+    by_event = edges_by_event(edges)
     merged = []
     for name, controllable in events:
         group = by_event.get(name, [])

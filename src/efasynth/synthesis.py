@@ -74,7 +74,7 @@ from dataclasses import dataclass, field
 from .bdd import BddManager, NodeRef
 from .encode import (
     GRANULARITIES, PLANT_INVS, SymEdge, SymbolicModel, _merge_events,
-    build_symbolic, combine,
+    build_symbolic, combine, edges_by_event,
 )
 from .transform import LinearModel
 from . import varorder
@@ -512,13 +512,13 @@ def synthesize(
     before_strengthen = mgr.op_total
     strengthened = _strengthen(engine, behavior)
     event_guards: dict[str, NodeRef] = {}
+    by_event = edges_by_event(strengthened)
     for name, controllable in sym.events:
         if not controllable:
             continue
         guard = mgr.false
-        for edge in strengthened:
-            if edge.event == name:
-                guard = guard | edge.guard
+        for edge in by_event.get(name, ()):
+            guard = guard | edge.guard
         event_guards[name] = guard
     roots = [behavior, initial, *event_guards.values()]
     for ref in roots:

@@ -20,11 +20,18 @@ The searches rank candidates by the exact integer
 instead of the float :func:`wes`.  Both rank orders the same way, but
 summing float terms can round two equal WES values apart, and a search
 would then accept a move that does not lower the WES.  :func:`wes` stays for
-reporting.  The sliding window keeps each variable's position and
-hyperedges, so scoring a permutation of one window costs only the
-hyperedges that touch the window, not all of them.  Every tie anywhere
-breaks toward lower model index or the first candidate, keeping results
-reproducible across platforms.
+reporting.
+
+The sliding window scores a permutation of one window from tables.  Only
+the hyperedges that touch the window can change, and a permutation moves
+only their members inside it.  Per window, each touched hyperedge is
+described once by its window-slot mask, the highest and lowest position
+of its members outside the window, and the number of hyperedges with that
+description.  One table per permutation, built once per pass, maps a slot
+mask to the highest and lowest offset its slots move to, so a candidate's
+key is a weighted sum of lookups.  Every tie anywhere breaks toward lower
+model index or the first candidate, keeping results reproducible across
+platforms.
 """
 
 from __future__ import annotations
@@ -303,7 +310,8 @@ def sliding_window(
 
     ``order`` must be a permutation of ``range(len(order))``.  Candidates
     are compared by the exact integer WES key of the hyperedges that touch
-    the window, the only ones a permutation of it can change."""
+    the window, the only ones a permutation of it can change, scored from
+    slot tables (module docstring)."""
     order = list(order)
     n = len(order)
     width = min(width, n)
@@ -318,21 +326,58 @@ def sliding_window(
     for e, edge in enumerate(spread):
         for v in edge:
             incident[v].append(e)
-    perms = list(itertools.permutations(range(width)))[1:]  # skip identity
+    perms = list(itertools.permutations(range(width)))  # identity first
+    # Per permutation, each nonempty set of window slots (a bit mask) maps
+    # to the highest and lowest offset its slots move to.
+    tables = []
+    for perm in perms:
+        offset = [0] * width
+        for k, i in enumerate(perm):
+            offset[i] = k
+        table = [(0, 0)] * (1 << width)
+        for mask in range(1, 1 << width):
+            offs = [offset[i] for i in range(width) if mask >> i & 1]
+            table[mask] = (max(offs), min(offs))
+        tables.append(table)
     for at in range(n - width + 1):
-        window = order[at:at + width]
-        touched = [spread[e] for e in {e for v in window for e in incident[v]}]
-        best, best_key = None, _wes_key(pos, touched)
-        for perm in perms:
-            for k, i in enumerate(perm):
+        end = at + width
+        # A touched hyperedge is its slot mask plus the highest and lowest
+        # position of its members outside the window (-1 and n if none);
+        # equal descriptions merge into one weighted term.
+        weight: dict[tuple[int, int, int], int] = {}
+        for e in {e for v in order[at:end] for e in incident[v]}:
+            mask, out_hi, out_lo = 0, -1, n
+            for v in spread[e]:
+                p = pos[v]
+                if at <= p < end:
+                    mask |= 1 << (p - at)
+                else:
+                    if p > out_hi:
+                        out_hi = p
+                    if p < out_lo:
+                        out_lo = p
+            desc = (mask, out_hi, out_lo)
+            weight[desc] = weight.get(desc, 0) + 1
+        terms = [(w, *desc) for desc, w in weight.items()]
+        best, best_key = 0, None
+        for choice, table in enumerate(tables):
+            key = 0
+            for w, mask, out_hi, out_lo in terms:
+                top, bottom = table[mask]
+                hi = at + top
+                if out_hi > hi:
+                    hi = out_hi
+                lo = at + bottom
+                if out_lo < lo:
+                    lo = out_lo
+                key += w * (hi + 1) * (hi - lo)
+            if best_key is None or key < best_key:
+                best, best_key = choice, key
+        if best:
+            window = order[at:end]
+            for k, i in enumerate(perms[best]):
+                order[at + k] = window[i]
                 pos[window[i]] = at + k
-            key = _wes_key(pos, touched)
-            if key < best_key:
-                best, best_key = perm, key
-        chosen = best or range(width)
-        for k, i in enumerate(chosen):
-            order[at + k] = window[i]
-            pos[window[i]] = at + k
     return order
 
 

@@ -574,6 +574,63 @@ def test_relation_set_ids_are_bounded(monkeypatch):
         mgr.saturate(mgr.false, [(t, None)] * 5)
 
 
+# Level sets are read back from bit masks as wide as the manager.  The
+# shipped models stay below a few hundred levels; this manager has 3,072,
+# and every operand sits on its last three pairs or spans the whole width.
+WIDE_PAIRS = 1536
+
+
+def truth_table(mgr, f, levels):
+    return sum(
+        mgr.evaluate(f, env) << index for index, env in assignments(levels)
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_operations_on_the_last_pairs_of_a_wide_manager(seed):
+    small, wide = fresh(3), fresh(WIDE_PAIRS)
+    base = 2 * (WIDE_PAIRS - 3)
+    assert wide.num_vars >= 3000
+
+    def build(levels, mask):
+        """The same function on both managers, shifted by ``base`` on the
+        wide one."""
+        return [from_table(small, levels, mask),
+                from_table(wide, [base + l for l in levels], mask)]
+
+    def same(f, g):
+        assert truth_table(small, f, list(range(6))) == truth_table(
+            wide, g, [base + l for l in range(6)])
+
+    rng = random.Random(seed)
+    for _ in range(8):
+        assigned = set(rng.sample(range(3), rng.randrange(4)))
+        levels = sorted([0, 2, 4] + [2 * i + 1 for i in assigned])
+        ts, tw = build(levels, rng.randrange(1 << (1 << len(levels))))
+        ps, pw = build([0, 2, 4], rng.randrange(1 << 8))
+        rs, rw = build([0, 2, 4], rng.randrange(1 << 8))
+
+        assert wide.support(tw) == {base + l for l in small.support(ts)}
+        gone = rng.choice(levels)
+        same(small.exists(ts, [gone]), wide.exists(tw, [base + gone]))
+        # one level at the top of the manager and one near its bottom
+        same(small.exists(ps, [0]), wide.exists(pw, [0, base]))
+        same(small.replace(ps, {0: 1, 4: 5}),
+             wide.replace(pw, {base: base + 1, base + 4: base + 5}))
+        count = small.sat_count(ps, [0, 2, 4])
+        assert wide.sat_count(pw, [base, base + 2, base + 4]) == count
+        every_state = range(0, 2 * WIDE_PAIRS, 2)
+        assert wide.sat_count(pw, every_state) == count << (WIDE_PAIRS - 3)
+        same(small.relnext(ps, ts), wide.relnext(pw, tw))
+        same(small.relnext(ps, ts, rs), wide.relnext(pw, tw, rw))
+        same(small.relprev(ps, ts), wide.relprev(pw, tw))
+        same(small.relprev(ps, ts, rs), wide.relprev(pw, tw, rw))
+    with pytest.raises(BddError, match=f"next-state level {base + 3}"):
+        wide.relnext(wide.var(base + 3), wide.var(base + 1))
+    with pytest.raises(BddError, match=rf"misses support levels \[{base + 2}\]"):
+        wide.sat_count(wide.var(base) & wide.var(base + 2), [base])
+
+
 # ----------------------------------------------------------------------
 # counting, lifetime, determinism
 

@@ -4,7 +4,7 @@ import itertools
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from efasynth.parser import parse_file, parse_spec
 from efasynth.transform import linearize, plantify
@@ -187,8 +187,29 @@ def window_cases(draw):
     return list(start), edges, width
 
 
+def edge_list(*members):
+    return [frozenset(edge) for edge in members]
+
+
+# One two-variable hyperedge two or three times among singletons: the
+# window pass merges equal hyperedges into one weighted term, and random
+# draws rarely repeat a hyperedge.  On each case, scoring the hyperedges
+# once each chooses a different order.
+REPEATED_EDGE_CASES = [
+    ([2, 0, 5, 4, 3, 6, 1], edge_list({1, 4}, {1, 4}, {1, 4}, {4}, {2, 4}), 2),
+    ([2, 0, 1], edge_list({1, 2}, {2}, {2}, {0, 1}, {2}, {1, 2}), 2),
+    ([5, 3, 0, 1, 2, 4], edge_list({0, 2}, {0, 2}, {3, 5}, {4}), 5),
+    ([4, 2, 0, 5, 1, 3], edge_list(
+        {3}, {2, 5}, {0}, {2, 3}, {1}, {1}, {2, 3}, {2, 3}), 5),
+]
+
+
 @settings(deadline=None)
 @given(window_cases())
+@example(REPEATED_EDGE_CASES[0])
+@example(REPEATED_EDGE_CASES[1])
+@example(REPEATED_EDGE_CASES[2])
+@example(REPEATED_EDGE_CASES[3])
 def test_sliding_window_matches_exact_reference(case):
     start, edges, width = case
     assert sliding_window(start, edges, width) == reference_sliding_window(
