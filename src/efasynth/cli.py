@@ -47,8 +47,8 @@ class Failure(Exception):
 
 def _read_spec(path: Path, allow_supervisor: bool = False) -> Specification:
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise Failure(EXIT_DIAGNOSTICS, f"cannot read {path}: {exc}")
     try:
         spec = parse_spec(text, str(path))
@@ -63,10 +63,10 @@ def _read_spec(path: Path, allow_supervisor: bool = False) -> Specification:
 
 
 def _write(path, text: str) -> None:
-    """Write ``text`` to ``path`` as it is; an unwritable path is a
-    diagnostic, like an unreadable one."""
+    """Write ``text`` to ``path`` as it is, in UTF-8; an unwritable path is
+    a diagnostic, like an unreadable one."""
     try:
-        with open(path, "w", newline="") as handle:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
     except OSError as exc:
         raise Failure(EXIT_DIAGNOSTICS, f"cannot write {path}: {exc}")

@@ -16,6 +16,8 @@ Operator precedence, loosest to tightest::
 
 from __future__ import annotations
 
+import re
+
 from .model import (
     Automaton, BinaryOp, BoolDomain, BoolLit, Diagnostic, Edge, EnumDomain,
     EnumLit, Event, Expr, IntDomain, IntLit, Invariant, LocRef, Location,
@@ -35,6 +37,15 @@ _SYMBOLS = (
     ":=", "..", "!=", "<=", ">=",  # two-character first
     "{", "}", "[", "]", "(", ")", ";", ",", ":", ".", "=", "<", ">",
     "+", "-",
+)
+
+# One alternative per lexeme, tried in order, so a two-character symbol
+# wins over its first character.  ``\d`` is ``str.isdecimal`` and ``\w`` is
+# ``str.isalnum`` plus ``_``, so names and numbers may be in any script;
+# ``_tokenize`` refuses a word that does not start with a letter or ``_``.
+_LEXEME = re.compile(
+    r"(?P<skip>[ \t\r]+|#[^\n]*)|(?P<newline>\n)|(?P<nat>\d+)|(?P<ident>\w+)"
+    r"|(?P<symbol>" + "|".join(map(re.escape, _SYMBOLS)) + r")|(?P<other>.)"
 )
 
 
@@ -65,52 +76,23 @@ class _Token:
 
 def _tokenize(text: str, filename: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
+    line, line_start = 1, 0  # line_start: offset where the current line starts
+    for match in _LEXEME.finditer(text):
+        kind, word = match.lastgroup, match.group()
+        if kind == "skip":
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
+        if kind == "newline":
+            line, line_start = line + 1, match.end()
             continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        span = Span(filename, line, col, 1)
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            span = Span(filename, line, col, j - i)
-            kind = word if word in _KEYWORDS else "ident"
-            tokens.append(_Token(kind, word, span))
-            col += j - i
-            i = j
-            continue
-        if ch.isdecimal():
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            tokens.append(_Token("nat", text[i:j], Span(filename, line, col, j - i)))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(_Token(sym, sym, Span(filename, line, col, len(sym))))
-                col += len(sym)
-                i += len(sym)
-                break
-        else:
-            raise ParseError(Diagnostic(f"unexpected character {ch!r}", span))
-    tokens.append(_Token("eof", "", Span(filename, line, col, 0)))
+        col = match.start() - line_start + 1
+        # ², ½ and Ⅻ are word characters, but neither letters nor decimal digits
+        if kind == "other" or kind == "ident" and not (word[0].isalpha() or word[0] == "_"):
+            span = Span(filename, line, col, 1)
+            raise ParseError(Diagnostic(f"unexpected character {word[0]!r}", span))
+        if kind == "symbol" or word in _KEYWORDS:
+            kind = word
+        tokens.append(_Token(kind, word, Span(filename, line, col, len(word))))
+    tokens.append(_Token("eof", "", Span(filename, line, len(text) - line_start + 1, 0)))
     return tokens
 
 

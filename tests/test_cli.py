@@ -162,6 +162,37 @@ def test_run_non_decimal_digit_exits_1(tmp_path, capsys):
     assert "internal error" not in err
 
 
+@pytest.mark.parametrize("command", ["run", "stats", "oracle"])
+def test_model_not_in_utf8_exits_1(tmp_path, capsys, command):
+    model = tmp_path / "bad.efa"
+    model.write_bytes(b"controllable a\xff;\n")
+    assert main([command, str(model)]) == 1
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    assert f"cannot read {model}: " in err
+
+
+def test_run_reads_and_writes_utf8_in_an_ascii_locale(tmp_path):
+    model, out = tmp_path / "m.efa", tmp_path / "m.sup.efa"
+    model.write_bytes(
+        "controllable é;\nplant p {\n  disc bool ß = false;\n"
+        "  location l: initial; marked; edge é do ß := true;\n}\n"
+        .encode("utf-8")
+    )
+    src = pathlib.Path(efasynth.__file__).resolve().parent.parent
+    # the C locale without UTF-8 mode or locale coercion: ASCII by default
+    env = dict(os.environ, PYTHONPATH=str(src), LC_ALL="C", PYTHONUTF8="0",
+               PYTHONCOERCECLOCALE="0")
+    proc = subprocess.run(
+        [sys.executable, "-m", "efasynth.cli", "run", str(model),
+         "--out", str(out)],
+        capture_output=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    emitted = out.read_text(encoding="utf-8")
+    assert "edge é;" in emitted and "disc bool ß = false;" in emitted
+
+
 def test_run_rejects_supervisor_input(producer, tmp_path, capsys):
     out = tmp_path / "sup.efa"
     assert main(["run", producer, "--out", str(out)]) == 0

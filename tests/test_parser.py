@@ -1,12 +1,18 @@
 """Syntax round-trips and parse diagnostics."""
 
+import re
+import string
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from efasynth.model import (
     BinaryOp, BoolLit, EnumLit, IntLit, LocRef, UnaryOp, VarRef, validate,
 )
-from efasynth.parser import ParseError, format_expr, parse_file, parse_spec, unparse
+from efasynth.parser import (
+    _KEYWORDS, _SYMBOLS, ParseError, _tokenize, format_expr, parse_file, parse_spec,
+    unparse,
+)
 
 SAMPLE = """
 # two-station line
@@ -170,6 +176,58 @@ def test_error_spans_point_into_source():
         parse_spec("controllable a;\nplant p {\n  whoops\n}", "m.efa")
     diag = err.value.diagnostic
     assert (diag.span.file, diag.span.line, diag.span.column) == ("m.efa", 3, 3)
+    # the end of the file is one past its last character, after a comment too
+    with pytest.raises(ParseError) as err:
+        parse_spec("controllable a #c", "m.efa")
+    diag = err.value.diagnostic
+    assert diag.message == "expected ';', found 'end of file'"
+    assert (diag.span.line, diag.span.column) == (1, 18)
+
+
+# -- lexer properties -------------------------------------------------
+
+# Pieces of text: ASCII letters, digits and symbols; blanks, line breaks and
+# comment starts; letters and digits of other scripts (é, ß, fullwidth and
+# Arabic-Indic digits), numeric characters that are not decimal digits
+# (², ½, Ⅻ) and characters no token starts with; whole keywords and symbols.
+_LEXER_PIECES = st.one_of(
+    st.sampled_from(string.ascii_letters + string.digits + "{}[]();,:.=<>+-!_"),
+    st.sampled_from(" \t\r\n#"),
+    st.sampled_from("é ß ３ ٣ ² ½ Ⅻ \x0b \x00 $".split(" ")),
+    st.sampled_from(sorted(_KEYWORDS) + list(_SYMBOLS)),
+)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.lists(_LEXER_PIECES, max_size=30).map("".join))
+def test_tokens_cover_the_source(text):
+    lines = text.split("\n")
+    try:
+        tokens = _tokenize(text, "m.efa")
+    except ParseError as err:
+        span = err.diagnostic.span
+        offset = sum(len(line) + 1 for line in lines[:span.line - 1]) + span.column - 1
+        ch = text[offset]
+        assert err.diagnostic.message == f"unexpected character {ch!r}"
+        # no token starts there
+        assert not (ch.isalpha() or ch == "_" or ch.isdecimal() or ch in " \t\r\n#")
+        assert not any(text.startswith(sym, offset) for sym in _SYMBOLS)
+        return
+    *tokens, eof = tokens
+    assert (eof.kind, eof.text) == ("eof", "")
+    assert (eof.span.line, eof.span.column, eof.span.length) == (len(lines), len(lines[-1]) + 1, 0)
+    for tok in tokens:
+        line, column, length = tok.span.line, tok.span.column, tok.span.length
+        assert lines[line - 1][column - 1:column - 1 + length] == tok.text != ""
+        if tok.kind == "ident":
+            assert tok.text[0].isalpha() or tok.text[0] == "_"
+            assert all(ch.isalnum() or ch == "_" for ch in tok.text)
+            assert tok.text not in _KEYWORDS
+        elif tok.kind == "nat":
+            assert tok.text.isdecimal()
+        else:
+            assert tok.kind == tok.text and tok.kind in _KEYWORDS | set(_SYMBOLS)
+    assert "".join(tok.text for tok in tokens) == re.sub(r"#[^\n]*|[ \t\r\n]", "", text)
 
 
 # -- random expression round-trips ------------------------------------
