@@ -32,11 +32,13 @@ combinations of application and stopping rule compute the same sets; they
 differ in the operation and node counts reported by the manager, which is
 the point of keeping them.
 
-Once the behavior is stable, the guard of each controllable edge becomes
-the preimage of the result under the edge's relation, guard and update:
-that preimage lies inside the guard, so it is the strengthened guard
-itself, and the emitted model blocks exactly the transitions that would
-leave the behavior.
+Once the behavior is stable, each controllable event gets one guard: the
+union over its edges of the preimage of the behavior under the edge's
+guard and update.  Each preimage lies inside its edge's guard, so the
+union allows exactly the steps of the event that stay inside the
+behavior, and the emitted model blocks the rest.  Only the running union
+is a registered root, so the guards hold live nodes per event, not per
+edge.
 
 State counting runs after the headline metrics are frozen: the
 uncontrolled count walks the plant guards (requirement conditions
@@ -52,10 +54,10 @@ on the sub-diagrams that start at its top level.  It calls no
 :class:`FixedPointEngine`, so ``reach_calls`` and ``edge_applications``
 count synthesis alone, and it runs on an empty computed cache, so its
 operations do not depend on what synthesis cached.  On a model with input
-variables, a count runs over the other variables only when the plant
-invariants bound each input on its own and the count's restriction leaves
-the inputs free within them: the input edges then reach every allowed
-input value, so the reachable set is a cylinder over the inputs (see
+variables, a count runs over the other variables when the plant
+invariants bound each input on its own: every behavior counted leaves the
+inputs free within them, the input edges then reach every allowed input
+value, and the reachable set is a cylinder over the inputs (see
 :func:`_count_states`).  Counting operations are left out of
 ``operations`` and reported apart as ``count_operations``;
 ``unstaged_operations`` is the part of
@@ -151,13 +153,11 @@ class SynthesisConfig:
 class SynthesisResult:
     model: LinearModel
     config: SynthesisConfig
-    order: list[int]
     sym: SymbolicModel
     controlled: NodeRef  # the final behavior predicate
     initial: NodeRef  # initial states surviving synthesis
     nonempty: bool
-    edges: list[SymEdge]  # per-edge copies with strengthened guards
-    # per controllable event, the disjunction of its strengthened guards
+    # per controllable event, the union of its edges' strengthened guards
     event_guards: dict[str, NodeRef] = field(default_factory=dict)
     metrics: dict = field(default_factory=dict)
 
@@ -318,19 +318,28 @@ class FixedPointEngine:
         return acc
 
 
-def _strengthen(engine: FixedPointEngine, behavior: NodeRef) -> list[SymEdge]:
-    """Per-edge supervised guards: block steps that leave the behavior."""
+def _event_guards(
+    engine: FixedPointEngine, behavior: NodeRef
+) -> dict[str, NodeRef]:
+    """Per controllable event, the union over its edges of the preimage of
+    ``behavior`` under the edge's ``guard & update``: the steps that stay
+    inside the behavior.  The running union is a registered root between
+    operations, and each guard comes back registered."""
     mgr = engine.mgr
-    out = []
-    for edge in engine.sym.base_edges:
-        if edge.controllable and not edge.is_input:
-            # the preimage under guard & update already lies in the guard
-            guard = mgr.relprev(behavior, engine.relation(edge))
-            mgr.register_root(guard)
-            out.append(dataclasses.replace(edge, guard=guard))
-        else:
-            out.append(edge)
-    return out
+    by_event = edges_by_event(engine.sym.base_edges)
+    guards = {}
+    for name, controllable in engine.sym.events:
+        if not controllable:
+            continue
+        guard = mgr.false
+        for edge in by_event.get(name, ()):
+            new = mgr.register_root(
+                guard | mgr.relprev(behavior, engine.relation(edge))
+            )
+            mgr.release_root(guard)
+            guard = new
+        guards[name] = guard
+    return guards
 
 
 def _synthesize_behavior(engine: FixedPointEngine):
@@ -410,13 +419,21 @@ def _count_states(sym: SymbolicModel, behavior, closed: bool = False):
     are 0 (``restrict`` needs a nonempty care set).
 
     When the model has input variables, with state levels ``I``, a count
-    runs over the other variables only if two conditions hold:
+    runs over the other variables if (P) holds:
 
     * (P) ``pp == AND_k EXISTS (I - I_k). pp``: at each valuation of the
       other variables the allowed input valuations form a box, one range
-      per input (always true with one input);
-    * (R) ``care == EXISTS I. care & pp``: the restriction does not
-      constrain the inputs beyond ``pp``.
+      per input (always true with one input).
+
+    It relies on (R) ``care == EXISTS I. care & pp``: the restriction does
+    not constrain the inputs beyond ``pp``.  (R) is not checked.  It holds
+    for the plant count's ``true`` restriction and for every behavior
+    :func:`synthesize` counts in.  Input events are uncontrollable, so
+    every state one input move away from a bad state is bad too; under
+    (P) single-input moves connect each box, so controllability keeps all
+    of a box or none of it.  A run that stops early with no surviving
+    initial state is counted from an empty start, whatever its behavior.
+    A direct caller must pass a behavior with (R).
 
     The projected count drops the input edges, reaches from
     ``EXISTS I. start`` within ``EXISTS I. care`` under ``EXISTS I. (pp &
@@ -430,15 +447,11 @@ def _count_states(sym: SymbolicModel, behavior, closed: bool = False):
     reach: a projected step from ``x`` takes some ``pp`` input valuation
     of ``x``, which (R) puts in ``care`` and the cylinder in ``R``.
     Without (P), single-input moves may not connect the allowed
-    valuations (``plant invariant a = b`` allows 00 and 11 only); without
-    (R), an input valuation inside ``pp`` may lie outside the restriction.
+    valuations (``plant invariant a = b`` allows 00 and 11 only), and the
+    count runs over every variable, as it does on a model without inputs.
     The projected relations are simplified once more, against ``pp_free
     = EXISTS I. pp``: the projected reach stays inside ``EXISTS I. care``,
     which lies in ``pp_free``.
-    A failed check, or a model without inputs, counts over every variable.
-    Under (P), (R) holds for every behavior :func:`synthesize` counts in:
-    input events are uncontrollable, so controllability keeps all of a box
-    or none of it; the check guards other callers.
     """
     mgr = sym.manager
     enc = sym.enc
@@ -474,14 +487,12 @@ def _count_states(sym: SymbolicModel, behavior, closed: bool = False):
         if boxed:
             care = restriction & sym.pp
             free = mgr.exists(care, inputs)
-            # (R) holds trivially for the plant count's true restriction
-            if restriction.is_true or care == free & sym.pp:
-                reached = mgr.saturate(
-                    mgr.exists(start, inputs),
-                    relations([e for e in edges if not e.is_input], True),
-                    free,
-                )
-                return mgr.sat_count(reached & care, enc.state_levels)
+            reached = mgr.saturate(
+                mgr.exists(start, inputs),
+                relations([e for e in edges if not e.is_input], True),
+                free,
+            )
+            return mgr.sat_count(reached & care, enc.state_levels)
         reached = mgr.saturate(start, relations(edges, False), restriction)
         return mgr.sat_count(reached, enc.state_levels)
 
@@ -510,18 +521,8 @@ def synthesize(
     initial = sym.initial & behavior
     nonempty = not initial.is_false
     before_strengthen = mgr.op_total
-    strengthened = _strengthen(engine, behavior)
-    event_guards: dict[str, NodeRef] = {}
-    by_event = edges_by_event(strengthened)
-    for name, controllable in sym.events:
-        if not controllable:
-            continue
-        guard = mgr.false
-        for edge in by_event.get(name, ()):
-            guard = guard | edge.guard
-        event_guards[name] = guard
-    roots = [behavior, initial, *event_guards.values()]
-    for ref in roots:
+    event_guards = _event_guards(engine, behavior)
+    for ref in (behavior, initial):
         mgr.register_root(ref)
 
     stage_ops = {
@@ -562,6 +563,5 @@ def synthesize(
     metrics["controlled_states"] = cs if nonempty else 0
 
     return SynthesisResult(
-        model, config, order, sym, behavior, initial, nonempty,
-        strengthened, event_guards, metrics,
+        model, config, sym, behavior, initial, nonempty, event_guards, metrics,
     )

@@ -12,14 +12,16 @@ import random
 import pytest
 
 from efasynth.bdd import BddManager
-from efasynth.encode import Encoding, _merge_events, build_symbolic, compile_edges
+from efasynth.encode import (
+    Encoding, _merge_events, build_symbolic, compile_edges, edges_by_event,
+)
 from efasynth.model import BinaryOp, BoolLit, IntLit, VarRef, validate
 from efasynth.oracle import ExplicitOracle
 from efasynth.parser import parse_file, parse_spec, unparse
 from efasynth.synthesis import (
     FixedPointEngine,
     SynthesisConfig,
-    _strengthen,
+    _event_guards,
     synthesize,
 )
 from efasynth.emit import emit
@@ -29,7 +31,7 @@ from efasynth.varorder import compute_order, dsm_matrix, hyperedges
 from test_bdd import fresh, from_table, naive_image, naive_preimage, random_relation
 from test_encode import MERGE_VARS, merge_example_edges
 from test_oracle import lin
-from test_synthesis import CHAIN
+from test_synthesis import CHAIN, strengthened_edges
 
 
 # ----------------------------------------------------------------------
@@ -466,18 +468,24 @@ def test_synthesis_invariant_suite(models_dir):
 
             # nonblocking: every controlled reachable state coreaches a mark
             reachable = engine.reach(
-                sym.initial & behavior, result.edges, behavior, backward=False
+                sym.initial & behavior, strengthened_edges(result), behavior,
+                backward=False,
             )
             coreachable = engine.reach(
                 sym.marked, sym.edges, behavior, backward=True
             )
             assert (reachable & mgr.negate(coreachable)).is_false
 
-            # guard strengthening shrinks guards, monotonically in the target
-            tighter = _strengthen(engine, behavior & sym.marked)
-            for base, strong, small in zip(sym.base_edges, result.edges, tighter):
-                assert (strong.guard & mgr.negate(base.guard)).is_false
-                assert (small.guard & mgr.negate(strong.guard)).is_false
+            # guard strengthening shrinks each event's guard, monotonically
+            # in the target
+            tighter = _event_guards(engine, behavior & sym.marked)
+            by_event = edges_by_event(sym.base_edges)
+            for event, strong in result.event_guards.items():
+                base = mgr.false
+                for edge in by_event.get(event, ()):
+                    base = base | edge.guard
+                assert (strong & mgr.negate(base)).is_false
+                assert (tighter[event] & mgr.negate(strong)).is_false
             engine.close()
 
 

@@ -146,7 +146,7 @@ def test_strengthened_guards_block_exactly_unsafe_steps(producer_model,
     oracle = producer_oracle
     enc = result.sym.enc
     mgr = result.manager
-    for oedge, sedge in zip(oracle.edges, result.edges):
+    for oedge, sedge in zip(oracle.edges, strengthened_edges(result)):
         assert oedge.event == sedge.event
         if not sedge.controllable:
             continue
@@ -295,119 +295,6 @@ def test_engine_caches_survive_edge_copies(producer_model):
     engine.close()
 
 
-PHILOSOPHERS = """
-controllable take_left_1, take_right_1, release_1,
-             take_left_2, take_right_2, release_2;
-
-plant phil_1 {
-  location think:
-    initial; marked;
-    edge take_left_1 goto has_left;
-    edge take_right_1 goto has_right;
-  location has_left:
-    edge take_right_1 goto eat;
-  location has_right:
-    edge take_left_1 goto eat;
-  location eat:
-    edge release_1 goto think;
-}
-
-plant phil_2 {
-  location think:
-    initial; marked;
-    edge take_left_2 goto has_left;
-    edge take_right_2 goto has_right;
-  location has_left:
-    edge take_right_2 goto eat;
-  location has_right:
-    edge take_left_2 goto eat;
-  location eat:
-    edge release_2 goto think;
-}
-
-plant fork_1 {
-  location free:
-    initial; marked;
-    edge take_left_1 goto held;
-    edge take_right_2 goto held;
-  location held:
-    edge release_1 goto free;
-    edge release_2 goto free;
-}
-
-plant fork_2 {
-  location free:
-    initial; marked;
-    edge take_left_2 goto held;
-    edge take_right_1 goto held;
-  location held:
-    edge release_2 goto free;
-    edge release_1 goto free;
-}
-"""
-
-BOOL_CHAIN = """
-controllable e_1, e_2, e_3, e_4;
-
-plant chain {
-  disc bool b_1 = false;
-  disc bool b_2 = false;
-  disc bool b_3 = false;
-  disc bool b_4 = false;
-  location s:
-    initial; marked;
-    edge e_1 do b_1 := true;
-    edge e_2 when b_1 do b_2 := true;
-    edge e_3 when b_2 do b_3 := true;
-    edge e_4 when b_3 do b_4 := true;
-}
-"""
-
-TANKS = """
-controllable fill_1, open_1, fill_2, open_2;
-uncontrollable drain_1, drain_2;
-input enum {low, high} demand;
-
-plant tank_1 {
-  disc int[0..10] lvl_1 = 5;
-  location closed:
-    initial; marked;
-    edge fill_1 do lvl_1 := lvl_1 + 3;
-    edge open_1 goto draining;
-  location draining:
-    edge drain_1 when demand = low do lvl_1 := lvl_1 - 1 goto closed;
-    edge drain_1 when demand = high do lvl_1 := lvl_1 - 2 goto closed;
-}
-
-plant tank_2 {
-  disc int[0..10] lvl_2 = 5;
-  location closed:
-    initial; marked;
-    edge fill_2 do lvl_2 := lvl_2 + 3;
-    edge open_2 goto draining;
-  location draining:
-    edge drain_2 when demand = low do lvl_2 := lvl_2 - 1 goto closed;
-    edge drain_2 when demand = high do lvl_2 := lvl_2 - 2 goto closed;
-}
-
-requirement pump {
-  location idle:
-    initial; marked;
-    edge open_1 goto busy_1;
-    edge open_2 goto busy_2;
-  location busy_1:
-    edge drain_1 goto idle;
-  location busy_2:
-    edge drain_2 goto idle;
-}
-
-requirement invariant lvl_1 >= 1;
-requirement invariant fill_1 needs demand = low;
-requirement invariant lvl_2 >= 1;
-requirement invariant fill_2 needs demand = low;
-"""
-
-
 def all_toggles():
     for granularity, edge_apply, early_stop, forward, plant_inv in (
         itertools.product(
@@ -419,6 +306,19 @@ def all_toggles():
             granularity=granularity, edge_apply=edge_apply,
             early_stop=early_stop, forward=forward, plant_inv=plant_inv,
         )
+
+
+def strengthened_edges(result):
+    """The base edges, each controllable one with its guard strengthened
+    against the final behavior, ``relprev(behavior, guard & update)``: the
+    per-edge reference for ``result.event_guards``."""
+    mgr = result.manager
+    return [
+        dataclasses.replace(
+            e, guard=mgr.relprev(result.controlled, e.guard & e.update)
+        ) if e.controllable and not e.is_input else e
+        for e in result.sym.base_edges
+    ]
 
 
 def reach_counts(result):
@@ -433,8 +333,8 @@ def reach_counts(result):
     ]
     us = engine.reach(sym.initial, plant_edges, mgr.true, backward=False)
     cs = engine.reach(
-        sym.initial & result.controlled, result.edges, result.controlled,
-        backward=False,
+        sym.initial & result.controlled, strengthened_edges(result),
+        result.controlled, backward=False,
     )
     counts = (
         mgr.sat_count(us, levels),
@@ -451,20 +351,38 @@ AGREEMENT_MODELS = [
 
 
 @pytest.mark.parametrize("name", AGREEMENT_MODELS)
-def test_state_counts_agree_with_engine_reach(models_dir, name):
+def test_state_counts_agree_with_engine_reach(models_dir, families, name):
     # State counting has one method under every configuration; each run's
     # counts must equal those of the engine's reach under its own toggles.
-    inline = {
-        "empty": EMPTY, "philosophers": PHILOSOPHERS, "chain": BOOL_CHAIN,
-        "tanks": TANKS,
+    generated = {
+        "empty": EMPTY, "philosophers": families.philosophers(2),
+        "chain": families.chain(4), "tanks": families.tank(2, 10),
     }
-    text = inline.get(name) or (models_dir / f"{name}.efa").read_text()
+    text = generated.get(name) or (models_dir / f"{name}.efa").read_text()
     model = lin(parse_spec(text))
     for config in all_toggles():
         result = synthesize(model, config)
         m = result.metrics
         counts = (m["uncontrolled_states"], m["controlled_states"])
         assert counts == reach_counts(result), config
+
+
+@pytest.mark.parametrize("name", [
+    "agv_mutex", "cat_mouse", "dining_philosophers", "producer_consumer",
+    "sensor_input", "philosophers(8)", "tank(2, 40)",
+])
+def test_event_guards_are_unions_of_per_edge_guards(models_dir, families,
+                                                    name):
+    model = lin(parse_spec(model_text(models_dir, families, name)))
+    for config in all_toggles():
+        result = synthesize(model, config)
+        mgr = result.manager
+        unions = {e: mgr.false for e, controllable in result.sym.events
+                  if controllable}
+        for edge in strengthened_edges(result):
+            if edge.controllable:
+                unions[edge.event] = unions[edge.event] | edge.guard
+        assert result.event_guards == unions, config
 
 
 COUNTER = """
@@ -532,6 +450,15 @@ def families(models_dir):
     return module
 
 
+def model_text(models_dir, families, name):
+    """A shipped model by its file stem, or a generated one written as
+    ``family(size, ...)``."""
+    if "(" not in name:
+        return (models_dir / f"{name}.efa").read_text()
+    family, sizes = name.rstrip(")").split("(")
+    return getattr(families, family)(*map(int, sizes.split(",")))
+
+
 @pytest.mark.parametrize("preset", ["v08", "v40"])
 @pytest.mark.parametrize("name", [
     "agv_mutex", "cat_mouse", "dining_philosophers", "producer_consumer",
@@ -541,16 +468,13 @@ def test_input_free_models_count_over_every_variable(
     models_dir, families, name, preset
 ):
     # Without inputs the count is over every variable, as the plain one.
-    if "(" in name:
-        family, size = name.rstrip(")").split("(")
-        text = getattr(families, family)(int(size))
-    else:
-        text = (models_dir / f"{name}.efa").read_text()
-    model = lin(parse_spec(text))
+    model = lin(parse_spec(model_text(models_dir, families, name)))
     assert not any(v.kind == "input" for v in model.variables)
     result = synthesize(model, SynthesisConfig.preset(preset))
     m = result.metrics
-    us, cs = plain_counts(result.sym, result.controlled, result.edges)
+    us, cs = plain_counts(
+        result.sym, result.controlled, strengthened_edges(result)
+    )
     assert (m["uncontrolled_states"], m["controlled_states"]) == (us, cs)
 
 
@@ -640,11 +564,23 @@ def test_projected_counts_match_plain_counts_and_oracle(monkeypatch):
     paths = set()
     count_states, merge = synthesis._count_states, synthesis._merge_events
     merged = []
+    boxes_kept = []
 
     def count_spy(sym, behavior, closed=False):
         merged.clear()
         counts = count_states(sym, behavior, closed)
         assert len(merged) == (0 if sym.pp.is_false else 1 if closed else 2)
+        # A projected plant count means (P) holds.  Then every behavior
+        # with a surviving initial state keeps all of an input box or none
+        # of it, which is (R), the condition the projection relies on.
+        if (merged and not any(e.is_input for e in merged[0])
+                and not (sym.initial & behavior).is_false):
+            mgr = sym.manager
+            inputs = [lvl for s in sym.enc.symvars if s.var.kind == "input"
+                      for lvl in s.levels]
+            care = behavior & sym.pp
+            assert care == mgr.exists(care, inputs) & sym.pp
+            boxes_kept.append(closed)
         return counts
 
     def merge_spy(enc, events, edges):
@@ -670,12 +606,16 @@ def test_projected_counts_match_plain_counts_and_oracle(monkeypatch):
             result = synthesize(model, config)
             m = result.metrics
             counts = (m["uncontrolled_states"], m["controlled_states"])
-            us, cs = plain_counts(result.sym, result.controlled, result.edges)
+            us, cs = plain_counts(
+                result.sym, result.controlled, strengthened_edges(result)
+            )
             assert counts == (us, cs if result.nonempty else 0), text
             assert counts == expected, (preset, forward, text)
     # (plant count?, projected?)
     assert paths == {(True, True), (True, False), (False, True),
                      (False, False)}
+    # (R) was seen to hold with the forward stage off and on
+    assert set(boxes_kept) == {False, True}
 
 
 # The plant invariant ties the input to x: d = 2 needs x >= 1.  Over
@@ -729,7 +669,9 @@ def test_counts_of_relations_simplified_against_pp_are_exact(text, expected):
         m = result.metrics
         counts = (m["uncontrolled_states"], m["controlled_states"])
         assert counts == expected, (preset, forward, plant_inv)
-        us, cs = plain_counts(result.sym, result.controlled, result.edges)
+        us, cs = plain_counts(
+            result.sym, result.controlled, strengthened_edges(result)
+        )
         assert counts == (us, cs if result.nonempty else 0)
 
 
@@ -753,29 +695,6 @@ def test_coupled_inputs_are_counted_over_every_variable():
     for preset in ("v08", "v40"):
         m = synthesize(model, SynthesisConfig.preset(preset)).metrics
         assert (m["uncontrolled_states"], m["controlled_states"]) == (3, 3)
-
-
-def test_a_behavior_that_constrains_an_input_is_counted_plainly():
-    # Within not (x and i), go from (x, i) = (0, 1) leads outside, and the
-    # input edge cannot bring (1, 0) in: 2 controlled states.  Projected,
-    # x = 1 would look reachable through i = 1 and (1, 0) would count.
-    text = """
-    controllable go;
-    input bool i;
-    plant p {
-      disc bool x = false;
-      location s:
-        initial; marked;
-        edge go when i do x := true;
-    }
-    """
-    model = lin(parse_spec(text))
-    sym = build_symbolic(model, compute_order(model, "model"))
-    mgr = sym.manager
-    (x,), (i,) = sym.enc.bits("x"), sym.enc.bits("i")
-    behavior = mgr.negate(x & i)
-    assert _count_states(sym, behavior) == (4, 2)
-    assert plain_counts(sym, behavior, sym.base_edges) == (4, 2)
 
 
 def test_projected_count_stays_inside_the_care_set():
@@ -819,7 +738,9 @@ def test_saturated_counts_match_round_robin_counts(
         config.forward = forward
         result = synthesize(lin(parse_spec(text)), config)
         m = result.metrics
-        us, cs = plain_counts(result.sym, result.controlled, result.edges)
+        us, cs = plain_counts(
+            result.sym, result.controlled, strengthened_edges(result)
+        )
         assert (m["uncontrolled_states"], m["controlled_states"]) == (
             us, cs if result.nonempty else 0
         )
@@ -907,27 +828,27 @@ agv_mutex           on  off compound   735 469   163   45     -   42 1  23 2  20
 agv_mutex           on  on  naive     4878 469  1814  250  2269   54 2  87 5  499  91
 agv_mutex           on  on  compound  1374 469   313   92   425   53 2  87 5  241  91
 cat_mouse           off off naive      811 139   554   81     -   31 2  36 4  124   6
-cat_mouse           off off compound   328 139   123   30     -   30 2  36 4   77   6
+cat_mouse           off off compound   328 139   123   30     -   30 2  36 4   72   6
 cat_mouse           off on  naive     1026 139   503   81   266   31 2  60 6  124   6
-cat_mouse           off on  compound   359 139   123   30    31   30 2  60 6   77   6
+cat_mouse           off on  compound   359 139   123   30    31   30 2  60 6   72   6
 cat_mouse           on  off naive      808 139   554   78     -   31 2  30 3  124   6
-cat_mouse           on  off compound   325 139   123   27     -   30 2  30 3   77   6
+cat_mouse           on  off compound   325 139   123   27     -   30 2  30 3   72   6
 cat_mouse           on  on  naive     1023 139   503   78   266   31 2  41 4  124   6
-cat_mouse           on  on  compound   356 139   123   27    31   30 2  41 4   77   6
+cat_mouse           on  on  compound   356 139   123   27    31   30 2  41 4   72   6
 dining_philosophers off off naive    29831 459 28065  149     - 1145 2 270 4 1862 241
-dining_philosophers off off compound  8671 459  6928  149     - 1122 2 270 4  972 241
+dining_philosophers off off compound  8671 459  6928  149     - 1122 2 270 4  643 241
 dining_philosophers off on  naive    34724 459 26711  149  6259 1133 2 330 6 1862 241
-dining_philosophers off on  compound  9010 459  6923  149   344 1122 2 330 6  972 241
-dining_philosophers on  off naive    21075 459 19309  149     - 1145 1 125 2 1370 241
-dining_philosophers on  off compound  5541 459  3798  149     - 1122 1 125 2  972 241
+dining_philosophers off on  compound  9010 459  6923  149   344 1122 2 330 6  643 241
+dining_philosophers on  off naive    21075 459 19309  149     - 1145 1 125 2 1041 241
+dining_philosophers on  off compound  5541 459  3798  149     - 1122 1 125 2  643 241
 dining_philosophers on  on  naive    27322 459 19309  149  6259 1133 1 154 3 1755 241
-dining_philosophers on  on  compound  5885 459  3798  149   344 1122 1 154 3  972 241
+dining_philosophers on  on  compound  5885 459  3798  149   344 1122 1 154 3  643 241
 producer_consumer   off off naive     6766 794  5429  362     -  169 2 158 4  765 249
-producer_consumer   off off compound  2870 794  1782  159     -  123 2 158 4  351 249
+producer_consumer   off off compound  2870 794  1782  159     -  123 2 158 4  348 249
 producer_consumer   off on  naive    19113 794  6772 1019 10254  253 2 354 6 1155 249
 producer_consumer   off on  compound  7272 794  1765  466  4000  226 2 354 6  450 249
 producer_consumer   on  off naive     5112 794  3775  362     -  169 1  79 2  601 249
-producer_consumer   on  off compound  2152 794  1064  159     -  123 1  79 2  351 249
+producer_consumer   on  off compound  2152 794  1064  159     -  123 1  79 2  348 249
 producer_consumer   on  on  naive    16376 794  6772 1019  7517  253 2 254 5 1043 249
 producer_consumer   on  on  compound  5568 794  1765  466  2296  226 2 254 5  437 249
 sensor_input        off off naive      523 159   325   23     -   13 2  20 4  147  30
@@ -991,8 +912,8 @@ def test_tank_count_relations_start_where_their_edges_do(
 ):
     # Simplified against pp, no counting relation carries the domain
     # predicate of every variable, so saturation fires each one where its
-    # edge reads or writes (7,916, 8,997 and 22,779 operations; 22,216,
-    # 25,613 and 108,250 when every relation started at the top pair).
+    # edge reads or writes (7,878, 8,973 and 22,752 operations; 22,178,
+    # 25,589 and 108,223 when every relation started at the top pair).
     text = families.tank(k, cap)
     m = synthesize(lin(parse_spec(text)), SynthesisConfig.preset(preset)).metrics
     assert m["count_operations"] <= bound
