@@ -1,7 +1,8 @@
 """Reduced ordered binary decision diagrams with exact operation accounting.
 
 The manager keeps every node in flat arrays, hash-conses through a unique
-table, and memoizes results in a single unbounded computed cache.  All
+table, and memoizes results in unbounded computed tables, one per operation
+context (see below).  All
 counters (operation counts, live/peak node counts) are plain integers that
 advance identically on every platform, which is what makes benchmark output
 reproducible: an operation is counted exactly when a recursive invocation
@@ -36,8 +37,8 @@ leaves every level above it alone, so it fires on the sub-diagrams at
 that pair only, once they are saturated under the relations that start
 below.  A round-robin of images would instead walk the whole reached set
 above each relation and end with a sweep that only confirms nothing
-changed.  Saturation steps take a computed-cache tag of their own and
-count as ``relnext`` operations.
+changed.  Saturation steps take a computed table of their own per
+relation set and count as ``relnext`` operations.
 
 Node lifetime is explicit.  Nodes are never deleted; ``live`` counts the
 decision nodes reachable from the registered roots or from a node returned
@@ -50,11 +51,17 @@ subtracts the number marked and advances the epoch, which unmarks them all
 at once without a walk.
 
 The bookkeeping no counter sees is kept cheap and free of objects that
-Python's cyclic collector tracks.  Keys of the unique table and the computed
-cache are packed into one ``int`` of 32-bit fields (node ids, levels,
-interned set and map ids; ids are checked against 2**32 as they are handed
-out) with the operation code in the low four bits, after Brace, Rudell &
-Bryant, "Efficient implementation of a BDD package" (DAC 1990).  The support
+Python's cyclic collector tracks.  Keys of the unique table are packed into
+one ``int`` of 32-bit fields (level and child node ids; ids are checked
+against 2**32 as they are handed out).  The computed cache, after Brace,
+Rudell & Bryant, "Efficient implementation of a BDD package" (DAC 1990), is
+one dict of tables, one per operation context: the operation code in the
+low four bits, above it the interned level-set, rename-map or relation-set
+id the operation depends on (the connectives, ``not``, ``ite`` and
+``restrict`` depend on none).  A table maps the packed operand node ids
+alone to the result's, so a probe packs two to four ids rather than every
+field of the call.  The tables hold nothing but ints, so the collector does
+not track them, however many entries they gain.  The support
 of a node is memoized as an ``int`` bitmask of levels, computed on demand;
 whether a node's diagram holds an odd level is one byte per node, set as
 the node is made, so checking that an operand is a state set costs no walk
@@ -71,6 +78,7 @@ nothing, so it refuses a fixed level after a free one in the support.
 from __future__ import annotations
 
 import contextlib
+from collections import defaultdict
 from typing import Iterable, Mapping
 
 __all__ = ["BddError", "BddManager", "NodeRef"]
@@ -101,7 +109,7 @@ _TRUTH = {
 }
 
 # Every field of a packed key is below this bound; the op code takes the
-# low four bits of a computed-cache key.
+# low four bits of a computed-cache context.
 _KEY_LIMIT = 1 << 32
 
 
@@ -198,7 +206,8 @@ class BddManager:
         self._ref = [0, 0]
         self._mark = [-1, -1]
         self._unique: dict[int, int] = {}
-        self._cache: dict[int, int] = {}
+        # Computed tables by operation context, each keyed by operand ids.
+        self._cache: defaultdict[int, dict[int, int]] = defaultdict(dict)
         # Interned level sets / rename maps referenced from cache keys.
         self._set_ids: dict[int, int] = {}  # level mask -> id
         self._sets: list[tuple[frozenset[int], int]] = []  # (levels, max)
@@ -404,11 +413,12 @@ class BddManager:
 
     @contextlib.contextmanager
     def fresh_cache(self):
-        """Run the block on an empty computed cache, then restore the one
-        it replaced: the block's operation counts depend on its own work
-        alone, and later operations see the hits they would have seen
-        without it.  Node ids never die, so every entry stays valid."""
-        saved, self._cache = self._cache, {}
+        """Run the block on empty computed tables, then restore the ones
+        they replaced, every context's table with them: the block's
+        operation counts depend on its own work alone, and later operations
+        see the hits they would have seen without it.  Node ids never die,
+        so every entry stays valid."""
+        saved, self._cache = self._cache, defaultdict(dict)
         try:
             yield
         finally:
@@ -533,8 +543,9 @@ class BddManager:
             return u if same is None else same
         if code in _COMMUTATIVE and u > v:
             u, v = v, u
-        key = (u << 32 | v) << 4 | code
-        cached = self._cache.get(key)
+        key = u << 32 | v
+        table = self._cache[code]
+        cached = table.get(key)
         if cached is not None:
             return cached
         self._ops[code] += 1
@@ -545,7 +556,7 @@ class BddManager:
         res = self._node(
             level, self._apply(code, u0, v0), self._apply(code, u1, v1)
         )
-        self._cache[key] = res
+        table[key] = res
         return res
 
     def _not(self, u: int) -> int:
@@ -553,15 +564,15 @@ class BddManager:
             return 1
         if u == 1:
             return 0
-        key = u << 4 | _NOT
-        cached = self._cache.get(key)
+        table = self._cache[_NOT]
+        cached = table.get(u)
         if cached is not None:
             return cached
         self._ops[_NOT] += 1
         res = self._node(
             self._var[u], self._not(self._low[u]), self._not(self._high[u])
         )
-        self._cache[key] = res
+        table[u] = res
         return res
 
     def _ite(self, f: int, g: int, h: int) -> int:
@@ -575,8 +586,9 @@ class BddManager:
             return f
         if g == 0 and h == 1:
             return self._not(f)
-        key = ((f << 32 | g) << 32 | h) << 4 | _ITE
-        cached = self._cache.get(key)
+        key = (f << 32 | g) << 32 | h
+        table = self._cache[_ITE]
+        cached = table.get(key)
         if cached is not None:
             return cached
         self._ops[_ITE] += 1
@@ -587,7 +599,7 @@ class BddManager:
         res = self._node(
             level, self._ite(f0, g0, h0), self._ite(f1, g1, h1)
         )
-        self._cache[key] = res
+        table[key] = res
         return res
 
     def _cof(self, u: int, level: int) -> tuple[int, int]:
@@ -617,8 +629,8 @@ class BddManager:
         levels, top = self._sets[sid]
         if u <= 1 or self._var[u] > top:
             return u
-        key = (u << 32 | sid) << 4 | _EXISTS
-        cached = self._cache.get(key)
+        table = self._cache[sid << 4 | _EXISTS]
+        cached = table.get(u)
         if cached is not None:
             return cached
         self._ops[_EXISTS] += 1
@@ -628,7 +640,7 @@ class BddManager:
             res = self._apply(_OR, a, b)
         else:
             res = self._node(self._var[u], a, b)
-        self._cache[key] = res
+        table[u] = res
         return res
 
     def replace(self, f: NodeRef, mapping: Mapping[int, int]) -> NodeRef:
@@ -661,8 +673,8 @@ class BddManager:
         mapping, top = self._maps[mid]
         if u <= 1 or self._var[u] > top:
             return u
-        key = (u << 32 | mid) << 4 | _REPLACE
-        cached = self._cache.get(key)
+        table = self._cache[mid << 4 | _REPLACE]
+        cached = table.get(u)
         if cached is not None:
             return cached
         self._ops[_REPLACE] += 1
@@ -672,7 +684,7 @@ class BddManager:
             self._replace(self._low[u], mid),
             self._replace(self._high[u], mid),
         )
-        self._cache[key] = res
+        table[u] = res
         return res
 
     def restrict(self, f: NodeRef, care: NodeRef) -> NodeRef:
@@ -692,8 +704,9 @@ class BddManager:
     def _restrict(self, u: int, c: int) -> int:
         if c == 1 or u <= 1:
             return u
-        key = (u << 32 | c) << 4 | _RESTRICT
-        cached = self._cache.get(key)
+        key = u << 32 | c
+        table = self._cache[_RESTRICT]
+        cached = table.get(key)
         if cached is not None:
             return cached
         self._ops[_RESTRICT] += 1
@@ -724,7 +737,7 @@ class BddManager:
                     self._restrict(self._low[u], c0),
                     self._restrict(self._high[u], c1),
                 )
-        self._cache[key] = res
+        table[key] = res
         return res
 
     # ------------------------------------------------------------------
@@ -857,21 +870,23 @@ class BddManager:
         if a == 1 or a == r or p == 0 or t == 0 or r == 0:
             return a
         image = op == _RELNEXT
+        levels, top = self._sets[sid]
         if (t if image else p) == 1:
             rest = self._exists(p if image else t, sid)
             return self._apply(_OR, a, self._apply(_AND, rest, r))
-        if t == 1 and self._sets[sid][1] < self._var[p]:
+        var, low, high = self._var, self._low, self._high
+        if t == 1 and top < var[p]:
             # a preimage whose relation is used up: every quantified level
             # lies above p's top, so each state of p is its own predecessor
             return a if p == a else self._apply(
                 _OR, a, self._apply(_AND, p, r)
             )
-        key = ((((a << 32 | p) << 32 | t) << 32 | r) << 32 | sid) << 4 | op
-        cached = self._cache.get(key)
+        key = ((a << 32 | p) << 32 | t) << 32 | r
+        table = self._cache[sid << 4 | op]
+        cached = table.get(key)
         if cached is not None:
             return cached
         self._ops[op] += 1
-        var, low, high = self._var, self._low, self._high
         # The pair of the top level of the four operands; only t has odd
         # levels, so only t can be split on c + 1.
         vp, vt, vr, va = var[p], var[t], var[r], var[a]
@@ -885,7 +900,10 @@ class BddManager:
         r0, r1 = (low[r], high[r]) if vr == c else (r, r)
         a0, a1 = (low[a], high[a]) if va == c else (a, a)
         tc0, tc1 = (low[t], high[t]) if vt == c else (t, t)
-        if (c if image else c + 1) in self._sets[sid][0]:
+        # A product whose p, t or r is false is its accumulator, so it is
+        # not called.
+        lo, hi = a0, a1
+        if (c if image else c + 1) in levels:
             t00, t01 = (
                 (low[tc0], high[tc0]) if var[tc0] == c + 1 else (tc0, tc0)
             )
@@ -894,17 +912,23 @@ class BddManager:
             )
             if not image:
                 t01, t10 = t10, t01
-            lo = self._relprod(
-                op, p1, t10, r0, sid, self._relprod(op, p0, t00, r0, sid, a0)
-            )
-            hi = self._relprod(
-                op, p1, t11, r1, sid, self._relprod(op, p0, t01, r1, sid, a1)
-            )
+            if r0:
+                if p0 and t00:
+                    lo = self._relprod(op, p0, t00, r0, sid, lo)
+                if p1 and t10:
+                    lo = self._relprod(op, p1, t10, r0, sid, lo)
+            if r1:
+                if p0 and t01:
+                    hi = self._relprod(op, p0, t01, r1, sid, hi)
+                if p1 and t11:
+                    hi = self._relprod(op, p1, t11, r1, sid, hi)
         else:
-            lo = self._relprod(op, p0, tc0, r0, sid, a0)
-            hi = self._relprod(op, p1, tc1, r1, sid, a1)
+            if p0 and tc0 and r0:
+                lo = self._relprod(op, p0, tc0, r0, sid, lo)
+            if p1 and tc1 and r1:
+                hi = self._relprod(op, p1, tc1, r1, sid, hi)
         res = self._node(c, lo, hi)
-        self._cache[key] = res
+        table[key] = res
         return res
 
     def saturate(
@@ -968,8 +992,9 @@ class BddManager:
             return p
         var = self._var
         c = min(top, var[p], var[r])
-        key = (((c << 32 | p) << 32 | r) << 32 | gid) << 4 | _SATURATE
-        cached = self._cache.get(key)
+        key = (c << 32 | p) << 32 | r
+        table = self._cache[gid << 4 | _SATURATE]
+        cached = table.get(key)
         if cached is not None:
             return cached
         self._ops[_RELNEXT] += 1
@@ -992,11 +1017,9 @@ class BddManager:
                         s[j] = self._saturate(c + 2, new, rs[j], gid)
                         changed = True
         res = self._node(c, s[0], s[1])
-        self._cache[key] = res
+        table[key] = res
         c = min(top, var[res], var[r])
-        self._cache[
-            (((c << 32 | res) << 32 | r) << 32 | gid) << 4 | _SATURATE
-        ] = res
+        table[(c << 32 | res) << 32 | r] = res
         return res
 
     # ------------------------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional, Union
+from typing import Iterator, Mapping, NamedTuple, Optional, Union
 
 __all__ = [
     "Automaton", "BinaryOp", "BoolDomain", "BoolLit", "Diagnostic",
@@ -29,9 +29,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Span:
-    """1-based source position, attached to AST nodes for diagnostics."""
+class Span(NamedTuple):
+    """1-based source position, attached to AST nodes for diagnostics.
+
+    A named tuple, because the lexer makes one per token and a frozen
+    dataclass sets each field through ``object.__setattr__``."""
 
     file: str = "<none>"
     line: int = 0

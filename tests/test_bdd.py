@@ -814,6 +814,70 @@ def test_cached_results_are_not_recounted():
     assert mgr.op_total == snapshot
 
 
+# Pairs of operations on the same operand nodes whose computed-cache
+# contexts differ: the level set, the rename map, the direction (with a
+# guard, which assigns nothing, both directions quantify the same empty
+# set), the relation set (the same relation, assigning another pair) or
+# the connective.  Each names the counter of its second operation.
+CONTEXT_PAIRS = {
+    "exists": lambda m, f, g, t: ("exists", (
+        lambda: m.exists(f, [0, 4]), lambda: m.exists(f, [2]))),
+    "replace": lambda m, f, g, t: ("replace", (
+        lambda: m.replace(f, {0: 1, 2: 3}), lambda: m.replace(f, {4: 5}))),
+    "relnext/relprev": lambda m, f, g, t: ("relprev", (
+        lambda: m.relnext(f, t, g, [1, 3]),
+        lambda: m.relprev(f, t, g, [1, 3]))),
+    "relnext/relprev guard": lambda m, f, g, t: ("relprev", (
+        lambda: m.relnext(f, g, assigned=[]),
+        lambda: m.relprev(f, g, assigned=[]))),
+    "saturate": lambda m, f, g, t: ("relnext", (
+        lambda: m.saturate(f, [(t, None)], g),
+        lambda: m.saturate(f, [(t, [1, 3, 5])], g))),
+    "and/or": lambda m, f, g, t: ("or", (
+        lambda: m.apply("and", f, g), lambda: m.apply("or", f, g))),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("pair", sorted(CONTEXT_PAIRS))
+def test_contexts_never_share_entries(pair, seed):
+    def operands():
+        """The same operand nodes on a fresh manager, the counter of the
+        second operation, and the pair of operations."""
+        mgr, rng = fresh(3), random.Random(seed)
+        f, g = (from_table(mgr, [0, 2, 4], rng.randrange(1, 255))
+                for _ in range(2))
+        t = random_relation(mgr, rng, {0, 1})
+        return mgr, *CONTEXT_PAIRS[pair](mgr, f, g, t)
+
+    def counted(mgr, op):
+        before = mgr.op_counts()
+        result = op()
+        after = mgr.op_counts()
+        return truth_table(mgr, result, range(6)), {
+            k: after[k] - before[k] for k in after}
+
+    alone, kind, (_, second) = operands()
+    want = counted(alone, second)
+    assert want[1][kind] > 0
+    # building the operands fills the connective tables; a cold manager
+    # runs the second operation on empty tables
+    cold, _, (_, second) = operands()
+    cold._cache.clear()
+    want_cold = counted(cold, second)
+    mgr, _, (first, second) = operands()
+    first()
+    # the sub-operations of the second may hit the connective tables the
+    # first filled, but none of its own kind may hit
+    result, counts = counted(mgr, second)
+    assert result == want[0] and counts[kind] == want[1][kind]
+    mgr._cache.clear()
+    assert counted(mgr, second) == want_cold
+    with mgr.fresh_cache():
+        assert counted(mgr, second) == want_cold
+    assert counted(mgr, second) == (want[0], dict.fromkeys(want[1], 0))
+
+
 def test_operands_must_share_manager():
     a, b = fresh(), fresh()
     with pytest.raises(BddError):

@@ -3,10 +3,10 @@
 import pytest
 
 from efasynth.model import (
-    Automaton, BinaryOp, BoolDomain, BoolLit, Edge, EnumDomain, EnumLit,
-    Event, IntDomain, IntLit, Location, LocRef, Span, Specification, UnaryOp,
-    VarRef, Variable, domain_size, eval_expr, fold_expr, literal_codes,
-    map_leaves, model_stats, validate,
+    Automaton, BinaryOp, BoolDomain, BoolLit, Diagnostic, Edge, EnumDomain,
+    EnumLit, Event, IntDomain, IntLit, Location, LocRef, Span, Specification,
+    UnaryOp, VarRef, Variable, domain_size, eval_expr, fold_expr,
+    literal_codes, map_leaves, model_stats, validate,
 )
 from efasynth.parser import parse_file
 
@@ -137,6 +137,23 @@ def test_fold_has_no_depth_limit():
     for leaf in reversed(leaves[:-1]):
         right = BinaryOp("+", leaf, UnaryOp("-", right))
     assert count(right) == 100_000
+
+
+def test_span_is_an_immutable_value():
+    span = Span("f", 1, 2, 3)
+    assert span == Span(file="f", line=1, column=2, length=3)
+    assert span != Span("f", 1, 2, 4)
+    assert hash(span) == hash(Span("f", 1, 2, 3))
+    assert len({span, Span("f", 1, 2, 3), Span()}) == 2
+    assert repr(span) == "Span(file='f', line=1, column=2, length=3)"
+    assert Span() == Span("<none>", 0, 0, 0)
+    assert (Span().file, Span().line, Span().column, Span().length) == (
+        "<none>", 0, 0, 0)
+    for name in ("file", "line", "column", "length"):
+        with pytest.raises(AttributeError):
+            setattr(span, name, 9)
+    assert str(Diagnostic("bad", span)) == "f:1:2: bad"
+    assert str(Diagnostic("bad", Span())) == "bad"
 
 
 def test_map_leaves_replaces_leaves_and_keeps_spans():
