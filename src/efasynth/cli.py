@@ -22,9 +22,7 @@ from .emit import emit
 from .model import Specification, model_stats, validate
 from .oracle import ExplicitOracle, UniverseTooLarge
 from .parser import ParseError, parse_spec, unparse
-from .synthesis import (
-    _CHOICES, SynthesisConfig, SynthesisResult, synthesize,
-)
+from .synthesis import CHOICES, SynthesisConfig, SynthesisResult, synthesize
 from .transform import LinearModel, linearize, plantify
 from .varorder import OrderError
 
@@ -352,7 +350,7 @@ def _build_parser() -> _Parser:
     for field, flag, onoff in _toggles():
         run.add_argument(
             f"--{flag}", dest=field.name, default=None,
-            choices=_ON_OFF if onoff else _CHOICES.get(field.name),
+            choices=_ON_OFF if onoff else CHOICES.get(field.name),
             help=field.metadata.get("help"),
         )
     run.add_argument("--simplify", choices=_ON_OFF, default="on",

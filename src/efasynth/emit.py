@@ -156,7 +156,7 @@ def emit(
     model = result.model
 
     guards: dict[str, NodeRef] = {}
-    by_event = edges_by_event(sym.base_edges)
+    by_event = edges_by_event(sym.edges)
     for name, controllable in sym.events:
         if not controllable:
             continue

@@ -31,9 +31,6 @@ result at every step.
    uncontrollable events contribute forbidden states instead of relying on
    the guard alone
 8. compile initial (conjoined with ``pp``) and marked predicates
-9. optionally merge the edges of each event into one relation: a merged
-   edge has guard true, error false and the union of its branches'
-   ``guard & update``, framed to the assigned variables, as its update
 """
 
 from __future__ import annotations
@@ -48,13 +45,12 @@ from .model import (
 from .transform import LinearModel
 
 __all__ = [
-    "Encoding", "GRANULARITIES", "PLANT_INVS", "SymEdge", "SymbolicModel",
-    "build_symbolic", "compile_edges", "edges_by_event",
+    "Encoding", "PLANT_INVS", "SymEdge", "SymbolicModel", "build_symbolic",
+    "compile_edges", "edges_by_event",
 ]
 
-# The values of build_symbolic's two switches.
-GRANULARITIES = ("edge", "event")  # relations per edge, or merged per event
-PLANT_INVS = ("implication", "restrict")  # how stage 6 strengthens guards
+# The values of build_symbolic's switch: how stage 6 strengthens guards.
+PLANT_INVS = ("implication", "restrict")
 
 
 # ----------------------------------------------------------------------
@@ -358,17 +354,12 @@ class SymEdge:
 class SymbolicModel:
     enc: Encoding
     events: list[tuple[str, bool]]  # (name, controllable), inputs last
-    edges: list[SymEdge]  # reachability granularity: merged when per-event
+    edges: list[SymEdge]  # one per linearized edge, then the input edges
     initial: NodeRef
     marked: NodeRef
     forbidden: NodeRef
     pp: NodeRef  # domain and plant state invariants
     req_guards: dict[str, NodeRef] = field(default_factory=dict)
-    # Always one relation per model edge.  Guard strengthening and state
-    # counting need the deterministic per-edge relations: existentially
-    # strengthening a merged event relation would enable an event whose
-    # other branch still escapes the safe set.
-    base_edges: list[SymEdge] = field(default_factory=list)
 
     @property
     def manager(self) -> BddManager:
@@ -436,13 +427,10 @@ def build_symbolic(
     model: LinearModel,
     order: list[int],
     plant_inv: str = "implication",
-    granularity: str = "edge",
 ) -> SymbolicModel:
     """Run the staged symbolic build; see the module docstring."""
     if plant_inv not in PLANT_INVS:
         raise ValueError(f"unknown plant_inv '{plant_inv}'")
-    if granularity not in GRANULARITIES:
-        raise ValueError(f"unknown granularity '{granularity}'")
     enc = Encoding(model, order)
     mgr = enc.manager
 
@@ -510,19 +498,12 @@ def build_symbolic(
     initial = enc.compile_pred(model.initial) & pp
     marked = enc.compile_pred(model.marked)
 
-    base_edges = edges
-    if granularity == "event":
-        edges = _merge_events(enc, events, edges)
-
     sym = SymbolicModel(
         enc, events, edges, initial, marked, forbidden, pp, req_guards,
-        base_edges=base_edges,
     )
-    rooted = edges if edges is base_edges else edges + base_edges
-    for edge in rooted:
+    for edge in edges:
         mgr.register_root(edge.guard)
         mgr.register_root(edge.update)
-    for edge in base_edges:
         mgr.register_root(edge.guard_plant)
     for root in (initial, marked, forbidden, pp, *req_guards.values()):
         mgr.register_root(root)
@@ -536,36 +517,3 @@ def edges_by_event(edges: list[SymEdge]) -> dict[str, list[SymEdge]]:
         by_event.setdefault(edge.event, []).append(edge)
     return by_event
 
-
-def _merge_events(enc, events, edges) -> list[SymEdge]:
-    """Stage 9: one relation per event, framing each branch's unassigned
-    variables so partial-relation semantics still hold.
-
-    A merged edge carries its relation alone, in the shape of an input
-    edge: guard true, error false, and the union of the framed branches
-    ``guard & update`` as its update.  Each branch implies its guard, so a
-    guard union would add nothing to the relation; guard strengthening,
-    emission and plant guards read the per-edge ``base_edges``.
-    """
-    mgr = enc.manager
-    by_event = edges_by_event(edges)
-    merged = []
-    for name, controllable in events:
-        group = by_event.get(name, [])
-        if not group:
-            continue
-        if len(group) == 1:
-            merged.append(group[0])
-            continue
-        assigned = frozenset().union(*(e.assigned for e in group))
-        update = mgr.false
-        for edge in group:
-            branch = edge.guard & edge.update
-            for var in sorted(assigned - edge.assigned):
-                branch = branch & enc.frame(var)
-            update = update | branch
-        merged.append(SymEdge(
-            name, controllable, mgr.true, mgr.false, update, assigned,
-            is_input=group[0].is_input,
-        ))
-    return merged

@@ -32,6 +32,15 @@ combinations of application and stopping rule compute the same sets; they
 differ in the operation and node counts reported by the manager, which is
 the point of keeping them.
 
+The stages reach over ``FixedPointEngine.edges``: the model's edges
+(``sym.edges``), or under ``granularity`` 'event' one relation per event
+that the engine merges from them and holds until it is closed; like the
+two toggles above, this moves counters, not results.  Guard strengthening,
+emission and state counting read the per-edge relations under both:
+emission and the plant count need each edge's plant guard, which a merged
+edge lacks, and a merged relation would strengthen no differently, as its
+preimage is the union of its branches' preimages.
+
 Once the behavior is stable, each controllable event gets one guard: the
 union over its edges of the preimage of the behavior under the edge's
 guard and update.  Each preimage lies inside its edge's guard, so the
@@ -42,10 +51,10 @@ edge.
 
 State counting runs after the headline metrics are frozen: the
 uncontrolled count walks the plant guards (requirement conditions
-stripped), the controlled count walks the base guards inside the final
-behavior, which allows the same steps as the strengthened guards there;
-after a nonempty run with the forward stage the behavior is that reach
-already and is counted as it is.
+stripped), the controlled count walks the edges' own guards inside the
+final behavior, which allows the same steps as the strengthened guards
+there; after a nonempty run with the forward stage the behavior is that
+reach already and is counted as it is.
 Reachable states are a unique least fixed point, so counting uses one
 method under every configuration, whatever ``granularity``,
 ``edge_apply`` and ``early_stop`` say: the edges merged per event and
@@ -75,22 +84,22 @@ from dataclasses import dataclass, field
 
 from .bdd import BddManager, NodeRef
 from .encode import (
-    GRANULARITIES, PLANT_INVS, SymEdge, SymbolicModel, _merge_events,
-    build_symbolic, combine, edges_by_event,
+    PLANT_INVS, SymEdge, SymbolicModel, build_symbolic, combine,
+    edges_by_event,
 )
 from .transform import LinearModel
 from . import varorder
 
 __all__ = [
-    "PRESETS", "SynthesisConfig", "SynthesisResult", "FixedPointEngine",
-    "synthesize",
+    "CHOICES", "PRESETS", "SynthesisConfig", "SynthesisResult",
+    "FixedPointEngine", "synthesize",
 ]
 
 
 # The allowed values of every toggle but ``order``, whose strategies
 # varorder.check_strategy knows.
-_CHOICES = {
-    "granularity": GRANULARITIES,
+CHOICES = {
+    "granularity": ("edge", "event"),  # relations per edge, or per event
     "edge_apply": ("naive", "compound"),
     "early_stop": (False, True),
     "forward": (False, True),
@@ -111,7 +120,7 @@ PRESETS = {
 class SynthesisConfig:
     """Knobs for one synthesis run, defaulting to the ``v40`` bundle.
 
-    The fields are the one table of toggles: ``_CHOICES`` gives their
+    The fields are the one table of toggles: ``CHOICES`` gives their
     values and ``PRESETS`` the bundles, and the CLI derives its flags and
     its configuration fingerprint from them.
     """
@@ -135,10 +144,10 @@ class SynthesisConfig:
         # (as the CLI does) are held to the same values as the constructor's.
         if name == "order":
             varorder.check_strategy(value)
-        elif name in _CHOICES and value not in _CHOICES[name]:
+        elif name in CHOICES and value not in CHOICES[name]:
             raise ValueError(
                 f"unknown {name} '{value}'; expected one of "
-                + ", ".join(map(str, _CHOICES[name]))
+                + ", ".join(map(str, CHOICES[name]))
             )
         super().__setattr__(name, value)
 
@@ -208,6 +217,39 @@ def _odd_levels(enc, assigned: frozenset[str]) -> tuple[int, ...]:
     )
 
 
+def _merge_events(enc, events, edges) -> list[SymEdge]:
+    """One relation per event, framing each branch's unassigned variables
+    so partial-relation semantics still hold.
+
+    A merged edge carries its relation alone, in the shape of an input
+    edge: guard true, error false, and the union of the framed branches
+    ``guard & update`` as its update.  Each branch implies its guard, so a
+    guard union would add nothing to the relation.
+    """
+    mgr = enc.manager
+    by_event = edges_by_event(edges)
+    merged = []
+    for name, controllable in events:
+        group = by_event.get(name, [])
+        if not group:
+            continue
+        if len(group) == 1:
+            merged.append(group[0])
+            continue
+        assigned = frozenset().union(*(e.assigned for e in group))
+        update = mgr.false
+        for edge in group:
+            branch = edge.guard & edge.update
+            for var in sorted(assigned - edge.assigned):
+                branch = branch & enc.frame(var)
+            update = update | branch
+        merged.append(SymEdge(
+            name, controllable, mgr.true, mgr.false, update, assigned,
+            is_input=group[0].is_input,
+        ))
+    return merged
+
+
 class FixedPointEngine:
     """Reachability with selectable application and stopping strategy."""
 
@@ -227,6 +269,11 @@ class FixedPointEngine:
         enc = self.enc
         self._up = {lvl: lvl + 1 for lvl in enc.state_levels}
         self._down = {lvl + 1: lvl for lvl in enc.state_levels}
+        self.edges = sym.edges
+        if config.granularity == "event":
+            self.edges = _merge_events(enc, sym.events, sym.edges)
+            for edge in self.edges:
+                self._root(edge.update)
 
     def close(self) -> None:
         for ref in self._rooted:
@@ -326,7 +373,7 @@ def _event_guards(
     inside the behavior.  The running union is a registered root between
     operations, and each guard comes back registered."""
     mgr = engine.mgr
-    by_event = edges_by_event(engine.sym.base_edges)
+    by_event = edges_by_event(engine.sym.edges)
     guards = {}
     for name, controllable in engine.sym.events:
         if not controllable:
@@ -348,17 +395,18 @@ def _synthesize_behavior(engine: FixedPointEngine):
     sym = engine.sym
     mgr = engine.mgr
     config = engine.config
-    unc = [e for e in sym.edges if not e.controllable]
+    edges = engine.edges
+    unc = [e for e in edges if not e.controllable]
 
     def nonblocking(c):
-        return engine.reach(sym.marked, sym.edges, c, backward=True)
+        return engine.reach(sym.marked, edges, c, backward=True)
 
     def controllability(c):
         bad = engine.reach(mgr.negate(c), unc, mgr.true, backward=True)
         return mgr.negate(bad)
 
     def forward(c):
-        return engine.reach(sym.initial, sym.edges, c, backward=False)
+        return engine.reach(sym.initial, edges, c, backward=False)
 
     stages = {"nonblocking": nonblocking, "controllability": controllability}
     if config.forward:
@@ -395,11 +443,11 @@ def _count_states(sym: SymbolicModel, behavior, closed: bool = False):
     inside ``care = restriction & pp``, and so does ``R``, because every
     edge leads from a ``pp`` state to ``pp`` states.  The uncontrolled
     count walks the plant guards within ``true``.  The controlled count
-    walks the base edges within the behavior, not the strengthened guards:
+    walks the model's edges within the behavior, not the strengthened guards:
     a strengthened guard is ``relprev(behavior, guard & update)``, so from
     a state of the behavior it allows exactly the steps of its edge that
     end inside the behavior, which are the only steps the count keeps.
-    The base relations start where their edges read or write, while a
+    The per-edge relations start where their edges read or write, while a
     strengthened guard spans every level the behavior decides, and
     saturation fires each relation at the pair where it starts.  With
     ``closed``, the behavior is forward-closed from ``sym.initial &
@@ -458,7 +506,7 @@ def _count_states(sym: SymbolicModel, behavior, closed: bool = False):
     if sym.pp.is_false:
         return 0, 0
     plant_edges = [
-        dataclasses.replace(e, guard=e.guard_plant) for e in sym.base_edges
+        dataclasses.replace(e, guard=e.guard_plant) for e in sym.edges
     ]
     by_input = [s.levels for s in enc.symvars if s.var.kind == "input"]
     inputs = [lvl for levels in by_input for lvl in levels]
@@ -499,7 +547,7 @@ def _count_states(sym: SymbolicModel, behavior, closed: bool = False):
     if closed:
         controlled = mgr.sat_count(behavior, enc.state_levels)
     else:
-        controlled = count(sym.initial & behavior, sym.base_edges, behavior)
+        controlled = count(sym.initial & behavior, sym.edges, behavior)
     return count(sym.initial, plant_edges, mgr.true), controlled
 
 
@@ -509,11 +557,9 @@ def synthesize(
     """Order, encode, and synthesize; returns result plus metrics."""
     config = config or SynthesisConfig()
     order = varorder.compute_order(model, config.order)
-    sym = build_symbolic(
-        model, order,
-        plant_inv=config.plant_inv, granularity=config.granularity,
-    )
+    sym = build_symbolic(model, order, plant_inv=config.plant_inv)
     mgr = sym.manager
+    # the engine merges its relations here, so the merge counts as encoding
     engine = FixedPointEngine(sym, config)
 
     encode_ops = mgr.op_total

@@ -13,7 +13,7 @@ import pytest
 
 from efasynth.bdd import BddManager
 from efasynth.encode import (
-    Encoding, _merge_events, build_symbolic, compile_edges, edges_by_event,
+    Encoding, build_symbolic, compile_edges, edges_by_event,
 )
 from efasynth.model import BinaryOp, BoolLit, IntLit, VarRef, validate
 from efasynth.oracle import ExplicitOracle
@@ -22,6 +22,7 @@ from efasynth.synthesis import (
     FixedPointEngine,
     SynthesisConfig,
     _event_guards,
+    _merge_events,
     synthesize,
 )
 from efasynth.emit import emit
@@ -452,14 +453,14 @@ def test_synthesis_invariant_suite(models_dir):
 
             engine = FixedPointEngine(sym, result.config)
             # fixed-point idempotence of both stages
-            assert engine.reach(sym.marked, sym.edges, behavior, backward=True) == behavior
-            unc = [e for e in sym.edges if not e.controllable]
+            assert engine.reach(sym.marked, engine.edges, behavior, backward=True) == behavior
+            unc = [e for e in engine.edges if not e.controllable]
             bad = engine.reach(mgr.negate(behavior), unc, mgr.true, backward=True)
             assert mgr.negate(bad) == behavior
 
             # controllability, stated on raw transitions: no uncontrollable
             # step (and no uncontrollable range error) leaves the behavior
-            for edge in sym.base_edges:
+            for edge in sym.edges:
                 if edge.controllable and not edge.is_input:
                     continue
                 assert (behavior & sym.pp & edge.error).is_false
@@ -472,14 +473,14 @@ def test_synthesis_invariant_suite(models_dir):
                 backward=False,
             )
             coreachable = engine.reach(
-                sym.marked, sym.edges, behavior, backward=True
+                sym.marked, engine.edges, behavior, backward=True
             )
             assert (reachable & mgr.negate(coreachable)).is_false
 
             # guard strengthening shrinks each event's guard, monotonically
             # in the target
             tighter = _event_guards(engine, behavior & sym.marked)
-            by_event = edges_by_event(sym.base_edges)
+            by_event = edges_by_event(sym.edges)
             for event, strong in result.event_guards.items():
                 base = mgr.false
                 for edge in by_event.get(event, ()):

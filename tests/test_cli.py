@@ -110,7 +110,7 @@ def _flag_values():
         if isinstance(field.default, bool):
             values = ("on", "off")
         else:
-            values = synthesis._CHOICES.get(field.name, STRATEGIES)
+            values = synthesis.CHOICES.get(field.name, STRATEGIES)
         for value in values:
             yield pytest.param(flag, value, id=f"{flag}={value}")
 

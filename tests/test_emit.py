@@ -289,7 +289,7 @@ def test_emit_simplified_guards_agree_inside_assumption(models_dir):
         event = edge.events[0]
         expr = edge.guard if edge.guard is not None else TRUE
         plant_guard = mgr.false
-        for base in sym.base_edges:
+        for base in sym.edges:
             if base.event == event:
                 plant_guard = plant_guard | base.guard_plant
         assumption = (

@@ -27,6 +27,22 @@ def test_package_imports_only_the_standard_library():
     assert foreign == []
 
 
+def test_no_module_imports_a_private_name_of_another():
+    # a name with a leading underscore belongs to its own module
+    sources = sorted(pathlib.Path(efasynth.__file__).parent.glob("*.py"))
+    private = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("efasynth")
+            ):
+                private += [
+                    f"{path.name}: {alias.name}" for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    assert private == []
+
+
 def _call_graph(tree):
     """Functions of a module by qualified name, each with the names it
     calls: module functions called by name, and ``self.<method>`` calls

@@ -15,9 +15,10 @@ from efasynth.parser import parse_file, parse_spec, unparse
 from efasynth import synthesis
 from efasynth.bdd import BddManager
 from efasynth.synthesis import (
-    PRESETS, FixedPointEngine, SynthesisConfig, _count_states, synthesize,
+    PRESETS, FixedPointEngine, SynthesisConfig, _count_states, _merge_events,
+    synthesize,
 )
-from efasynth.encode import _merge_events, build_symbolic
+from efasynth.encode import build_symbolic
 from efasynth.transform import linearize, plantify
 from efasynth.varorder import compute_order
 
@@ -218,7 +219,7 @@ def test_unknown_preset_rejected():
 def test_config_rejects_unknown_values(producer_model, field):
     with pytest.raises(ValueError, match="bogus"):
         SynthesisConfig(**{field: "bogus"})
-    if field in ("granularity", "plant_inv"):
+    if field == "plant_inv":
         order = compute_order(producer_model, "model")
         with pytest.raises(ValueError, match="bogus"):
             build_symbolic(producer_model, order, **{field: "bogus"})
@@ -278,13 +279,13 @@ def test_engine_caches_survive_edge_copies(producer_model):
     config = SynthesisConfig.preset("v40")
     sym = build_symbolic(
         producer_model, compute_order(producer_model, config.order),
-        plant_inv=config.plant_inv, granularity=config.granularity,
+        plant_inv=config.plant_inv,
     )
     mgr = sym.manager
 
     def plant_states(engine, guard):
         edges = [
-            dataclasses.replace(e, guard=guard(e)) for e in sym.base_edges
+            dataclasses.replace(e, guard=guard(e)) for e in sym.edges
         ]
         reach = engine.reach(sym.initial, edges, mgr.true, backward=False)
         return mgr.sat_count(reach, sym.enc.state_levels)
@@ -317,7 +318,7 @@ def strengthened_edges(result):
         dataclasses.replace(
             e, guard=mgr.relprev(result.controlled, e.guard & e.update)
         ) if e.controllable and not e.is_input else e
-        for e in result.sym.base_edges
+        for e in result.sym.edges
     ]
 
 
@@ -329,7 +330,7 @@ def reach_counts(result):
     levels = sym.enc.state_levels
     engine = FixedPointEngine(sym, result.config)
     plant_edges = [
-        dataclasses.replace(e, guard=e.guard_plant) for e in sym.base_edges
+        dataclasses.replace(e, guard=e.guard_plant) for e in sym.edges
     ]
     us = engine.reach(sym.initial, plant_edges, mgr.true, backward=False)
     cs = engine.reach(
@@ -373,7 +374,12 @@ def test_state_counts_agree_with_engine_reach(models_dir, families, name):
 ])
 def test_event_guards_are_unions_of_per_edge_guards(models_dir, families,
                                                     name):
-    model = lin(parse_spec(model_text(models_dir, families, name)))
+    # Granularity, edge application and early stopping change how the
+    # fixed points iterate, not where they end: the emitted supervisor
+    # depends on the forward stage and the plant-invariant mode alone.
+    plant = plantify(parse_spec(model_text(models_dir, families, name)))
+    model, _ = linearize(plant)
+    emitted = {}
     for config in all_toggles():
         result = synthesize(model, config)
         mgr = result.manager
@@ -383,6 +389,28 @@ def test_event_guards_are_unions_of_per_edge_guards(models_dir, families,
             if edge.controllable:
                 unions[edge.event] = unions[edge.event] | edge.guard
         assert result.event_guards == unions, config
+        text = unparse(emit(plant, result))
+        key = (config.forward, config.plant_inv)
+        assert emitted.setdefault(key, text) == text, config
+    assert len(emitted) == 4
+
+
+@pytest.mark.parametrize("granularity", ["edge", "event"])
+def test_engine_owns_the_relations_it_merges(producer_model, granularity):
+    # Under 'event' the engine merges the model's edges and holds the
+    # merged relations until it closes; under 'edge' it reaches over the
+    # model's edges themselves.
+    sym = build_symbolic(producer_model, compute_order(producer_model, "model"))
+    mgr = sym.manager
+    live = mgr.live_nodes
+    engine = FixedPointEngine(sym, SynthesisConfig(granularity=granularity))
+    if granularity == "edge":
+        assert engine.edges is sym.edges
+    else:
+        assert len(engine.edges) < len(sym.edges)
+        assert mgr.live_nodes > live
+    engine.close()
+    assert mgr.live_nodes == live
 
 
 COUNTER = """
@@ -424,7 +452,7 @@ def plain_counts(sym, behavior, strengthened):
         sym, SynthesisConfig(edge_apply="compound", early_stop=True)
     )
     plant_edges = [
-        dataclasses.replace(e, guard=e.guard_plant) for e in sym.base_edges
+        dataclasses.replace(e, guard=e.guard_plant) for e in sym.edges
     ]
 
     def count(start, edges, restriction):
@@ -560,15 +588,21 @@ def test_projected_counts_match_plain_counts_and_oracle(monkeypatch):
     # that saturates merges its edges once, the plant count first; a
     # nonempty run with the forward stage counts its behavior as it is, so
     # only the plant count merges, and plant invariants that no state
-    # satisfies leave nothing to count.
+    # satisfies leave nothing to count.  The fixed-point engine merges
+    # too; only merges made while counting are recorded.
     paths = set()
     count_states, merge = synthesis._count_states, synthesis._merge_events
     merged = []
+    counting = []
     boxes_kept = []
 
     def count_spy(sym, behavior, closed=False):
         merged.clear()
-        counts = count_states(sym, behavior, closed)
+        counting.append(True)
+        try:
+            counts = count_states(sym, behavior, closed)
+        finally:
+            counting.pop()
         assert len(merged) == (0 if sym.pp.is_false else 1 if closed else 2)
         # A projected plant count means (P) holds.  Then every behavior
         # with a surviving initial state keeps all of an input box or none
@@ -584,8 +618,9 @@ def test_projected_counts_match_plain_counts_and_oracle(monkeypatch):
         return counts
 
     def merge_spy(enc, events, edges):
-        paths.add((not merged, not any(e.is_input for e in edges)))
-        merged.append(edges)
+        if counting:
+            paths.add((not merged, not any(e.is_input for e in edges)))
+            merged.append(edges)
         return merge(enc, events, edges)
 
     monkeypatch.setattr(synthesis, "_count_states", count_spy)
@@ -721,7 +756,7 @@ def test_projected_count_stays_inside_the_care_set():
     (i,) = sym.enc.bits("i")
     behavior = mgr.negate(x1) & (mgr.negate(x0) | mgr.negate(i)) | x1
     assert _count_states(sym, behavior) == (5, 2)
-    assert plain_counts(sym, behavior, sym.base_edges) == (5, 2)
+    assert plain_counts(sym, behavior, sym.edges) == (5, 2)
 
 
 @pytest.mark.parametrize("forward", [False, True])
