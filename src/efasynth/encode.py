@@ -516,4 +516,3 @@ def edges_by_event(edges: list[SymEdge]) -> dict[str, list[SymEdge]]:
     for edge in edges:
         by_event.setdefault(edge.event, []).append(edge)
     return by_event
-

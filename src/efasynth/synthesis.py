@@ -370,8 +370,9 @@ def _event_guards(
 ) -> dict[str, NodeRef]:
     """Per controllable event, the union over its edges of the preimage of
     ``behavior`` under the edge's ``guard & update``: the steps that stay
-    inside the behavior.  The running union is a registered root between
-    operations, and each guard comes back registered."""
+    inside the behavior.  Each preimage joins the running union inside its
+    product (``into``); the union is a registered root between products,
+    and each guard comes back registered."""
     mgr = engine.mgr
     by_event = edges_by_event(engine.sym.edges)
     guards = {}
@@ -381,7 +382,7 @@ def _event_guards(
         guard = mgr.false
         for edge in by_event.get(name, ()):
             new = mgr.register_root(
-                guard | mgr.relprev(behavior, engine.relation(edge))
+                mgr.relprev(behavior, engine.relation(edge), into=guard)
             )
             mgr.release_root(guard)
             guard = new

@@ -862,38 +862,38 @@ agv_mutex           on  off naive     1761 469  1086  146     -   44 1  23 2  39
 agv_mutex           on  off compound   735 469   163   45     -   42 1  23 2  206  91
 agv_mutex           on  on  naive     4878 469  1814  250  2269   54 2  87 5  499  91
 agv_mutex           on  on  compound  1374 469   313   92   425   53 2  87 5  241  91
-cat_mouse           off off naive      811 139   554   81     -   31 2  36 4  124   6
-cat_mouse           off off compound   328 139   123   30     -   30 2  36 4   72   6
-cat_mouse           off on  naive     1026 139   503   81   266   31 2  60 6  124   6
-cat_mouse           off on  compound   359 139   123   30    31   30 2  60 6   72   6
-cat_mouse           on  off naive      808 139   554   78     -   31 2  30 3  124   6
-cat_mouse           on  off compound   325 139   123   27     -   30 2  30 3   72   6
-cat_mouse           on  on  naive     1023 139   503   78   266   31 2  41 4  124   6
-cat_mouse           on  on  compound   356 139   123   27    31   30 2  41 4   72   6
-dining_philosophers off off naive    29831 459 28065  149     - 1145 2 270 4 1862 241
-dining_philosophers off off compound  8671 459  6928  149     - 1122 2 270 4  643 241
-dining_philosophers off on  naive    34724 459 26711  149  6259 1133 2 330 6 1862 241
-dining_philosophers off on  compound  9010 459  6923  149   344 1122 2 330 6  643 241
-dining_philosophers on  off naive    21075 459 19309  149     - 1145 1 125 2 1041 241
-dining_philosophers on  off compound  5541 459  3798  149     - 1122 1 125 2  643 241
-dining_philosophers on  on  naive    27322 459 19309  149  6259 1133 1 154 3 1755 241
-dining_philosophers on  on  compound  5885 459  3798  149   344 1122 1 154 3  643 241
-producer_consumer   off off naive     6766 794  5429  362     -  169 2 158 4  765 249
+cat_mouse           off off naive      806 139   554   81     -   26 2  36 4  124   6
+cat_mouse           off off compound   322 139   123   30     -   24 2  36 4   72   6
+cat_mouse           off on  naive     1021 139   503   81   266   26 2  60 6  124   6
+cat_mouse           off on  compound   353 139   123   30    31   24 2  60 6   72   6
+cat_mouse           on  off naive      803 139   554   78     -   26 2  30 3  124   6
+cat_mouse           on  off compound   319 139   123   27     -   24 2  30 3   72   6
+cat_mouse           on  on  naive     1018 139   503   78   266   26 2  41 4  124   6
+cat_mouse           on  on  compound   350 139   123   27    31   24 2  41 4   72   6
+dining_philosophers off off naive    29648 459 28065  149     -  962 2 270 4 1862 241
+dining_philosophers off off compound  8482 459  6928  149     -  933 2 270 4  643 241
+dining_philosophers off on  naive    34553 459 26711  149  6259  962 2 330 6 1862 241
+dining_philosophers off on  compound  8821 459  6923  149   344  933 2 330 6  643 241
+dining_philosophers on  off naive    20892 459 19309  149     -  962 1 125 2 1041 241
+dining_philosophers on  off compound  5352 459  3798  149     -  933 1 125 2  643 241
+dining_philosophers on  on  naive    27151 459 19309  149  6259  962 1 154 3 1755 241
+dining_philosophers on  on  compound  5696 459  3798  149   344  933 1 154 3  643 241
+producer_consumer   off off naive     6765 794  5429  362     -  168 2 158 4  765 249
 producer_consumer   off off compound  2870 794  1782  159     -  123 2 158 4  348 249
-producer_consumer   off on  naive    19113 794  6772 1019 10254  253 2 354 6 1155 249
-producer_consumer   off on  compound  7272 794  1765  466  4000  226 2 354 6  450 249
-producer_consumer   on  off naive     5112 794  3775  362     -  169 1  79 2  601 249
+producer_consumer   off on  naive    19112 794  6772 1019 10254  252 2 354 6 1155 249
+producer_consumer   off on  compound  7269 794  1765  466  4000  223 2 354 6  450 249
+producer_consumer   on  off naive     5111 794  3775  362     -  168 1  79 2  601 249
 producer_consumer   on  off compound  2152 794  1064  159     -  123 1  79 2  348 249
-producer_consumer   on  on  naive    16376 794  6772 1019  7517  253 2 254 5 1043 249
-producer_consumer   on  on  compound  5568 794  1765  466  2296  226 2 254 5  437 249
+producer_consumer   on  on  naive    16375 794  6772 1019  7517  252 2 254 5 1043 249
+producer_consumer   on  on  compound  5565 794  1765  466  2296  223 2 254 5  437 249
 sensor_input        off off naive      523 159   325   23     -   13 2  20 4  147  30
-sensor_input        off off compound   250 159    70    5     -   13 2  20 4   82  30
+sensor_input        off off compound   249 159    70    5     -   12 2  20 4   82  30
 sensor_input        off on  naive     1380 159   422  104   670   20 2  60 6  193  30
-sensor_input        off on  compound   476 159    71   32   188   21 2  60 6   89  30
+sensor_input        off on  compound   475 159    71   32   188   20 2  60 6   89  30
 sensor_input        on  off naive      481 159   283   23     -   13 1  10 2  147  30
-sensor_input        on  off compound   233 159    53    5     -   13 1  10 2   82  30
+sensor_input        on  off compound   232 159    53    5     -   12 1  10 2   82  30
 sensor_input        on  on  naive     1256 159   422  104   546   20 2  38 5  179  30
-sensor_input        on  on  compound   404 159    71   32   116   21 2  38 5   87  30
+sensor_input        on  on  compound   403 159    71   32   116   20 2  38 5   87  30
 empty               off off naive       68  35    11   22     -    0 1   5 2   15   0
 empty               off off compound    41  35     0    6     -    0 1   5 2   13   0
 empty               off on  naive       68  35    11   22     0    0 1   5 2   15   0
