@@ -378,7 +378,8 @@ def test_event_guards_are_unions_of_per_edge_guards(models_dir, families,
     # fixed points iterate, not where they end: the emitted supervisor
     # depends on the forward stage and the plant-invariant mode alone.
     plant = plantify(parse_spec(model_text(models_dir, families, name)))
-    model, _ = linearize(plant)
+    model, diags = linearize(plant)
+    assert not diags
     emitted = {}
     for config in all_toggles():
         result = synthesize(model, config)
