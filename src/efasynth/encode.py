@@ -345,7 +345,8 @@ class SymEdge:
     error: NodeRef  # encoded-range overflow of the raw updates
     update: NodeRef  # partial relation over the assigned variables' pairs
     assigned: frozenset[str]
-    # guard without requirement conditions; None on a merged edge
+    # guard without requirement conditions, read by emission and the plant
+    # count; set by build_symbolic
     guard_plant: NodeRef = None
     is_input: bool = False
 
@@ -510,9 +511,10 @@ def build_symbolic(
     return sym
 
 
-def edges_by_event(edges: list[SymEdge]) -> dict[str, list[SymEdge]]:
-    """The edges of each event, in the order of ``edges``."""
-    by_event: dict[str, list[SymEdge]] = {}
+def edges_by_event(edges: list) -> dict[str, list]:
+    """The edges of each event, in the order of ``edges``; any items with
+    an ``event`` field group alike (the synthesis relations do)."""
+    by_event: dict[str, list] = {}
     for edge in edges:
         by_event.setdefault(edge.event, []).append(edge)
     return by_event

@@ -32,22 +32,25 @@ combinations of application and stopping rule compute the same sets; they
 differ in the operation and node counts reported by the manager, which is
 the point of keeping them.
 
-The stages reach over ``FixedPointEngine.edges``: the model's edges
-(``sym.edges``), or under ``granularity`` 'event' one relation per event
-that the engine merges from them and holds until it is closed; like the
-two toggles above, this moves counters, not results.  Guard strengthening,
-emission and state counting read the per-edge relations under both:
-emission and the plant count need each edge's plant guard, which a merged
-edge lacks, and a merged relation would strengthen no differently, as its
-preimage is the union of its branches' preimages.
+Every transition relation comes from one builder, :func:`relations`: a
+disjunctive partition after Burch, Clarke & Long (VLSI 1991), with one
+:class:`Relation` per edge, or one per event that unites the framed
+branches of its edges.  The engine builds its relations once, per edge or,
+under ``granularity`` 'event', per event, and holds them until it is
+closed; like the two toggles above, granularity moves counters, not
+results.  The stages reach over the engine's relations and guard
+strengthening reads them too.  Emission and the plant count read the
+model's edges (``sym.edges``) instead, for each edge's plant guard, which
+a relation does not keep.
 
 Once the behavior is stable, each controllable event gets one guard: the
-union over its edges of the preimage of the behavior under the edge's
-guard and update.  Each preimage lies inside its edge's guard, so the
-union allows exactly the steps of the event that stay inside the
-behavior, and the emitted model blocks the rest.  Only the running union
-is a registered root, so the guards hold live nodes per event, not per
-edge.
+union over the event's relations of the preimage of the behavior.  Under
+'event' that is one preimage of the merged relation, which equals the
+union of its branches' preimages; each of those lies inside its edge's
+guard, so the union allows exactly the steps of the event that stay
+inside the behavior, and the emitted model blocks the rest.  Only the
+running union is a registered root, so the guards hold live nodes per
+event, not per relation.
 
 State counting runs after the headline metrics are frozen: the
 uncontrolled count walks the plant guards (requirement conditions
@@ -57,9 +60,10 @@ there; after a nonempty run with the forward stage the behavior is that
 reach already and is counted as it is.
 Reachable states are a unique least fixed point, so counting uses one
 method under every configuration, whatever ``granularity``,
-``edge_apply`` and ``early_stop`` say: the edges merged per event and
-saturation (:meth:`BddManager.saturate`), which fires each event relation
-on the sub-diagrams that start at its top level.  It calls no
+``edge_apply`` and ``early_stop`` say: one relation per event from
+:func:`relations` and saturation (:meth:`BddManager.saturate`), which
+fires each event relation on the sub-diagrams that start at its top
+level.  It calls no
 :class:`FixedPointEngine`, so ``reach_calls`` and ``edge_applications``
 count synthesis alone, and it runs on an empty computed cache, so its
 operations do not depend on what synthesis cached.  On a model with input
@@ -84,15 +88,14 @@ from dataclasses import dataclass, field
 
 from .bdd import BddManager, NodeRef
 from .encode import (
-    PLANT_INVS, SymEdge, SymbolicModel, build_symbolic, combine,
-    edges_by_event,
+    PLANT_INVS, SymbolicModel, build_symbolic, combine, edges_by_event,
 )
 from .transform import LinearModel
 from . import varorder
 
 __all__ = [
     "CHOICES", "PRESETS", "SynthesisConfig", "SynthesisResult",
-    "FixedPointEngine", "synthesize",
+    "FixedPointEngine", "Relation", "relations", "synthesize",
 ]
 
 
@@ -210,48 +213,61 @@ def _iterate(mgr: BddManager, steps, acc: NodeRef, early_stop: bool,
         mgr.release_root(acc)
 
 
-def _odd_levels(enc, assigned: frozenset[str]) -> tuple[int, ...]:
-    """The next-state levels of the variables named in ``assigned``."""
-    return tuple(
-        lvl + 1 for name in sorted(assigned) for lvl in enc.by_name[name].levels
-    )
+@dataclass(frozen=True)
+class Relation:
+    """One part of a disjunctive transition relation: one edge, or every
+    edge of one event (see :func:`relations`)."""
+
+    event: str
+    controllable: bool
+    rel: NodeRef  # the union of the branches' guard & update
+    assigned: frozenset[str]
+    # the odd levels of ``assigned``, passed to every product explicitly:
+    # a union of branches can lose an assigned bit from its support
+    levels: tuple[int, ...]
 
 
-def _merge_events(enc, events, edges) -> list[SymEdge]:
-    """One relation per event, framing each branch's unassigned variables
-    so partial-relation semantics still hold.
+def relations(enc, events, edges, per_event: bool) -> list[Relation]:
+    """One relation per edge of ``edges``, or with ``per_event`` one per
+    event of ``events`` that has edges, in the order of ``events``.
 
-    A merged edge carries its relation alone, in the shape of an input
-    edge: guard true, error false, and the union of the framed branches
-    ``guard & update`` as its update.  Each branch implies its guard, so a
-    guard union would add nothing to the relation.
+    The relation of a group of edges is the union of each branch's
+    ``guard & update``, framing in each branch the variables that the
+    other branches assign, so partial-relation semantics still hold.  Each
+    branch implies its guard, so the relation needs no separate guard.
     """
     mgr = enc.manager
-    by_event = edges_by_event(edges)
-    merged = []
-    for name, controllable in events:
-        group = by_event.get(name, [])
-        if not group:
-            continue
-        if len(group) == 1:
-            merged.append(group[0])
-            continue
+    if per_event:
+        by_event = edges_by_event(edges)
+        groups = [by_event[name] for name, _ in events if name in by_event]
+    else:
+        groups = [[edge] for edge in edges]
+    out = []
+    for group in groups:
         assigned = frozenset().union(*(e.assigned for e in group))
-        update = mgr.false
+        rel = mgr.false
         for edge in group:
             branch = edge.guard & edge.update
             for var in sorted(assigned - edge.assigned):
                 branch = branch & enc.frame(var)
-            update = update | branch
-        merged.append(SymEdge(
-            name, controllable, mgr.true, mgr.false, update, assigned,
-            is_input=group[0].is_input,
+            rel = rel | branch
+        levels = tuple(
+            lvl + 1 for name in sorted(assigned)
+            for lvl in enc.by_name[name].levels
+        )
+        out.append(Relation(
+            group[0].event, group[0].controllable, rel, assigned, levels,
         ))
-    return merged
+    return out
 
 
 class FixedPointEngine:
-    """Reachability with selectable application and stopping strategy."""
+    """Reachability with selectable application and stopping strategy.
+
+    The engine builds its relations once, per edge or per event as
+    ``granularity`` says, and holds them, with the framed relations of
+    naive application, until it is closed.
+    """
 
     def __init__(self, sym: SymbolicModel, config: SynthesisConfig):
         self.sym = sym
@@ -260,60 +276,38 @@ class FixedPointEngine:
         self.enc = sym.enc
         self.edge_applications = 0
         self.reach_calls = 0
-        # Keyed by the values each entry is computed from, so that edge
-        # copies with equal fields share an entry and distinct ones never do.
-        self._partial: dict[tuple, NodeRef] = {}
-        self._total: dict[tuple, NodeRef] = {}
-        self._levels: dict[frozenset[str], tuple[int, ...]] = {}
-        self._rooted: list[NodeRef] = []
         enc = self.enc
         self._up = {lvl: lvl + 1 for lvl in enc.state_levels}
         self._down = {lvl + 1: lvl for lvl in enc.state_levels}
-        self.edges = sym.edges
-        if config.granularity == "event":
-            self.edges = _merge_events(enc, sym.events, sym.edges)
-            for edge in self.edges:
-                self._root(edge.update)
+        self.relations = relations(
+            enc, sym.events, sym.edges, config.granularity == "event"
+        )
+        self._rooted = [self.mgr.register_root(r.rel) for r in self.relations]
+        # keyed by value, so equal relations share their framed relation
+        self._framed: dict[Relation, NodeRef] = {}
 
     def close(self) -> None:
         for ref in self._rooted:
             self.mgr.release_root(ref)
         self._rooted.clear()
-        self._partial.clear()
-        self._total.clear()
-        self._levels.clear()
+        self._framed.clear()
 
-    def _root(self, ref: NodeRef) -> NodeRef:
-        self.mgr.register_root(ref)
-        self._rooted.append(ref)
-        return ref
-
-    def relation(self, edge: SymEdge) -> NodeRef:
-        """Partial transition relation: guard and update."""
-        key = (edge.guard, edge.update)
-        t = self._partial.get(key)
-        if t is None:
-            t = self._root(edge.guard & edge.update)
-            self._partial[key] = t
-        return t
-
-    def total_relation(self, edge: SymEdge) -> NodeRef:
+    def framed(self, r: Relation) -> NodeRef:
         """The naive relation: every unassigned variable framed explicitly."""
-        key = (edge.guard, edge.update, edge.assigned)
-        t = self._total.get(key)
+        t = self._framed.get(r)
         if t is None:
-            t = self.relation(edge)
+            t = r.rel
             for sym in self.enc.symvars:
-                if sym.var.name not in edge.assigned:
+                if sym.var.name not in r.assigned:
                     t = t & self.enc.frame(sym.var.name)
-            t = self._root(t)
-            self._total[key] = t
+            self._rooted.append(self.mgr.register_root(t))
+            self._framed[r] = t
         return t
 
-    # -- one application of one edge to the accumulated set
+    # -- one application of one relation to the accumulated set
 
-    def _apply_naive(self, gur, edge, restriction, backward, acc):
-        # gur is total_relation(edge) & restriction, and every guard
+    def _apply_naive(self, gur, restriction, backward, acc):
+        # gur is the framed relation & restriction, and every guard
         # excludes its edge's range errors already
         mgr = self.mgr
         if backward:
@@ -324,37 +318,27 @@ class FixedPointEngine:
         img = mgr.replace(mid, self._down)
         return acc | (img & restriction)
 
-    def assigned_levels(self, edge: SymEdge) -> tuple[int, ...]:
-        """Odd levels the edge assigns.  Passed explicitly because a merged
-        relation can lose an assigned bit from its support."""
-        levels = self._levels.get(edge.assigned)
-        if levels is None:
-            levels = _odd_levels(self.enc, edge.assigned)
-            self._levels[edge.assigned] = levels
-        return levels
-
-    def _apply_compound(self, rel, edge, restriction, backward, acc):
+    def _apply_compound(self, r, restriction, backward, acc):
         product = self.mgr.relprev if backward else self.mgr.relnext
-        return product(acc, rel, constrain=restriction,
-                       assigned=self.assigned_levels(edge), into=acc)
+        return product(acc, r.rel, constrain=restriction, assigned=r.levels,
+                       into=acc)
 
-    def reach(self, start, edges, restriction, backward: bool) -> NodeRef:
-        """Least fixed point of ``start | step(...) & restriction``."""
+    def reach(self, start, rels, restriction, backward: bool) -> NodeRef:
+        """Least fixed point of ``start | step(...) & restriction`` under
+        the relations ``rels``."""
         self.reach_calls += 1
         mgr = self.mgr
         acc = mgr.register_root(start & restriction)
         if self.config.edge_apply == "naive":
             apply = self._apply_naive
             rels = call_roots = [
-                mgr.register_root(self.total_relation(edge) & restriction)
-                for edge in edges
+                mgr.register_root(self.framed(r) & restriction) for r in rels
             ]
         else:
-            apply = self._apply_compound
-            rels, call_roots = [self.relation(edge) for edge in edges], []
+            apply, call_roots = self._apply_compound, []
         steps = [
-            functools.partial(apply, rel, edge, restriction, backward)
-            for rel, edge in zip(rels, edges)
+            functools.partial(apply, rel, restriction, backward)
+            for rel in rels
         ]
         try:
             acc, runs = _iterate(mgr, steps, acc, self.config.early_stop)
@@ -368,22 +352,22 @@ class FixedPointEngine:
 def _event_guards(
     engine: FixedPointEngine, behavior: NodeRef
 ) -> dict[str, NodeRef]:
-    """Per controllable event, the union over its edges of the preimage of
-    ``behavior`` under the edge's ``guard & update``: the steps that stay
-    inside the behavior.  Each preimage joins the running union inside its
+    """Per controllable event, the union over the engine's relations of
+    the event of the preimage of ``behavior``: the steps that stay inside
+    the behavior.  Each preimage joins the running union inside its
     product (``into``); the union is a registered root between products,
     and each guard comes back registered."""
     mgr = engine.mgr
-    by_event = edges_by_event(engine.sym.edges)
+    by_event = edges_by_event(engine.relations)
     guards = {}
     for name, controllable in engine.sym.events:
         if not controllable:
             continue
         guard = mgr.false
-        for edge in by_event.get(name, ()):
-            new = mgr.register_root(
-                mgr.relprev(behavior, engine.relation(edge), into=guard)
-            )
+        for r in by_event.get(name, ()):
+            new = mgr.register_root(mgr.relprev(
+                behavior, r.rel, assigned=r.levels, into=guard,
+            ))
             mgr.release_root(guard)
             guard = new
         guards[name] = guard
@@ -396,18 +380,18 @@ def _synthesize_behavior(engine: FixedPointEngine):
     sym = engine.sym
     mgr = engine.mgr
     config = engine.config
-    edges = engine.edges
-    unc = [e for e in edges if not e.controllable]
+    rels = engine.relations
+    unc = [r for r in rels if not r.controllable]
 
     def nonblocking(c):
-        return engine.reach(sym.marked, edges, c, backward=True)
+        return engine.reach(sym.marked, rels, c, backward=True)
 
     def controllability(c):
         bad = engine.reach(mgr.negate(c), unc, mgr.true, backward=True)
         return mgr.negate(bad)
 
     def forward(c):
-        return engine.reach(sym.initial, edges, c, backward=False)
+        return engine.reach(sym.initial, rels, c, backward=False)
 
     stages = {"nonblocking": nonblocking, "controllability": controllability}
     if config.forward:
@@ -436,8 +420,8 @@ def _synthesize_behavior(engine: FixedPointEngine):
 
 def _count_states(sym: SymbolicModel, behavior, closed: bool = False):
     """Uncontrolled and controlled reachable state counts, by saturation
-    (:meth:`BddManager.saturate`) over the edges merged per event, whatever
-    the run's configuration says.
+    (:meth:`BddManager.saturate`) over one relation per event from
+    :func:`relations`, whatever the run's configuration says.
 
     Each count is the least fixed point ``R`` of ``start & restriction``
     under every event relation, kept inside ``restriction``; ``start`` lies
@@ -520,16 +504,16 @@ def _count_states(sym: SymbolicModel, behavior, closed: bool = False):
     ))
     pp_free = mgr.exists(sym.pp, inputs)
 
-    def relations(edges, project):
-        """``(guard & update, assigned odd levels)`` per event, simplified
+    def simplified(edges, project):
+        """``(relation, assigned odd levels)`` per event, simplified
         against ``pp``, with the inputs quantified out of ``pp & relation``
         and the result simplified against ``pp_free`` when ``project``."""
         out = []
-        for edge in _merge_events(enc, sym.events, edges):
-            rel = mgr.restrict(edge.guard & edge.update, sym.pp)
+        for r in relations(enc, sym.events, edges, per_event=True):
+            rel = mgr.restrict(r.rel, sym.pp)
             if project:
                 rel = mgr.restrict(mgr.exists(sym.pp & rel, inputs), pp_free)
-            out.append((rel, _odd_levels(enc, edge.assigned)))
+            out.append((rel, r.levels))
         return out
 
     def count(start, edges, restriction):
@@ -538,11 +522,11 @@ def _count_states(sym: SymbolicModel, behavior, closed: bool = False):
             free = mgr.exists(care, inputs)
             reached = mgr.saturate(
                 mgr.exists(start, inputs),
-                relations([e for e in edges if not e.is_input], True),
+                simplified([e for e in edges if not e.is_input], True),
                 free,
             )
             return mgr.sat_count(reached & care, enc.state_levels)
-        reached = mgr.saturate(start, relations(edges, False), restriction)
+        reached = mgr.saturate(start, simplified(edges, False), restriction)
         return mgr.sat_count(reached, enc.state_levels)
 
     if closed:
@@ -560,7 +544,8 @@ def synthesize(
     order = varorder.compute_order(model, config.order)
     sym = build_symbolic(model, order, plant_inv=config.plant_inv)
     mgr = sym.manager
-    # the engine merges its relations here, so the merge counts as encoding
+    # the engine builds its relations here, so building them counts as
+    # encoding
     engine = FixedPointEngine(sym, config)
 
     encode_ops = mgr.op_total

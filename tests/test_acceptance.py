@@ -22,7 +22,7 @@ from efasynth.synthesis import (
     FixedPointEngine,
     SynthesisConfig,
     _event_guards,
-    _merge_events,
+    relations,
     synthesize,
 )
 from efasynth.emit import emit
@@ -30,7 +30,7 @@ from efasynth.transform import linearize, plantify
 from efasynth.varorder import compute_order, dsm_matrix, hyperedges
 
 from test_bdd import fresh, from_table, naive_image, naive_preimage, random_relation
-from test_encode import MERGE_VARS, merge_example_edges
+from test_encode import MERGE_VARS, gapped_example_edges, merge_example_edges
 from test_oracle import lin
 from test_synthesis import CHAIN, strengthened_edges
 
@@ -127,14 +127,35 @@ def test_variable_relation_weights(models_dir):
 def test_same_event_relation_merge():
     model = lin(parse_spec(MERGE_VARS))
     enc = Encoding(model, [0, 1, 2])
+    mgr = enc.manager
     e1, e2 = merge_example_edges(enc)
-    (merged,) = _merge_events(enc, [("e", True)], [e1, e2])
+    (merged,) = relations(enc, [("e", True)], [e1, e2], per_event=True)
+    # each branch frames the variable that the other one assigns
     want = (e1.guard & e1.update & enc.frame("z")) | (
         e2.guard & e2.update & enc.frame("y")
     )
-    assert merged.guard.is_true
-    assert merged.update == want
+    assert merged.rel == want
+    assert (merged.event, merged.controllable) == ("e", True)
     assert merged.assigned == frozenset({"y", "z"})
+    assert merged.levels == tuple(
+        lvl + 1 for name in ("y", "z") for lvl in enc.by_name[name].levels
+    )
+    # Images and preimages over the whole domain are the unions of the
+    # branches', with guards that overlap (x <= 4, x >= 4) and with guards
+    # that leave x = 3, 4 disabled (x <= 2, x >= 5).
+    p = enc.domain_predicate()
+    # y even and z odd, so every branch's assignment decides membership
+    target = (p & mgr.nvar(enc.by_name["y"].levels[0])
+              & mgr.var(enc.by_name["z"].levels[0]))
+    for b1, b2 in ((e1, e2), gapped_example_edges(enc)):
+        (merged,) = relations(enc, [("e", True)], [b1, b2], per_event=True)
+        t1, t2 = b1.guard & b1.update, b2.guard & b2.update
+        images = mgr.relnext(p, t1) | mgr.relnext(p, t2)
+        assert not images.is_false
+        assert mgr.relnext(p, merged.rel, assigned=merged.levels) == images
+        pre = mgr.relprev(target, t1) | mgr.relprev(target, t2)
+        assert not pre.is_false
+        assert mgr.relprev(target, merged.rel, assigned=merged.levels) == pre
 
 
 # ----------------------------------------------------------------------
@@ -179,7 +200,7 @@ def test_early_stop_saves_edge_applications():
         )
         engine = FixedPointEngine(sym, config)
         fixed_points[early_stop] = engine.reach(
-            sym.initial, sym.edges, sym.manager.true, backward=True
+            sym.initial, engine.relations, sym.manager.true, backward=True
         )
         applications[early_stop] = engine.edge_applications
         engine.close()
@@ -453,27 +474,31 @@ def test_synthesis_invariant_suite(models_dir):
 
             engine = FixedPointEngine(sym, result.config)
             # fixed-point idempotence of both stages
-            assert engine.reach(sym.marked, engine.edges, behavior, backward=True) == behavior
-            unc = [e for e in engine.edges if not e.controllable]
+            rels = engine.relations
+            assert engine.reach(sym.marked, rels, behavior, backward=True) == behavior
+            unc = [r for r in rels if not r.controllable]
             bad = engine.reach(mgr.negate(behavior), unc, mgr.true, backward=True)
             assert mgr.negate(bad) == behavior
 
             # controllability, stated on raw transitions: no uncontrollable
             # step (and no uncontrollable range error) leaves the behavior
-            for edge in sym.edges:
+            per_edge = relations(sym.enc, sym.events, sym.edges, False)
+            for edge, r in zip(sym.edges, per_edge):
                 if edge.controllable and not edge.is_input:
                     continue
                 assert (behavior & sym.pp & edge.error).is_false
-                succ = mgr.relnext(behavior & sym.pp, engine.relation(edge))
+                succ = mgr.relnext(behavior & sym.pp, r.rel, assigned=r.levels)
                 assert (succ & sym.pp & mgr.negate(behavior)).is_false
 
             # nonblocking: every controlled reachable state coreaches a mark
+            strengthened = relations(
+                sym.enc, sym.events, strengthened_edges(result), False
+            )
             reachable = engine.reach(
-                sym.initial & behavior, strengthened_edges(result), behavior,
-                backward=False,
+                sym.initial & behavior, strengthened, behavior, backward=False
             )
             coreachable = engine.reach(
-                sym.marked, engine.edges, behavior, backward=True
+                sym.marked, rels, behavior, backward=True
             )
             assert (reachable & mgr.negate(coreachable)).is_false
 

@@ -8,12 +8,12 @@ from hypothesis import given, strategies as st
 
 from efasynth.bdd import BddManager
 from efasynth.encode import (
-    Encoding, build_symbolic, bv_add, bv_const, bv_eq, bv_lt, bv_mod,
-    bv_sub, compile_edges,
+    Encoding, SymEdge, build_symbolic, bv_add, bv_const, bv_eq, bv_lt,
+    bv_mod, bv_sub, compile_edges,
 )
 from efasynth.model import BinaryOp, BoolLit, IntLit, UnaryOp, VarRef, eval_expr
 from efasynth.parser import parse_file, parse_spec
-from efasynth.synthesis import FixedPointEngine, SynthesisConfig, _merge_events
+from efasynth.synthesis import FixedPointEngine, SynthesisConfig, relations
 from efasynth.transform import linearize, plantify
 
 
@@ -186,7 +186,8 @@ def test_chain_encodes_in_linear_operations():
               for i in range(1, n)]
     model = lin("\n".join(lines + ["}"]))
     sym = build_symbolic(model, list(range(n)))
-    # no event has two edges, so merging per event costs nothing
+    # no event has two edges, and target enforcement built each edge's
+    # guard & update already, so the engine's relations cost nothing
     FixedPointEngine(sym, SynthesisConfig(granularity="event")).close()
     assert sym.manager.op_total == 5 * n - 3
     assert sym.manager.size(sym.initial) == n
@@ -352,34 +353,34 @@ plant m {
 """
 
 
-def merge_example_edges(enc):
-    """Two same-event edges with disjoint update targets, guards x<=4/x>=4."""
-    from efasynth.encode import SymEdge
-    from efasynth.model import BinaryOp, IntLit, VarRef
-
+def same_event_edges(enc, lo, hi, rhs_y, rhs_z):
+    """Two edges of event ``e``: ``x <= lo`` assigning ``y := rhs_y`` and
+    ``x >= hi`` assigning ``z := rhs_z``."""
     mgr = enc.manager
-    g1 = enc.compile_pred(BinaryOp("<=", VarRef("x"), IntLit(4)))
-    g2 = enc.compile_pred(BinaryOp(">=", VarRef("x"), IntLit(4)))
-    u1, _ = enc.assignment("y", BinaryOp("+", VarRef("y"), IntLit(1)))
-    u2, _ = enc.assignment("z", BinaryOp("+", VarRef("z"), IntLit(1)))
+    g1 = enc.compile_pred(BinaryOp("<=", VarRef("x"), IntLit(lo)))
+    g2 = enc.compile_pred(BinaryOp(">=", VarRef("x"), IntLit(hi)))
+    u1, _ = enc.assignment("y", rhs_y)
+    u2, _ = enc.assignment("z", rhs_z)
     return [
         SymEdge("e", True, g1, mgr.false, u1, frozenset({"y"}), guard_plant=g1),
         SymEdge("e", True, g2, mgr.false, u2, frozenset({"z"}), guard_plant=g2),
     ]
 
 
-def test_event_merge_matches_documented_construction():
-    model = lin(MERGE_VARS)
-    enc = Encoding(model, [0, 1, 2])
-    e1, e2 = merge_example_edges(enc)
-    (merged,) = _merge_events(enc, [("e", True)], [e1, e2])
-    # the merged edge carries its relation alone, in its update
-    assert merged.guard.is_true and merged.error.is_false
-    assert merged.assigned == frozenset({"y", "z"})
-    want = (e1.guard & e1.update & enc.frame("z")) | (
-        e2.guard & e2.update & enc.frame("y")
+def merge_example_edges(enc):
+    """Two same-event edges with disjoint update targets, guards x<=4/x>=4."""
+    return same_event_edges(
+        enc, 4, 4, BinaryOp("+", VarRef("y"), IntLit(1)),
+        BinaryOp("+", VarRef("z"), IntLit(1)),
     )
-    assert merged.update == want
+
+
+def gapped_example_edges(enc):
+    """Two same-event edges, y := y - 1 and z := x, whose guards x<=2/x>=5
+    leave x = 3, 4 disabled."""
+    return same_event_edges(
+        enc, 2, 5, BinaryOp("-", VarRef("y"), IntLit(1)), VarRef("x"),
+    )
 
 
 def test_merged_relation_preserves_images():
@@ -389,7 +390,7 @@ def test_merged_relation_preserves_images():
     e1, e2 = merge_example_edges(enc)
     g1, u1 = e1.guard, e1.update
     g2, u2 = e2.guard, e2.update
-    (merged,) = _merge_events(enc, [("e", True)], [e1, e2])
+    (merged,) = relations(enc, [("e", True)], [e1, e2], per_event=True)
     # a concrete state: x=4, y=1, z=5 (both branches enabled)
     point = mgr.true
     for name, value in (("x", 4), ("y", 1), ("z", 5)):
@@ -397,33 +398,7 @@ def test_merged_relation_preserves_images():
             lit = mgr.var(lvl) if value >> bit & 1 else mgr.nvar(lvl)
             point = point & lit
     separate = mgr.relnext(point, g1 & u1) | mgr.relnext(point, g2 & u2)
-    together = mgr.relnext(point, merged.update)
+    together = mgr.relnext(point, merged.rel, assigned=merged.levels)
     assert separate == together
     # and the image is exactly {(4,2,5), (4,1,6)}
     assert mgr.sat_count(separate, enc.state_levels) == 2
-
-
-def test_merged_edge_carries_only_its_relation():
-    # Guards x <= 2 and x >= 5 leave x = 3, 4 disabled, so a guard union
-    # would not be true: the merged guard is true by construction.
-    from efasynth.encode import SymEdge
-    from efasynth.model import BinaryOp, IntLit, VarRef
-
-    model = lin(MERGE_VARS)
-    enc = Encoding(model, [0, 1, 2])
-    mgr = enc.manager
-    g1 = enc.compile_pred(BinaryOp("<=", VarRef("x"), IntLit(2)))
-    g2 = enc.compile_pred(BinaryOp(">=", VarRef("x"), IntLit(5)))
-    u1, _ = enc.assignment("y", BinaryOp("-", VarRef("y"), IntLit(1)))
-    u2, _ = enc.assignment("z", VarRef("x"))
-    e1 = SymEdge("e", True, g1, mgr.false, u1, frozenset({"y"}),
-                 guard_plant=g1)
-    e2 = SymEdge("e", True, g2, mgr.false, u2, frozenset({"z"}),
-                 guard_plant=g2)
-    (merged,) = _merge_events(enc, [("e", True)], [e1, e2])
-    assert merged.guard.is_true
-    assert merged.error.is_false
-    p = enc.domain_predicate()
-    branches = mgr.relnext(p, g1 & u1) | mgr.relnext(p, g2 & u2)
-    assert not branches.is_false
-    assert mgr.relnext(p, merged.update) == branches

@@ -15,7 +15,7 @@ from efasynth.parser import parse_file, parse_spec, unparse
 from efasynth import synthesis
 from efasynth.bdd import BddManager
 from efasynth.synthesis import (
-    PRESETS, FixedPointEngine, SynthesisConfig, _count_states, _merge_events,
+    PRESETS, FixedPointEngine, SynthesisConfig, _count_states, relations,
     synthesize,
 )
 from efasynth.encode import build_symbolic
@@ -58,7 +58,7 @@ def test_chain_application_counts(edge_apply, early_stop, applications):
     )
     engine = FixedPointEngine(sym, config)
     reach = engine.reach(
-        sym.initial, sym.edges, sym.manager.true, backward=True
+        sym.initial, engine.relations, sym.manager.true, backward=True
     )
     assert engine.edge_applications == applications
     assert sym.manager.sat_count(reach, sym.enc.state_levels) == 8
@@ -274,26 +274,29 @@ def test_manager_freed_without_collector(models_dir):
 
 
 def test_engine_caches_survive_edge_copies(producer_model):
-    # Temporary edge copies die between the two calls, so the second list
-    # can reuse their ids; the relations must follow the edges' values.
-    config = SynthesisConfig.preset("v40")
-    sym = build_symbolic(
-        producer_model, compute_order(producer_model, config.order),
-        plant_inv=config.plant_inv,
-    )
-    mgr = sym.manager
+    # Temporary edge copies and their relations die between the two calls,
+    # so the second list can reuse their ids; the framed relations of naive
+    # application (v08) must follow the relations' values.
+    for preset in ("v08", "v40"):
+        config = SynthesisConfig.preset(preset)
+        sym = build_symbolic(
+            producer_model, compute_order(producer_model, config.order),
+            plant_inv=config.plant_inv,
+        )
+        mgr = sym.manager
 
-    def plant_states(engine, guard):
-        edges = [
-            dataclasses.replace(e, guard=guard(e)) for e in sym.edges
-        ]
-        reach = engine.reach(sym.initial, edges, mgr.true, backward=False)
-        return mgr.sat_count(reach, sym.enc.state_levels)
+        def plant_states(engine, guard):
+            edges = [
+                dataclasses.replace(e, guard=guard(e)) for e in sym.edges
+            ]
+            rels = relations(sym.enc, sym.events, edges, per_event=False)
+            reach = engine.reach(sym.initial, rels, mgr.true, backward=False)
+            return mgr.sat_count(reach, sym.enc.state_levels)
 
-    engine = FixedPointEngine(sym, config)
-    assert plant_states(engine, lambda e: mgr.false) == 1
-    assert plant_states(engine, lambda e: e.guard_plant) == 482
-    engine.close()
+        engine = FixedPointEngine(sym, config)
+        assert plant_states(engine, lambda e: mgr.false) == 1, preset
+        assert plant_states(engine, lambda e: e.guard_plant) == 482, preset
+        engine.close()
 
 
 def all_toggles():
@@ -332,9 +335,15 @@ def reach_counts(result):
     plant_edges = [
         dataclasses.replace(e, guard=e.guard_plant) for e in sym.edges
     ]
-    us = engine.reach(sym.initial, plant_edges, mgr.true, backward=False)
+
+    def per_edge(edges):
+        return relations(sym.enc, sym.events, edges, per_event=False)
+
+    us = engine.reach(
+        sym.initial, per_edge(plant_edges), mgr.true, backward=False
+    )
     cs = engine.reach(
-        sym.initial & result.controlled, strengthened_edges(result),
+        sym.initial & result.controlled, per_edge(strengthened_edges(result)),
         result.controlled, backward=False,
     )
     counts = (
@@ -396,20 +405,79 @@ def test_event_guards_are_unions_of_per_edge_guards(models_dir, families,
     assert len(emitted) == 4
 
 
+# The two flip edges set b to true and to false under one guard, so the
+# relation that merges them is the guard alone: b's next-state bit leaves
+# its support, though flip assigns b.
+FLIP = """
+controllable go, flip;
+
+plant p {
+  disc bool on = false;
+  disc bool b = false;
+  location l:
+    initial; marked;
+    edge go do on := true;
+    edge flip when on do b := true;
+    edge flip when on do b := false;
+}
+
+requirement invariant not b;
+"""
+
+
+def test_event_guards_keep_bits_a_merged_relation_loses():
+    model = lin(parse_spec(FLIP))
+    oracle = ExplicitOracle(model)
+    for config in all_toggles():
+        if config.granularity != "event":
+            continue
+        result = synthesize(model, config)
+        sym, mgr = result.sym, result.manager
+        (flip,) = [
+            r for r in relations(sym.enc, sym.events, sym.edges, True)
+            if r.event == "flip"
+        ]
+        b_next = sym.enc.by_name["b"].levels[0] + 1
+        assert b_next in flip.levels
+        assert b_next not in mgr.support(flip.rel)
+        # from every state with ``on``, one flip edge stays inside not b
+        want = {"go": mgr.false, "flip": mgr.false}
+        for edge in strengthened_edges(result):
+            want[edge.event] = want[edge.event] | edge.guard
+        assert result.event_guards == want, config
+        within = oracle.controlled_reachable if config.forward else None
+        states = oracle.event_guard_states("flip", within=within)
+        assert len(states) == 2
+        guard = result.event_guards["flip"]
+        assert mgr.sat_count(guard & sym.pp, sym.enc.state_levels) == 2
+        for i in states:
+            assert mgr.evaluate(guard, oracle.assignment_for(sym.enc, i))
+
+
 @pytest.mark.parametrize("granularity", ["edge", "event"])
 def test_engine_owns_the_relations_it_merges(producer_model, granularity):
-    # Under 'event' the engine merges the model's edges and holds the
-    # merged relations until it closes; under 'edge' it reaches over the
-    # model's edges themselves.
+    # The engine builds its relations when it is made, one per model edge
+    # under 'edge' and one per event under 'event', and holds them, with
+    # the framed relations that naive application builds, until it closes.
     sym = build_symbolic(producer_model, compute_order(producer_model, "model"))
     mgr = sym.manager
     live = mgr.live_nodes
-    engine = FixedPointEngine(sym, SynthesisConfig(granularity=granularity))
+    engine = FixedPointEngine(
+        sym, SynthesisConfig(granularity=granularity, edge_apply="naive")
+    )
+    events = [r.event for r in engine.relations]
     if granularity == "edge":
-        assert engine.edges is sym.edges
+        assert events == [e.event for e in sym.edges]
+        assert [r.assigned for r in engine.relations] == [
+            e.assigned for e in sym.edges
+        ]
     else:
-        assert len(engine.edges) < len(sym.edges)
-        assert mgr.live_nodes > live
+        assert events == [name for name, _ in sym.events]
+        assert len(events) < len(sym.edges)
+    held = mgr.live_nodes
+    assert held > live
+    engine.reach(sym.marked, engine.relations, mgr.true, backward=True)
+    assert mgr.live_nodes > held
     engine.close()
     assert mgr.live_nodes == live
 
@@ -457,7 +525,7 @@ def plain_counts(sym, behavior, strengthened):
     ]
 
     def count(start, edges, restriction):
-        merged = _merge_events(sym.enc, sym.events, edges)
+        merged = relations(sym.enc, sym.events, edges, per_event=True)
         reached = counter.reach(start, merged, restriction, backward=False)
         return mgr.sat_count(reached, sym.enc.state_levels)
 
@@ -586,13 +654,13 @@ def random_input_model(rng):
 def test_projected_counts_match_plain_counts_and_oracle(monkeypatch):
     # Record for each count whether it dropped the input edges, so both
     # the projected count and its fallbacks are seen to run.  Each count
-    # that saturates merges its edges once, the plant count first; a
+    # that saturates builds its relations once, the plant count first; a
     # nonempty run with the forward stage counts its behavior as it is, so
-    # only the plant count merges, and plant invariants that no state
-    # satisfies leave nothing to count.  The fixed-point engine merges
-    # too; only merges made while counting are recorded.
+    # only the plant count builds them, and plant invariants that no state
+    # satisfies leave nothing to count.  The fixed-point engine builds
+    # relations too; only those built while counting are recorded.
     paths = set()
-    count_states, merge = synthesis._count_states, synthesis._merge_events
+    count_states, merge = synthesis._count_states, synthesis.relations
     merged = []
     counting = []
     boxes_kept = []
@@ -618,14 +686,15 @@ def test_projected_counts_match_plain_counts_and_oracle(monkeypatch):
             boxes_kept.append(closed)
         return counts
 
-    def merge_spy(enc, events, edges):
+    def merge_spy(enc, events, edges, per_event):
         if counting:
+            assert per_event
             paths.add((not merged, not any(e.is_input for e in edges)))
             merged.append(edges)
-        return merge(enc, events, edges)
+        return merge(enc, events, edges, per_event)
 
     monkeypatch.setattr(synthesis, "_count_states", count_spy)
-    monkeypatch.setattr(synthesis, "_merge_events", merge_spy)
+    monkeypatch.setattr(synthesis, "relations", merge_spy)
     rng = random.Random(13)
     for _ in range(60):
         text = random_input_model(rng)
@@ -855,46 +924,46 @@ def test_state_counts_scale_linearly(families, family, size, bound):
 # strengthen), then sweeps, edge_applications, reach_calls, peak_nodes and
 # controlled_states.
 GOLDEN = """
-agv_mutex           off off naive     2165 469  1490  146     -   44 2  52 4  406  91
-agv_mutex           off off compound   847 469   275   45     -   42 2  52 4  206  91
-agv_mutex           off on  naive     5398 469  1814  250  2789   54 2 136 6  500  91
-agv_mutex           off on  compound  1649 469   313   92   700   53 2 136 6  241  91
-agv_mutex           on  off naive     1761 469  1086  146     -   44 1  23 2  394  91
-agv_mutex           on  off compound   735 469   163   45     -   42 1  23 2  206  91
-agv_mutex           on  on  naive     4878 469  1814  250  2269   54 2  87 5  499  91
-agv_mutex           on  on  compound  1374 469   313   92   425   53 2  87 5  241  91
-cat_mouse           off off naive      806 139   554   81     -   26 2  36 4  124   6
-cat_mouse           off off compound   322 139   123   30     -   24 2  36 4   72   6
-cat_mouse           off on  naive     1021 139   503   81   266   26 2  60 6  124   6
-cat_mouse           off on  compound   353 139   123   30    31   24 2  60 6   72   6
-cat_mouse           on  off naive      803 139   554   78     -   26 2  30 3  124   6
-cat_mouse           on  off compound   319 139   123   27     -   24 2  30 3   72   6
-cat_mouse           on  on  naive     1018 139   503   78   266   26 2  41 4  124   6
-cat_mouse           on  on  compound   350 139   123   27    31   24 2  41 4   72   6
-dining_philosophers off off naive    29648 459 28065  149     -  962 2 270 4 1862 241
-dining_philosophers off off compound  8482 459  6928  149     -  933 2 270 4  643 241
-dining_philosophers off on  naive    34553 459 26711  149  6259  962 2 330 6 1862 241
-dining_philosophers off on  compound  8821 459  6923  149   344  933 2 330 6  643 241
-dining_philosophers on  off naive    20892 459 19309  149     -  962 1 125 2 1041 241
-dining_philosophers on  off compound  5352 459  3798  149     -  933 1 125 2  643 241
-dining_philosophers on  on  naive    27151 459 19309  149  6259  962 1 154 3 1755 241
-dining_philosophers on  on  compound  5696 459  3798  149   344  933 1 154 3  643 241
-producer_consumer   off off naive     6765 794  5429  362     -  168 2 158 4  765 249
-producer_consumer   off off compound  2870 794  1782  159     -  123 2 158 4  348 249
-producer_consumer   off on  naive    19112 794  6772 1019 10254  252 2 354 6 1155 249
-producer_consumer   off on  compound  7269 794  1765  466  4000  223 2 354 6  450 249
-producer_consumer   on  off naive     5111 794  3775  362     -  168 1  79 2  601 249
-producer_consumer   on  off compound  2152 794  1064  159     -  123 1  79 2  348 249
-producer_consumer   on  on  naive    16375 794  6772 1019  7517  252 2 254 5 1043 249
-producer_consumer   on  on  compound  5565 794  1765  466  2296  223 2 254 5  437 249
-sensor_input        off off naive      523 159   325   23     -   13 2  20 4  147  30
-sensor_input        off off compound   249 159    70    5     -   12 2  20 4   82  30
-sensor_input        off on  naive     1380 159   422  104   670   20 2  60 6  193  30
-sensor_input        off on  compound   475 159    71   32   188   20 2  60 6   89  30
-sensor_input        on  off naive      481 159   283   23     -   13 1  10 2  147  30
-sensor_input        on  off compound   232 159    53    5     -   12 1  10 2   82  30
-sensor_input        on  on  naive     1256 159   422  104   546   20 2  38 5  179  30
-sensor_input        on  on  compound   403 159    71   32   116   20 2  38 5   87  30
+agv_mutex           off off naive     2165 477  1482  146     -   44 2  52 4  406  91
+agv_mutex           off off compound   847 477   267   45     -   42 2  52 4  206  91
+agv_mutex           off on  naive     5398 477  1806  250  2789   54 2 136 6  500  91
+agv_mutex           off on  compound  1649 477   305   92   700   53 2 136 6  241  91
+agv_mutex           on  off naive     1761 477  1078  146     -   44 1  23 2  394  91
+agv_mutex           on  off compound   735 477   155   45     -   42 1  23 2  206  91
+agv_mutex           on  on  naive     4878 477  1806  250  2269   54 2  87 5  499  91
+agv_mutex           on  on  compound  1374 477   305   92   425   53 2  87 5  241  91
+cat_mouse           off off naive      796 139   554   81     -   16 2  36 4  124   6
+cat_mouse           off off compound   312 139   123   30     -   14 2  36 4   61   6
+cat_mouse           off on  naive     1011 139   503   81   266   16 2  60 6  124   6
+cat_mouse           off on  compound   343 139   123   30    31   14 2  60 6   61   6
+cat_mouse           on  off naive      793 139   554   78     -   16 2  30 3  124   6
+cat_mouse           on  off compound   309 139   123   27     -   14 2  30 3   61   6
+cat_mouse           on  on  naive     1008 139   503   78   266   16 2  41 4  124   6
+cat_mouse           on  on  compound   340 139   123   27    31   14 2  41 4   61   6
+dining_philosophers off off naive    29271 459 28065  149     -  585 2 270 4 1862 241
+dining_philosophers off off compound  8066 459  6928  149     -  517 2 270 4  583 241
+dining_philosophers off on  naive    34176 459 26711  149  6259  585 2 330 6 1862 241
+dining_philosophers off on  compound  8405 459  6923  149   344  517 2 330 6  583 241
+dining_philosophers on  off naive    20515 459 19309  149     -  585 1 125 2  981 241
+dining_philosophers on  off compound  4936 459  3798  149     -  517 1 125 2  583 241
+dining_philosophers on  on  naive    26774 459 19309  149  6259  585 1 154 3 1755 241
+dining_philosophers on  on  compound  5280 459  3798  149   344  517 1 154 3  583 241
+producer_consumer   off off naive     6758 861  5362  362     -  161 2 158 4  765 249
+producer_consumer   off off compound  2863 861  1715  159     -  116 2 158 4  334 249
+producer_consumer   off on  naive    19105 861  6705 1019 10254  245 2 354 6 1155 249
+producer_consumer   off on  compound  7262 861  1698  466  4000  216 2 354 6  450 249
+producer_consumer   on  off naive     5104 861  3708  362     -  161 1  79 2  601 249
+producer_consumer   on  off compound  2145 861   997  159     -  116 1  79 2  334 249
+producer_consumer   on  on  naive    16368 861  6705 1019  7517  245 2 254 5 1043 249
+producer_consumer   on  on  compound  5558 861  1698  466  2296  216 2 254 5  437 249
+sensor_input        off off naive      525 172   312   23     -   15 2  20 4  147  30
+sensor_input        off off compound   250 172    57    5     -   13 2  20 4   82  30
+sensor_input        off on  naive     1378 172   409  104   670   18 2  60 6  193  30
+sensor_input        off on  compound   473 172    58   32   188   18 2  60 6   89  30
+sensor_input        on  off naive      483 172   270   23     -   15 1  10 2  147  30
+sensor_input        on  off compound   233 172    40    5     -   13 1  10 2   82  30
+sensor_input        on  on  naive     1254 172   409  104   546   18 2  38 5  179  30
+sensor_input        on  on  compound   401 172    58   32   116   18 2  38 5   87  30
 empty               off off naive       68  35    11   22     -    0 1   5 2   15   0
 empty               off off compound    41  35     0    6     -    0 1   5 2   13   0
 empty               off on  naive       68  35    11   22     0    0 1   5 2   15   0
