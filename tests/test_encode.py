@@ -383,6 +383,37 @@ def gapped_example_edges(enc):
     )
 
 
+def test_event_merge_matches_documented_construction():
+    model = lin(MERGE_VARS)
+    enc = Encoding(model, [0, 1, 2])
+    e1, e2 = merge_example_edges(enc)
+    (merged,) = relations(enc, [("e", True)], [e1, e2], per_event=True)
+    assert (merged.event, merged.controllable) == ("e", True)
+    assert merged.assigned == frozenset({"y", "z"})
+    want = (e1.guard & e1.update & enc.frame("z")) | (
+        e2.guard & e2.update & enc.frame("y")
+    )
+    assert merged.rel == want
+
+
+def test_merged_edge_carries_only_its_relation():
+    # Guards x <= 2 and x >= 5 leave x = 3, 4 disabled, so the merged
+    # relation must carry each branch's guard in itself: it allows no step
+    # from a state that neither guard enables.
+    model = lin(MERGE_VARS)
+    enc = Encoding(model, [0, 1, 2])
+    mgr = enc.manager
+    e1, e2 = gapped_example_edges(enc)
+    g1, u1 = e1.guard, e1.update
+    g2, u2 = e2.guard, e2.update
+    (merged,) = relations(enc, [("e", True)], [e1, e2], per_event=True)
+    assert (merged.rel & ~(g1 | g2)).is_false
+    p = enc.domain_predicate()
+    branches = mgr.relnext(p, g1 & u1) | mgr.relnext(p, g2 & u2)
+    assert not branches.is_false
+    assert mgr.relnext(p, merged.rel, assigned=merged.levels) == branches
+
+
 def test_merged_relation_preserves_images():
     model = lin(MERGE_VARS)
     enc = Encoding(model, [0, 1, 2])
