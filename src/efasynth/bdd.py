@@ -26,7 +26,13 @@ joined by a separate union.  Each ends where its answer is known without
 a further split: the image (``relnext``) when the relation is true, the
 preimage (``relprev``) when the target set is true, or when the relation
 is true and no quantified level is left at or below the target set's top
-level, where the target set is its own preimage.
+level, where the target set is its own preimage.  What a product's
+recursion reads but never changes is fixed at the public boundary: each
+call of ``relnext``/``relprev`` builds one context (the operation, the
+level set, its computed table, the interned set of quantified pairs and
+the set's top level), and a saturation one per level set its firings
+quantify, and passes it down, so a recursive step looks none of it up
+again.
 
 A forward fixed point over many partial relations is computed by
 saturation (:meth:`BddManager.saturate`), after Ciardo, Lüttgen &
@@ -213,6 +219,9 @@ class BddManager:
         self._sets: list[tuple[frozenset[int], int]] = []  # (levels, max)
         self._map_ids: dict[tuple[tuple[int, int], ...], int] = {}
         self._maps: list[tuple[dict[int, int], int]] = []  # (map, max key)
+        # Quantified pairs of the relational products by context, see
+        # _context.
+        self._pairs: dict[int, frozenset[int]] = {}
         # Interned relation sets of saturate: per pair, the next pair a
         # relation starts at and the firings of the relations starting there.
         self._relset_ids: dict[tuple[tuple[int, int], ...], int] = {}
@@ -337,22 +346,34 @@ class BddManager:
         whose count leaves or reaches zero passes ``delta`` to its children
         and enters or leaves ``live``."""
         ref, lows, highs = self._ref, self._low, self._high
-        first = 1 if delta > 0 else 0  # the count a change of liveness ends at
         changed = 0
         stack = [u]
-        while stack:
-            v = stack.pop()
-            if v <= 1:
-                continue
-            if ref[v] + delta < 0:
-                raise BddError("reference count underflow")
-            ref[v] += delta
-            if ref[v] == first:
-                changed += 1
-                stack.append(lows[v])
-                stack.append(highs[v])
-        self._live += delta * changed
-        self._peak = max(self._peak, self._live)
+        if delta > 0:
+            while stack:
+                v = stack.pop()
+                if v > 1:
+                    n = ref[v] + 1
+                    ref[v] = n
+                    if n == 1:
+                        changed += 1
+                        stack.append(lows[v])
+                        stack.append(highs[v])
+            self._live += changed
+            if self._live > self._peak:
+                self._peak = self._live
+        else:
+            while stack:
+                v = stack.pop()
+                if v > 1:
+                    n = ref[v] - 1
+                    if n < 0:
+                        raise BddError("reference count underflow")
+                    ref[v] = n
+                    if n == 0:
+                        changed += 1
+                        stack.append(lows[v])
+                        stack.append(highs[v])
+            self._live -= changed
 
     def _end(self) -> None:
         """Release the temporaries of the operation that just ended."""
@@ -551,8 +572,16 @@ class BddManager:
         self._ops[code] += 1
         var_u, var_v = self._var[u], self._var[v]
         level = var_u if var_u < var_v else var_v
-        u0, u1 = (self._low[u], self._high[u]) if var_u == level else (u, u)
-        v0, v1 = (self._low[v], self._high[v]) if var_v == level else (v, v)
+        if var_u == level:
+            u0 = self._low[u]
+            u1 = self._high[u]
+        else:
+            u0 = u1 = u
+        if var_v == level:
+            v0 = self._low[v]
+            v1 = self._high[v]
+        else:
+            v0 = v1 = v
         res = self._node(
             level, self._apply(code, u0, v0), self._apply(code, u1, v1)
         )
@@ -814,11 +843,29 @@ class BddManager:
         if op == _RELNEXT:
             # the image forgets the source values of the assigned bits
             quant >>= 1
-        sid = self._intern_set(quant)
+        ctx = self._context(op, self._intern_set(quant))
         try:
-            return self._wrap(self._relprod(op, pn, tn, rn, sid, an))
+            return self._wrap(self._relprod(ctx, pn, tn, rn, an))
         finally:
             self._end()
+
+    def _context(self, op: int, sid: int) -> tuple:
+        """The context of one public product over level set ``sid``, fixed
+        for its whole recursion: ``(op, sid, table, pairs, top)``, with
+        ``table`` the computed table of ``op`` on ``sid``, ``pairs`` the
+        even levels ``c`` of the pairs it quantifies (``c`` itself for the
+        image, ``c + 1`` for the preimage) and ``top`` the set's highest
+        level.  ``pairs`` is interned per set and direction; the table is
+        looked up per call, as :meth:`fresh_cache` may have swapped it."""
+        cid = sid << 4 | op
+        pairs = self._pairs.get(cid)
+        levels, top = self._sets[sid]
+        if pairs is None:
+            pairs = levels if op == _RELNEXT else frozenset(
+                l - 1 for l in levels
+            )
+            self._pairs[cid] = pairs
+        return op, sid, self._cache[cid], pairs, top
 
     def _assigned_levels(
         self, tn: int, assigned: Iterable[int] | None
@@ -840,25 +887,24 @@ class BddManager:
             )
         return odd
 
-    def _relprod(
-        self, op: int, p: int, t: int, r: int, sid: int, a: int
-    ) -> int:
+    def _relprod(self, ctx: tuple, p: int, t: int, r: int, a: int) -> int:
         """``a`` joined with the relational product of state set ``p`` and
-        relation ``t`` within ``r``, in the direction of ``op``.
+        relation ``t`` within ``r``, in the direction and over the level set
+        of the context ``ctx`` (see :meth:`_context`).
 
         Both directions split on one current/next pair ``(c, c+1)`` at a
         time.  The image (``_RELNEXT``) ends when ``t`` is true and
-        quantifies the source bit ``c`` of an assigned pair; ``sid`` holds
-        those even levels.  The preimage (``_RELPREV``) ends when ``p`` is
-        true, or when ``t`` is true and every quantified level lies above
-        ``p``'s top level, so ``p`` is its own preimage and the result is
-        ``a | (p & r)``; it quantifies the target bit ``c+1``, and ``sid``
-        holds those odd levels.  A true ``t`` with a quantified level still
-        at or below ``p``'s top, an assigned bit the relation leaves
-        vacuous, goes on splitting.  With ``t_ij`` the cofactor of ``t`` at
-        ``c = i, c+1 = j``, the image result at ``c = j`` is the union over
-        ``i`` of the product of ``p_i`` and ``t_ij``; the preimage is the
-        same rule on the transposed cofactors ``t_ji``.
+        quantifies the source bit ``c`` of an assigned pair; its level set
+        holds those even levels.  The preimage (``_RELPREV``) ends when
+        ``p`` is true, or when ``t`` is true and every quantified level lies
+        above ``p``'s top level, so ``p`` is its own preimage and the result
+        is ``a | (p & r)``; it quantifies the target bit ``c+1``, and its
+        level set holds those odd levels.  A true ``t`` with a quantified
+        level still at or below ``p``'s top, an assigned bit the relation
+        leaves vacuous, goes on splitting.  With ``t_ij`` the cofactor of
+        ``t`` at ``c = i, c+1 = j``, the image result at ``c = j`` is the
+        union over ``i`` of the product of ``p_i`` and ``t_ij``; the
+        preimage is the same rule on the transposed cofactors ``t_ji``.
 
         The accumulator ``a`` is split with ``r``, and the two products of
         a quantified pair chain: the first product's result is the second's
@@ -869,24 +915,29 @@ class BddManager:
         """
         if a == 1 or a == r or p == 0 or t == 0 or r == 0:
             return a
-        image = op == _RELNEXT
-        levels, top = self._sets[sid]
-        if (t if image else p) == 1:
-            rest = self._exists(p if image else t, sid)
-            return self._apply(_OR, a, self._apply(_AND, rest, r))
-        var, low, high = self._var, self._low, self._high
-        if t == 1 and top < var[p]:
-            # a preimage whose relation is used up: every quantified level
-            # lies above p's top, so each state of p is its own predecessor
-            return a if p == a else self._apply(
-                _OR, a, self._apply(_AND, p, r)
-            )
+        op, sid, table, pairs, top = ctx
+        var = self._var
+        if t == 1 or p == 1:
+            if op == _RELNEXT:
+                if t == 1:
+                    rest = self._exists(p, sid)
+                    return self._apply(_OR, a, self._apply(_AND, rest, r))
+            elif p == 1:
+                rest = self._exists(t, sid)
+                return self._apply(_OR, a, self._apply(_AND, rest, r))
+            elif top < var[p]:
+                # a preimage whose relation is used up: every quantified
+                # level lies above p's top, so each state of p is its own
+                # predecessor
+                return a if p == a else self._apply(
+                    _OR, a, self._apply(_AND, p, r)
+                )
         key = ((a << 32 | p) << 32 | t) << 32 | r
-        table = self._cache[sid << 4 | op]
         cached = table.get(key)
         if cached is not None:
             return cached
         self._ops[op] += 1
+        low, high = self._low, self._high
         # The pair of the top level of the four operands; only t has odd
         # levels, so only t can be split on c + 1.
         vp, vt, vr, va = var[p], var[t], var[r], var[a]
@@ -896,37 +947,56 @@ class BddManager:
         if va < c:
             c = va
         c &= ~1
-        p0, p1 = (low[p], high[p]) if vp == c else (p, p)
-        r0, r1 = (low[r], high[r]) if vr == c else (r, r)
-        a0, a1 = (low[a], high[a]) if va == c else (a, a)
-        tc0, tc1 = (low[t], high[t]) if vt == c else (t, t)
+        if vp == c:
+            p0 = low[p]
+            p1 = high[p]
+        else:
+            p0 = p1 = p
+        if vr == c:
+            r0 = low[r]
+            r1 = high[r]
+        else:
+            r0 = r1 = r
+        if va == c:
+            lo = low[a]
+            hi = high[a]
+        else:
+            lo = hi = a
+        if vt == c:
+            t0 = low[t]
+            t1 = high[t]
+        else:
+            t0 = t1 = t
         # A product whose p, t or r is false is its accumulator, so it is
         # not called.
-        lo, hi = a0, a1
-        if (c if image else c + 1) in levels:
-            t00, t01 = (
-                (low[tc0], high[tc0]) if var[tc0] == c + 1 else (tc0, tc0)
-            )
-            t10, t11 = (
-                (low[tc1], high[tc1]) if var[tc1] == c + 1 else (tc1, tc1)
-            )
-            if not image:
+        if c in pairs:
+            if var[t0] == c + 1:
+                t00 = low[t0]
+                t01 = high[t0]
+            else:
+                t00 = t01 = t0
+            if var[t1] == c + 1:
+                t10 = low[t1]
+                t11 = high[t1]
+            else:
+                t10 = t11 = t1
+            if op != _RELNEXT:
                 t01, t10 = t10, t01
             if r0:
                 if p0 and t00:
-                    lo = self._relprod(op, p0, t00, r0, sid, lo)
+                    lo = self._relprod(ctx, p0, t00, r0, lo)
                 if p1 and t10:
-                    lo = self._relprod(op, p1, t10, r0, sid, lo)
+                    lo = self._relprod(ctx, p1, t10, r0, lo)
             if r1:
                 if p0 and t01:
-                    hi = self._relprod(op, p0, t01, r1, sid, hi)
+                    hi = self._relprod(ctx, p0, t01, r1, hi)
                 if p1 and t11:
-                    hi = self._relprod(op, p1, t11, r1, sid, hi)
+                    hi = self._relprod(ctx, p1, t11, r1, hi)
         else:
-            if p0 and tc0 and r0:
-                lo = self._relprod(op, p0, tc0, r0, sid, lo)
-            if p1 and tc1 and r1:
-                hi = self._relprod(op, p1, tc1, r1, sid, hi)
+            if p0 and t0 and r0:
+                lo = self._relprod(ctx, p0, t0, r0, lo)
+            if p1 and t1 and r1:
+                hi = self._relprod(ctx, p1, t1, r1, hi)
         res = self._node(c, lo, hi)
         table[key] = res
         return res
@@ -955,17 +1025,24 @@ class BddManager:
             tn = self._unwrap(t)
             rels.append((tn, self._assigned_levels(tn, assigned)))
         gid = self._intern_relations(tuple(rels))
+        contexts = {
+            sid: self._context(_RELNEXT, sid)
+            for firings in self._relsets[gid][1] for sid, *_ in firings
+        }
         try:
-            return self._wrap(
-                self._saturate(0, self._apply(_AND, pn, rn), rn, gid)
-            )
+            return self._wrap(self._saturate(
+                0, self._apply(_AND, pn, rn), rn, gid, contexts
+            ))
         finally:
             self._end()
 
-    def _saturate(self, c: int, p: int, r: int, gid: int) -> int:
+    def _saturate(
+        self, c: int, p: int, r: int, gid: int, contexts: dict[int, tuple]
+    ) -> int:
         """The least set that contains ``p``, lies inside ``r`` (as ``p``
         does) and is closed under the relations of set ``gid`` that start
-        at pair ``c`` or below.
+        at pair ``c`` or below; ``contexts`` holds the image context of
+        each level set the firings quantify.
 
         Such relations neither read nor write a level above their top
         pair, so each acts on the sub-diagrams at its top pair alone, after
@@ -1000,8 +1077,8 @@ class BddManager:
         self._ops[_RELNEXT] += 1
         p0, p1 = self._cof(p, c)
         rs = self._cof(r, c)
-        s = [self._saturate(c + 2, p0, rs[0], gid),
-             self._saturate(c + 2, p1, rs[1], gid)]
+        s = [self._saturate(c + 2, p0, rs[0], gid, contexts),
+             self._saturate(c + 2, p1, rs[1], gid, contexts)]
         if c == top:
             firings = fires[c >> 1]
             last = [-1] * len(firings)
@@ -1012,9 +1089,9 @@ class BddManager:
                     if s[i] == last[m]:
                         continue
                     last[m] = s[i]
-                    new = self._relprod(_RELNEXT, s[i], t, rs[j], sid, s[j])
+                    new = self._relprod(contexts[sid], s[i], t, rs[j], s[j])
                     if new != s[j]:
-                        s[j] = self._saturate(c + 2, new, rs[j], gid)
+                        s[j] = self._saturate(c + 2, new, rs[j], gid, contexts)
                         changed = True
         res = self._node(c, s[0], s[1])
         table[key] = res

@@ -1,7 +1,8 @@
 """Command-line driver: synthesis runs, benchmarking, model statistics.
 
 Exit codes: 0 success, 1 diagnostics (bad input, bad flags), 2 empty
-supervisor, 3 internal invariant violation.  Every reported metric except
+supervisor, 3 internal invariant violation.  A model too deep for the
+recursive BDD kernels exits 1 too.  Every reported metric except
 the wall times (``wall_time_s`` and the state count's ``count_s``) is a
 deterministic function of the model and configuration.
 """
@@ -9,6 +10,7 @@ deterministic function of the model and configuration.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import io
@@ -41,6 +43,19 @@ class Failure(Exception):
         super().__init__(message)
         self.code = code
         self.message = message
+
+
+@contextlib.contextmanager
+def _kernel_depth(path: Path):
+    """Report a model whose BDD operations recurse past Python's limit,
+    once per variable level, as a diagnostic rather than a crash."""
+    try:
+        yield
+    except RecursionError:
+        raise Failure(
+            EXIT_DIAGNOSTICS,
+            f"{path}: too many variable levels for the recursive BDD kernels",
+        ) from None
 
 
 def _read_spec(path: Path, allow_supervisor: bool = False) -> Specification:
@@ -169,7 +184,8 @@ def cmd_run(args) -> int:
     simplify = args.simplify == "on"
     start = time.perf_counter()
     try:
-        result = synthesize(model, config)
+        with _kernel_depth(path):
+            result = synthesize(model, config)
     except OrderError as exc:
         raise Failure(EXIT_DIAGNOSTICS, str(exc))
     wall = time.perf_counter() - start
@@ -181,7 +197,9 @@ def cmd_run(args) -> int:
         print("empty supervisor")
         return EXIT_EMPTY
     out_path = Path(args.out) if args.out else path.with_suffix(".sup.efa")
-    _write(out_path, unparse(emit(plant, result, simplify=simplify)))
+    with _kernel_depth(path):
+        text = unparse(emit(plant, result, simplify=simplify))
+    _write(out_path, text)
     print(f"wrote {out_path}")
     return EXIT_OK
 
@@ -227,10 +245,11 @@ def cmd_bench(args) -> int:
         spec = _read_spec(path)
         plant, model = _linearized(spec)
         for name in configs:
-            reps = [
-                synthesize(model, SynthesisConfig.preset(name)).metrics
-                for _ in range(args.reps)
-            ]
+            with _kernel_depth(path):
+                reps = [
+                    synthesize(model, SynthesisConfig.preset(name)).metrics
+                    for _ in range(args.reps)
+                ]
             first = reps[0]
             rows.append({
                 "model": path.stem,

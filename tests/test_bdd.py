@@ -662,6 +662,34 @@ def test_live_follows_roots():
         mgr.release_root(f)
 
 
+def test_release_below_a_zero_count_underflows():
+    # a child whose count was zeroed behind the manager's back cannot pass
+    # the release on
+    mgr = fresh()
+    f = mgr.var(0) & mgr.var(2)
+    mgr.register_root(f)
+    child = mgr._high[f.node]
+    assert mgr._ref[child] == 1
+    mgr._ref[child] = 0
+    with pytest.raises(BddError, match="reference count underflow"):
+        mgr.release_root(f)
+
+
+def test_shared_roots_release_every_count():
+    mgr = fresh()
+    shared = mgr.var(2) & mgr.var(4)
+    f = mgr.var(0) & shared
+    g = (mgr.nvar(0) | mgr.var(6)) & shared
+    mgr.register_root(f)
+    mgr.register_root(g)
+    assert mgr.live_nodes == len(set(mgr._nodes(f.node) + mgr._nodes(g.node)))
+    assert mgr._ref[shared.node] == 2
+    mgr.release_root(f)
+    mgr.release_root(g)
+    assert set(mgr._ref) == {0}
+    assert mgr.live_nodes == 0
+
+
 def test_peak_counts_temporaries():
     mgr = fresh(1)
     mgr.var(0)

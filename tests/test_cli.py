@@ -370,6 +370,20 @@ def test_run_emits_and_reads_back_a_long_guard(tmp_path, capsys):
     assert "internal error" not in capsys.readouterr().err
 
 
+def test_model_too_deep_for_the_kernels_exits_1(families, tmp_path, capsys):
+    # the BDD kernels recurse once per level, and chain(1000) takes the
+    # state count's saturation past Python's recursion limit
+    model = tmp_path / "chain_1000.efa"
+    model.write_text(families.chain(1000))
+    assert main(["run", str(model), "--out", str(tmp_path / "out.efa")]) == 1
+    assert main(["bench", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        f"{model}: too many variable levels for the recursive BDD kernels"
+    ] * 2
+    assert not (tmp_path / "out.efa").exists()
+
+
 WIDE = "controllable go;\nplant p {\n" + "".join(
     f"  disc bool b{i} = false;\n" for i in range(600)
 ) + "  location l:\n    initial; marked;\n    edge go;\n}\n"

@@ -2,7 +2,6 @@
 
 import dataclasses
 import gc
-import importlib.util
 import itertools
 import random
 import weakref
@@ -538,15 +537,6 @@ def plain_counts(sym, behavior, strengthened):
         counter.close()
 
 
-@pytest.fixture(scope="module")
-def families(models_dir):
-    path = models_dir.parent / "synthbench" / "families.py"
-    spec = importlib.util.spec_from_file_location("families", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def model_text(models_dir, families, name):
     """A shipped model by its file stem, or a generated one written as
     ``family(size, ...)``."""
@@ -1005,6 +995,42 @@ def test_driver_counters_golden(models_dir, row):
         m["sweeps"], m["edge_applications"], m["reach_calls"],
         m["peak_nodes"], m["controlled_states"],
     ] == counts
+
+
+# Counters of the benchmark families' first members, under the preset each
+# workload runs: a kernel change that moves any of them on a generated
+# model fails here.  Columns: operations, peak_nodes, live_nodes,
+# allocated_nodes, count_operations, then op_counts() in operator order
+# (and or xor diff imp biimp not ite exists replace restrict relnext
+# relprev), which covers the state count too.
+FAMILY_COUNTERS = {
+    ("philosophers(8)", "v40"): (
+        30630, 1338, 1338, 8523, 804,
+        690, 2340, 0, 0, 0, 0, 307, 0, 224, 0, 0, 503, 27370,
+    ),
+    ("chain(100)", "v40"): (
+        497, 398, 398, 498, 590,
+        297, 97, 0, 0, 0, 0, 100, 0, 199, 0, 0, 394, 0,
+    ),
+    ("tank(2,40)", "v08"): (
+        16988, 1726, 1030, 6865, 3728,
+        12167, 2384, 77, 0, 0, 89, 339, 0, 2275, 525, 902, 1410, 548,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name,preset", FAMILY_COUNTERS, ids=[n for n, _ in FAMILY_COUNTERS]
+)
+def test_family_counters_golden(models_dir, families, name, preset):
+    model = lin(parse_spec(model_text(models_dir, families, name)))
+    result = synthesize(model, SynthesisConfig.preset(preset))
+    m = result.metrics
+    keys = ("operations", "peak_nodes", "live_nodes", "allocated_nodes",
+            "count_operations")
+    ops = list(result.sym.manager.op_counts().values())
+    assert [m[k] for k in keys] + ops == list(FAMILY_COUNTERS[name, preset])
+    assert sum(ops) == m["operations"] + m["count_operations"]
 
 
 @pytest.mark.parametrize("k,cap,preset,bound", [
