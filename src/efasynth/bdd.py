@@ -22,17 +22,19 @@ with partitioned transition relations" (VLSI 1991).  There is one
 accumulation rule: the two products of a quantified pair chain, the first
 one's result accumulating into the second, and a plain product is the
 same recursion with an empty accumulator, so no two sub-products are ever
-joined by a separate union.  Each ends where its answer is known without
-a further split: the image (``relnext``) when the relation is true, the
-preimage (``relprev``) when the target set is true, or when the relation
-is true and no quantified level is left at or below the target set's top
-level, where the target set is its own preimage.  What a product's
-recursion reads but never changes is fixed at the public boundary: each
-call of ``relnext``/``relprev`` builds one context (the operation, the
-level set, its computed table, the interned set of quantified pairs and
-the set's top level), and a saturation one per level set its firings
-quantify, and passes it down, so a recursive step looks none of it up
-again.
+joined by a separate union.  A split whose two halves come back as the
+accumulator's own children returns the accumulator with no probe of the
+unique table: in a fixed-point step most of the set does not grow.  Each
+product ends where its answer is known without a further split: the image
+(``relnext``) when the relation is true, the preimage (``relprev``) when
+the target set is true, or when the relation is true and no quantified
+level is left at or below the target set's top level, where the target
+set is its own preimage.  What a product's recursion reads but never
+changes is fixed at the public boundary: each call of
+``relnext``/``relprev`` builds one context (the operation, the level set,
+its computed table, the interned set of quantified pairs and the set's top
+level), and a saturation one per level set its firings quantify, and
+passes it down, so a recursive step looks none of it up again.
 
 A forward fixed point over many partial relations is computed by
 saturation (:meth:`BddManager.saturate`), after Ciardo, Lüttgen &
@@ -47,14 +49,16 @@ changed.  Saturation steps take a computed table of their own per
 relation set and count as ``relnext`` operations.
 
 Node lifetime is explicit.  Nodes are never deleted; ``live`` counts the
-decision nodes reachable from the registered roots or from a node returned
-by ``_node`` during the public operation in flight, and ``peak`` is the
-high-water mark of ``live``.  Registered roots hold reference counts.  The
-temporaries of an operation are instead marked with the operation's epoch:
-``_node`` marks a node that is neither referenced nor marked, together with
-its unmarked, unreferenced descendants, and adds each to ``live``; ``_end``
-subtracts the number marked and advances the epoch, which unmarks them all
-at once without a walk.
+decision nodes reachable from the registered roots, and ``peak`` is the
+high-water mark of those nodes together with the temporaries of the public
+operation in flight: the nodes reachable from a node it returned from
+``_node``.  Registered roots hold reference counts.  The temporaries of an
+operation are instead marked with the operation's epoch: ``_node`` marks a
+node that is neither referenced nor marked, together with its unmarked,
+unreferenced descendants, and counts each in ``held``.  ``live`` does not
+change while an operation runs and ``held`` only grows, so ``_end`` raises
+``peak`` to ``live + held`` once, then clears ``held`` and advances the
+epoch, which unmarks the temporaries all at once without a walk.
 
 The bookkeeping no counter sees is kept cheap and free of objects that
 Python's cyclic collector tracks.  Keys of the unique table are packed into
@@ -321,9 +325,6 @@ class BddManager:
                 or high > 1 and not ref[high] and mark[high] != epoch):
             held += self._hold_below([low, high])
         self._held += held
-        self._live += held
-        if self._live > self._peak:
-            self._peak = self._live
         return u
 
     def _hold_below(self, stack: list[int]) -> int:
@@ -376,8 +377,13 @@ class BddManager:
             self._live -= changed
 
     def _end(self) -> None:
-        """Release the temporaries of the operation that just ended."""
-        self._live -= self._held
+        """Release the temporaries of the operation that just ended.
+
+        ``live`` does not change while an operation runs and its
+        temporaries only grow, so ``live + held`` at the end is the
+        operation's high-water mark."""
+        if self._live + self._held > self._peak:
+            self._peak = self._live + self._held
         self._held = 0
         self._epoch += 1
 
@@ -911,7 +917,10 @@ class BddManager:
         accumulator, so their union costs no separate pass.  A plain
         product is the case of a false ``a`` and takes the same path.  A
         call ends as soon as ``a`` is true or equals ``r``: nothing it
-        could add lies outside ``r``.
+        could add lies outside ``r``.  When ``a`` decides ``c``, both
+        halves come back as ``a``'s own children and ``a`` is held
+        (referenced, or a temporary of this operation), the result is
+        ``a`` itself, as ``_node`` would return it with nothing to mark.
         """
         if a == 1 or a == r or p == 0 or t == 0 or r == 0:
             return a
@@ -947,7 +956,15 @@ class BddManager:
         if va < c:
             c = va
         c &= ~1
-        if vp == c:
+        if va == c:
+            lo = low[a]
+            hi = high[a]
+        else:
+            lo = hi = a
+        if p == a:
+            p0 = lo
+            p1 = hi
+        elif vp == c:
             p0 = low[p]
             p1 = high[p]
         else:
@@ -957,11 +974,6 @@ class BddManager:
             r1 = high[r]
         else:
             r0 = r1 = r
-        if va == c:
-            lo = low[a]
-            hi = high[a]
-        else:
-            lo = hi = a
         if vt == c:
             t0 = low[t]
             t1 = high[t]
@@ -997,7 +1009,11 @@ class BddManager:
                 lo = self._relprod(ctx, p0, t0, r0, lo)
             if p1 and t1 and r1:
                 hi = self._relprod(ctx, p1, t1, r1, hi)
-        res = self._node(c, lo, hi)
+        if (va == c and lo == low[a] and hi == high[a]
+                and (self._ref[a] or self._mark[a] == self._epoch)):
+            res = a
+        else:
+            res = self._node(c, lo, hi)
         table[key] = res
         return res
 

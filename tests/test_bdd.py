@@ -691,10 +691,53 @@ def test_shared_roots_release_every_count():
 
 
 def test_peak_counts_temporaries():
-    mgr = fresh(1)
+    mgr = fresh(4)
+    x0, x2 = mgr.var(0), mgr.var(2)
+    assert (mgr.live_nodes, mgr.peak_nodes) == (0, 1)
+    root = mgr.register_root(mgr.var(4) & mgr.var(6))
+    assert (mgr.live_nodes, mgr.peak_nodes) == (2, 2)
+    # the new node at level 0 and x2, which it holds, over the root
+    f = mgr.ite(x0, x2, root)
+    assert mgr.size(f) == mgr.size(root) + 2
+    assert (mgr.live_nodes, mgr.peak_nodes) == (2, 2 + 2)
+    # fewer temporaries leave the peak where it is
     mgr.var(0)
-    assert mgr.live_nodes == 0
-    assert mgr.peak_nodes >= 1
+    assert mgr.peak_nodes == 4
+    mgr.release_root(root)
+    assert (mgr.live_nodes, mgr.peak_nodes) == (0, 4)
+
+
+def test_a_step_that_adds_nothing_makes_no_probe():
+    # acc is the parity of 12 bits, two nodes on every level but the
+    # first; t keeps the last bit at 1, so the preimage of acc is acc & x11
+    # and every split of the accumulating step comes back unchanged
+    mgr = fresh(12)
+    acc = mgr.var(0)
+    for level in range(2, 24, 2):
+        acc = acc ^ mgr.var(level)
+    mgr.register_root(acc)
+    t = mgr.var(22) & mgr.var(23)
+    nodes = set(mgr._nodes(acc.node))
+    assert len(nodes) == 23
+    built = []
+    node = mgr._node
+
+    def recording_node(var, low, high):
+        u = node(var, low, high)
+        built.append(u)
+        return u
+
+    mgr._node = recording_node
+    assert mgr.relprev(acc, t, into=acc).node == acc.node
+    assert not nodes & set(built)
+    # an accumulator nothing holds still counts as the step's temporaries
+    mgr.release_root(acc)
+    mgr.register_root(mgr.var(0) & mgr.var(2) & mgr.var(4))
+    assert mgr.live_nodes == 3 and mgr.peak_nodes < 3 + 23
+    with mgr.fresh_cache():
+        assert mgr.relprev(acc, t, into=acc) == acc
+    assert mgr.peak_nodes == 3 + 23
+    assert mgr.relprev(acc, t) == acc & mgr.var(22)
 
 
 def reachable(mgr, nodes):
@@ -709,8 +752,13 @@ def reachable(mgr, nodes):
     return len(seen)
 
 
-def random_step(mgr, rng, pool):
-    """Exactly one public operation on random operands from ``pool``."""
+def random_step(mgr, rng, pool, roots):
+    """Exactly one public operation on random operands from ``pool``.
+
+    When ``roots`` holds a non-constant state set, a relational product
+    takes one as both its source set and ``into`` half the time, with a
+    non-constant relation and a non-empty constraint: the shape of a
+    fixed-point step, whose unchanged splits return the accumulator."""
     even = [l for l in range(mgr.num_vars) if l % 2 == 0]
     f, g, h = (rng.choice(pool) for _ in range(3))
     kind = rng.randrange(9)
@@ -733,6 +781,13 @@ def random_step(mgr, rng, pool):
     if kind == 6:
         return f if g.is_false else mgr.restrict(f, g)
     states = [p for p in pool if not any(l % 2 for l in mgr.support(p))]
+    held = [p for p in roots if p in states and p.node > 1]
+    if held and rng.random() < 0.5:
+        acc = rng.choice(held)
+        t = rng.choice([q for q in pool if q.node > 1])
+        r = rng.choice([q for q in states if not q.is_false])
+        product = mgr.relnext if kind == 7 else mgr.relprev
+        return product(acc, t, constrain=r, into=acc)
     if kind == 7:
         return mgr.relnext(rng.choice(states), g)
     return mgr.relprev(rng.choice(states), g, constrain=rng.choice(states),
@@ -769,7 +824,7 @@ def test_live_and_peak_match_reference_walk(seed):
         assert mgr.peak_nodes == peak
 
     for _ in range(80):
-        pool.append(random_step(mgr, rng, pool))
+        pool.append(random_step(mgr, rng, pool, roots))
         check()
         if rng.random() < 0.4:
             roots.append(mgr.register_root(rng.choice(pool)))
