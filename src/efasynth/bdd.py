@@ -106,6 +106,8 @@ _AND, _OR, _XOR, _DIFF, _IMP, _BIIMP, _NOT, _ITE, _EXISTS, _REPLACE, \
 # Computed-cache tag of saturation, whose steps count as relnext.
 _SATURATE = 13
 _COMMUTATIVE = frozenset((_AND, _OR, _XOR, _BIIMP))
+# The binary connectives by public name.
+_CONNECTIVES = {name: code for code, name in enumerate(_OP_NAMES[:_NOT])}
 
 # Truth table of each binary connective: f(0,0), f(0,1), f(1,0), f(1,1),
 # and f(u,u) for a decision node u, None when that is u itself.
@@ -134,6 +136,18 @@ def _levels_of(mask: int) -> list[int]:
     return levels
 
 
+def _level_set(mask: int) -> tuple[frozenset[int], int, frozenset[int]]:
+    """The level set ``mask`` as stored: its levels, its highest level, and
+    the even levels of the pairs a preimage over it quantifies."""
+    levels = _levels_of(mask)
+    return (frozenset(levels), mask.bit_length() - 1,
+            frozenset(l - 1 for l in levels))
+
+
+def _rename_map(items: tuple[tuple[int, int], ...]) -> tuple[dict, int]:
+    return dict(items), items[-1][0]
+
+
 class BddError(Exception):
     """Raised on misuse of the manager (bad operands, unbalanced roots)."""
 
@@ -144,7 +158,8 @@ class NodeRef:
     A ``NodeRef`` is a value object: equality means "same node in the same
     manager", which by canonicity is semantic equivalence.  It carries no
     lifetime semantics; use :meth:`BddManager.register_root` to keep a node's
-    subgraph counted as live between operations.
+    subgraph counted as live between operations, and
+    :meth:`BddManager.rebind` to move a registration to a new value.
     """
 
     __slots__ = ("manager", "node")
@@ -161,7 +176,7 @@ class NodeRef:
         )
 
     def __hash__(self):
-        return hash((id(self.manager), self.node))
+        return self.node
 
     def __and__(self, other):
         return self.manager.apply("and", self, other)
@@ -200,9 +215,9 @@ class BddManager:
     manager never reorders and never garbage-collects: determinism of the
     operation and node counters takes precedence over memory reuse.
 
-    Public operations do not nest: each runs its private recursion and
-    then calls ``_end``, which releases every temporary the operation
-    marked.
+    Public operations do not nest: each runs its private recursion
+    through ``_run``, whose ``_end`` releases every temporary the
+    operation marked, also when the recursion raises.
     """
 
     def __init__(self):
@@ -218,14 +233,12 @@ class BddManager:
         self._unique: dict[int, int] = {}
         # Computed tables by operation context, each keyed by operand ids.
         self._cache: defaultdict[int, dict[int, int]] = defaultdict(dict)
-        # Interned level sets / rename maps referenced from cache keys.
+        # Interned level sets (see _level_set) and rename maps referenced
+        # from cache keys.
         self._set_ids: dict[int, int] = {}  # level mask -> id
-        self._sets: list[tuple[frozenset[int], int]] = []  # (levels, max)
+        self._sets: list[tuple[frozenset[int], int, frozenset[int]]] = []
         self._map_ids: dict[tuple[tuple[int, int], ...], int] = {}
         self._maps: list[tuple[dict[int, int], int]] = []  # (map, max key)
-        # Quantified pairs of the relational products by context, see
-        # _context.
-        self._pairs: dict[int, frozenset[int]] = {}
         # Interned relation sets of saturate: per pair, the next pair a
         # relation starts at and the firings of the relations starting there.
         self._relset_ids: dict[tuple[tuple[int, int], ...], int] = {}
@@ -276,21 +289,22 @@ class BddManager:
 
     def var(self, level: int) -> NodeRef:
         """The function of a single variable at ``level``."""
-        if not 0 <= level < self._num_vars:
-            raise BddError(f"level {level} out of range")
-        try:
-            return self._wrap(self._node(level, 0, 1))
-        finally:
-            self._end()
+        self._mask((level,))
+        return self._run(self._node, level, 0, 1)
 
     def nvar(self, level: int) -> NodeRef:
         """Negated single variable, allocated without an apply call."""
-        if not 0 <= level < self._num_vars:
-            raise BddError(f"level {level} out of range")
-        try:
-            return self._wrap(self._node(level, 1, 0))
-        finally:
-            self._end()
+        self._mask((level,))
+        return self._run(self._node, level, 1, 0)
+
+    def _mask(self, levels: Iterable[int]) -> int:
+        """Bit mask of ``levels``, each checked to be an allocated level."""
+        mask, n = 0, self._num_vars
+        for l in levels:
+            if not 0 <= l < n:
+                raise BddError(f"level {l} out of range")
+            mask |= 1 << l
+        return mask
 
     # ------------------------------------------------------------------
     # node store
@@ -376,6 +390,13 @@ class BddManager:
                         stack.append(highs[v])
             self._live -= changed
 
+    def _run(self, kernel, *args) -> NodeRef:
+        """The public operation ``kernel(*args)``, closed by :meth:`_end`."""
+        try:
+            return NodeRef(self, kernel(*args))
+        finally:
+            self._end()
+
     def _end(self) -> None:
         """Release the temporaries of the operation that just ended.
 
@@ -386,9 +407,6 @@ class BddManager:
             self._peak = self._live + self._held
         self._held = 0
         self._epoch += 1
-
-    def _wrap(self, node: int) -> NodeRef:
-        return NodeRef(self, node)
 
     def _unwrap(self, ref: NodeRef) -> int:
         if not isinstance(ref, NodeRef) or ref.manager is not self:
@@ -418,6 +436,13 @@ class BddManager:
         else:
             self._roots[u] = count - 1
         self._ref_walk(u, -1)
+
+    def rebind(self, old: NodeRef, new: NodeRef) -> NodeRef:
+        """Move a root registration from ``old`` to ``new`` and return
+        ``new``, registered first: the swap's peak counts both values."""
+        self.register_root(new)
+        self.release_root(old)
+        return new
 
     @property
     def live_nodes(self) -> int:
@@ -454,34 +479,26 @@ class BddManager:
     # ------------------------------------------------------------------
     # interning helpers
 
+    def _intern(self, ids: dict, values: list, key, build, what: str) -> int:
+        """Id of ``key`` in ``ids``; a new key gets the next id, checked
+        against the key-field bound, and the value ``build(key)``."""
+        i = ids.get(key)
+        if i is None:
+            i = len(values)
+            if i >= _KEY_LIMIT:
+                raise BddError(f"{what} table full")
+            values.append(build(key))
+            ids[key] = i
+        return i
+
     def _intern_set(self, mask: int) -> int:
-        """Id of the level set ``mask``; stored as a frozenset, which the
-        recursions test membership in."""
-        sid = self._set_ids.get(mask)
-        if sid is None:
-            sid = len(self._sets)
-            if sid >= _KEY_LIMIT:
-                raise BddError("level-set table full")
-            self._set_ids[mask] = sid
-            self._sets.append(
-                (frozenset(_levels_of(mask)), mask.bit_length() - 1)
-            )
-        return sid
+        return self._intern(
+            self._set_ids, self._sets, mask, _level_set, "level-set"
+        )
 
-    def _intern_map(self, mapping: dict[int, int]) -> int:
-        key = tuple(sorted(mapping.items()))
-        mid = self._map_ids.get(key)
-        if mid is None:
-            mid = len(self._maps)
-            if mid >= _KEY_LIMIT:
-                raise BddError("rename-map table full")
-            self._map_ids[key] = mid
-            self._maps.append((dict(mapping), max(mapping) if mapping else -1))
-        return mid
-
-    def _intern_relations(self, rels: tuple[tuple[int, int], ...]) -> int:
-        """Id of the relation set ``rels``, pairs of a relation node and the
-        mask of the odd levels it assigns.
+    def _relation_set(self, rels: tuple[tuple[int, int], ...]) -> tuple:
+        """The stored form of the relation set ``rels``, pairs of a relation
+        node and the mask of the odd levels it assigns.
 
         A relation starts at its top pair, the lowest even level of its
         support and assigned levels.  The set is stored per pair ``c`` (as
@@ -490,12 +507,6 @@ class BddManager:
         t_ij)`` with ``t_ij`` the non-false cofactor of the relation at
         ``c = i, c+1 = j`` (``i == j`` when ``c+1`` is not assigned).  The
         identity and the empty relation fire nowhere."""
-        gid = self._relset_ids.get(rels)
-        if gid is not None:
-            return gid
-        gid = len(self._relsets)
-        if gid >= _KEY_LIMIT:
-            raise BddError("relation-set table full")
         by_pair: dict[int, list[tuple]] = {}
         for t, quant in rels:
             levels = self._support(t) | quant
@@ -518,39 +529,24 @@ class BddManager:
             if fires[k]:
                 top = 2 * k
             nxt[k] = top
-        self._relset_ids[rels] = gid
-        self._relsets.append((nxt, fires))
-        return gid
+        return nxt, fires
 
     # ------------------------------------------------------------------
     # boolean connectives
 
     def apply(self, op: str, f: NodeRef, g: NodeRef) -> NodeRef:
-        try:
-            code = _OP_NAMES.index(op)
-        except ValueError:
-            raise BddError(f"unknown operator {op!r}") from None
-        if code > _BIIMP:
+        code = _CONNECTIVES.get(op)
+        if code is None:
             raise BddError(f"{op!r} is not a binary connective")
-        u, v = self._unwrap(f), self._unwrap(g)
-        try:
-            return self._wrap(self._apply(code, u, v))
-        finally:
-            self._end()
+        return self._run(self._apply, code, self._unwrap(f), self._unwrap(g))
 
     def negate(self, f: NodeRef) -> NodeRef:
-        u = self._unwrap(f)
-        try:
-            return self._wrap(self._not(u))
-        finally:
-            self._end()
+        return self._run(self._not, self._unwrap(f))
 
     def ite(self, f: NodeRef, g: NodeRef, h: NodeRef) -> NodeRef:
-        a, b, c = self._unwrap(f), self._unwrap(g), self._unwrap(h)
-        try:
-            return self._wrap(self._ite(a, b, c))
-        finally:
-            self._end()
+        return self._run(
+            self._ite, self._unwrap(f), self._unwrap(g), self._unwrap(h)
+        )
 
     def _apply(self, code: int, u: int, v: int) -> int:
         # Terminal-case shortcuts; nothing here is counted.  With one
@@ -647,21 +643,13 @@ class BddManager:
 
     def exists(self, f: NodeRef, levels: Iterable[int]) -> NodeRef:
         u = self._unwrap(f)
-        mask = 0
-        for l in levels:
-            if not 0 <= l < self._num_vars:
-                raise BddError(f"level {l} out of range")
-            mask |= 1 << l
+        mask = self._mask(levels)
         if not mask:
             return f
-        sid = self._intern_set(mask)
-        try:
-            return self._wrap(self._exists(u, sid))
-        finally:
-            self._end()
+        return self._run(self._exists, u, self._intern_set(mask))
 
     def _exists(self, u: int, sid: int) -> int:
-        levels, top = self._sets[sid]
+        levels, top, _ = self._sets[sid]
         if u <= 1 or self._var[u] > top:
             return u
         table = self._cache[sid << 4 | _EXISTS]
@@ -689,20 +677,18 @@ class BddManager:
         mapping = {k: v for k, v in mapping.items() if k != v}
         if not mapping:
             return f
-        for k, v in mapping.items():
-            if not (0 <= k < self._num_vars and 0 <= v < self._num_vars):
-                raise BddError("rename level out of range")
+        self._mask([*mapping, *mapping.values()])  # checks every level
         sup = _levels_of(self._support(u))
         imgs = [mapping.get(l, l) for l in sup]
         if any(b <= a for a, b in zip(imgs, imgs[1:])):
             raise BddError(
                 f"rename map is not order-preserving on support {sup}"
             )
-        mid = self._intern_map(mapping)
-        try:
-            return self._wrap(self._replace(u, mid))
-        finally:
-            self._end()
+        mid = self._intern(
+            self._map_ids, self._maps, tuple(sorted(mapping.items())),
+            _rename_map, "rename-map",
+        )
+        return self._run(self._replace, u, mid)
 
     def _replace(self, u: int, mid: int) -> int:
         mapping, top = self._maps[mid]
@@ -731,10 +717,7 @@ class BddManager:
         u, c = self._unwrap(f), self._unwrap(care)
         if c == 0:
             raise BddError("restrict against an empty care set")
-        try:
-            return self._wrap(self._restrict(u, c))
-        finally:
-            self._end()
+        return self._run(self._restrict, u, c)
 
     def _restrict(self, u: int, c: int) -> int:
         if c == 1 or u <= 1:
@@ -850,10 +833,7 @@ class BddManager:
             # the image forgets the source values of the assigned bits
             quant >>= 1
         ctx = self._context(op, self._intern_set(quant))
-        try:
-            return self._wrap(self._relprod(ctx, pn, tn, rn, an))
-        finally:
-            self._end()
+        return self._run(self._relprod, ctx, pn, tn, rn, an)
 
     def _context(self, op: int, sid: int) -> tuple:
         """The context of one public product over level set ``sid``, fixed
@@ -861,17 +841,11 @@ class BddManager:
         ``table`` the computed table of ``op`` on ``sid``, ``pairs`` the
         even levels ``c`` of the pairs it quantifies (``c`` itself for the
         image, ``c + 1`` for the preimage) and ``top`` the set's highest
-        level.  ``pairs`` is interned per set and direction; the table is
-        looked up per call, as :meth:`fresh_cache` may have swapped it."""
-        cid = sid << 4 | op
-        pairs = self._pairs.get(cid)
-        levels, top = self._sets[sid]
-        if pairs is None:
-            pairs = levels if op == _RELNEXT else frozenset(
-                l - 1 for l in levels
-            )
-            self._pairs[cid] = pairs
-        return op, sid, self._cache[cid], pairs, top
+        level.  ``pairs`` come with the interned set; the table is looked
+        up per call, as :meth:`fresh_cache` may have swapped it."""
+        levels, top, preimage_pairs = self._sets[sid]
+        pairs = levels if op == _RELNEXT else preimage_pairs
+        return op, sid, self._cache[sid << 4 | op], pairs, top
 
     def _assigned_levels(
         self, tn: int, assigned: Iterable[int] | None
@@ -880,11 +854,10 @@ class BddManager:
         odd_support = self._support(tn) & self._odd
         if assigned is None:
             return odd_support
-        odd = 0
-        for l in assigned:
-            if not (0 <= l < self._num_vars and l & 1):
-                raise BddError(f"assigned level {l} is not an odd level")
-            odd |= 1 << l
+        odd = self._mask(assigned)
+        if odd & ~self._odd:
+            even = _levels_of(odd & ~self._odd)[0]
+            raise BddError(f"assigned level {even} is not an odd level")
         missing = odd_support & ~odd
         if missing:
             raise BddError(
@@ -1040,17 +1013,17 @@ class BddManager:
         for t, assigned in relations:
             tn = self._unwrap(t)
             rels.append((tn, self._assigned_levels(tn, assigned)))
-        gid = self._intern_relations(tuple(rels))
+        gid = self._intern(
+            self._relset_ids, self._relsets, tuple(rels), self._relation_set,
+            "relation-set",
+        )
         contexts = {
             sid: self._context(_RELNEXT, sid)
             for firings in self._relsets[gid][1] for sid, *_ in firings
         }
-        try:
-            return self._wrap(self._saturate(
-                0, self._apply(_AND, pn, rn), rn, gid, contexts
-            ))
-        finally:
-            self._end()
+        return self._run(lambda: self._saturate(
+            0, self._apply(_AND, pn, rn), rn, gid, contexts
+        ))
 
     def _saturate(
         self, c: int, p: int, r: int, gid: int, contexts: dict[int, tuple]
@@ -1181,11 +1154,7 @@ class BddManager:
         other levels; :class:`BddError` is raised otherwise.
         """
         u = self._unwrap(f)
-        fixed = 0
-        for l in bits:
-            if not 0 <= l < self._num_vars:
-                raise BddError(f"level {l} out of range")
-            fixed |= 1 << l
+        fixed = self._mask(bits)
         sup = self._support(u)
         free = sup & ~fixed
         after = (free & -free).bit_length()  # one past the first free level
@@ -1193,7 +1162,7 @@ class BddManager:
             raise BddError(f"a fixed level comes after free level {after - 1}")
         while u > 1 and self._var[u] in bits:
             u = self._high[u] if bits[self._var[u]] else self._low[u]
-        return self._wrap(u)
+        return NodeRef(self, u)
 
     def sat_count(self, f: NodeRef, levels: Iterable[int]) -> int:
         """Number of satisfying assignments of ``f`` over ``levels``.

@@ -31,6 +31,7 @@ from .encode import edges_by_event
 from .model import (
     FALSE, TRUE, Automaton, BinaryOp, BoolDomain, Edge, EnumDomain, EnumLit,
     Expr, IntLit, Location, LocRef, Specification, UnaryOp, VarRef,
+    fresh_name,
 )
 from .synthesis import SynthesisResult
 from .transform import conj, disj
@@ -133,16 +134,6 @@ def lower_bdd_to_expr(f: NodeRef, enc, model) -> Expr:
     return done[f]
 
 
-def _supervisor_name(spec: Specification) -> str:
-    taken = {aut.name for aut in spec.automata}
-    taken.update(var.name for var in spec.variables())
-    taken.update(ev.name for ev in spec.events)
-    name = "sup"
-    while name in taken:
-        name += "_"
-    return name
-
-
 def emit(
     spec: Specification, result: SynthesisResult, simplify: bool = True
 ) -> Specification:
@@ -185,8 +176,11 @@ def emit(
     for name in alphabet:
         expr = lower_bdd_to_expr(guards[name], enc, model)
         edges.append(Edge("s0", [name], None if expr == TRUE else expr))
+    taken = {aut.name for aut in spec.automata}
+    taken.update(var.name for var in spec.variables())
+    taken.update(ev.name for ev in spec.events)
     automata.append(Automaton(
-        _supervisor_name(spec), "supervisor",
+        fresh_name("sup", taken), "supervisor",
         locations=[Location("s0", initial=True, marked=True)],
         edges=edges, alphabet=alphabet,
     ))

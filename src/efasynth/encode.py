@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from .bdd import BddManager, NodeRef
 from .model import (
     BinaryOp, BoolDomain, BoolLit, EnumLit, Expr, IntDomain, IntLit, UnaryOp,
-    VarRef, Variable, domain_size, fold_expr,
+    VarRef, Variable, domain_size, fold_expr, fresh_name,
 )
 from .transform import LinearModel
 
@@ -72,9 +72,7 @@ def combine(mgr: BddManager, op: str, operands: list[NodeRef]) -> NodeRef:
     acc = mgr.register_root(ordered[0])
     try:
         for operand in ordered[1:]:
-            new = mgr.register_root(mgr.apply(op, acc, operand))
-            mgr.release_root(acc)
-            acc = new
+            acc = mgr.rebind(acc, mgr.apply(op, acc, operand))
         return acc
     finally:
         mgr.release_root(acc)
@@ -392,10 +390,7 @@ def _input_edges(enc: Encoding, taken: set[str], pp: NodeRef) -> list[SymEdge]:
     for var in enc.model.variables:
         if var.kind != "input":
             continue
-        name = f"input_{var.name}"
-        while name in taken:
-            name += "_"
-        taken.add(name)
+        name = fresh_name(f"input_{var.name}", taken)
         sym = enc.by_name[var.name]
         change = mgr.negate(enc.frame(var.name))
         # The environment may move the variable to any other value that

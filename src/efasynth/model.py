@@ -25,7 +25,7 @@ __all__ = [
     "Edge", "EnumDomain", "EnumLit", "Event", "Expr", "IntDomain", "IntLit",
     "Invariant", "LocRef", "Location", "ModelStats", "Span", "Specification",
     "UnaryOp", "VarRef", "Variable", "domain_size", "eval_expr", "fold_expr",
-    "literal_codes", "map_leaves", "model_stats", "validate",
+    "fresh_name", "literal_codes", "map_leaves", "model_stats", "validate",
 ]
 
 
@@ -277,6 +277,16 @@ class Specification:
         for aut in self.automata:
             yield from aut.variables
         yield from self.input_vars
+
+
+def fresh_name(base: str, taken: set[str]) -> str:
+    """``base`` with ``_`` appended until it is not in ``taken``; the name
+    is added to ``taken``."""
+    name = base
+    while name in taken:
+        name += "_"
+    taken.add(name)
+    return name
 
 
 # ----------------------------------------------------------------------

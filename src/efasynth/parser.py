@@ -74,6 +74,12 @@ class _Token:
         self.span = span
 
 
+def _expected(what: str, tok: _Token) -> ParseError:
+    """The error for finding ``tok`` where ``what`` should stand."""
+    shown = tok.text or "end of file"
+    return ParseError(Diagnostic(f"expected {what}, found '{shown}'", tok.span))
+
+
 def _tokenize(text: str, filename: str) -> list[_Token]:
     tokens: list[_Token] = []
     line, line_start = 1, 0  # line_start: offset where the current line starts
@@ -134,10 +140,7 @@ class _Parser:
     def expect(self, kind: str) -> _Token:
         tok = self.peek()
         if tok.kind != kind:
-            shown = tok.text or "end of file"
-            raise ParseError(
-                Diagnostic(f"expected '{kind}', found '{shown}'", tok.span)
-            )
+            raise _expected(f"'{kind}'", tok)
         return self.advance()
 
     def ident(self) -> _Token:
@@ -167,10 +170,7 @@ class _Parser:
                 spec.marker_preds.append(self.expr())
                 self.expect(";")
             else:
-                shown = tok.text or "end of file"
-                raise ParseError(
-                    Diagnostic(f"expected a declaration, found '{shown}'", tok.span)
-                )
+                raise _expected("a declaration", tok)
         return spec
 
     def event_decl(self, spec: Specification) -> None:
@@ -200,7 +200,7 @@ class _Parser:
                 literals.append(self.ident().text)
             self.expect("}")
             return EnumDomain(tuple(literals))
-        raise ParseError(Diagnostic(f"expected a type, found '{tok.text}'", tok.span))
+        raise _expected("a type", tok)
 
     def input_var(self, spec: Specification) -> None:
         self.advance()
@@ -221,7 +221,7 @@ class _Parser:
             return int(tok.text)
         if tok.kind == "ident":
             return tok.text
-        raise ParseError(Diagnostic(f"expected a literal, found '{tok.text}'", tok.span))
+        raise _expected("a literal", tok)
 
     def automaton(self, spec: Specification) -> None:
         kind = self.advance().kind
@@ -242,14 +242,7 @@ class _Parser:
             elif tok.kind == "location":
                 self.location(aut)
             else:
-                shown = tok.text or "end of file"
-                raise ParseError(
-                    Diagnostic(
-                        f"expected 'disc', 'alphabet', or 'location', found "
-                        f"'{shown}'",
-                        tok.span,
-                    )
-                )
+                raise _expected("'disc', 'alphabet', or 'location'", tok)
         self.expect("}")
         spec.automata.append(aut)
 
@@ -364,9 +357,7 @@ class _Parser:
                 loc = self.ident()
                 return LocRef(tok.text, loc.text, span=tok.span)
             return VarRef(tok.text, span=tok.span)
-        raise ParseError(
-            Diagnostic(f"expected an expression, found '{tok.text or 'end of file'}'", tok.span)
-        )
+        raise _expected("an expression", tok)
 
 
 # ----------------------------------------------------------------------
@@ -448,12 +439,10 @@ def _format_binary(expr: BinaryOp, left, right) -> tuple[str, int]:
     return f"{_wrap(left, prec)} {expr.op} {_wrap(right, prec + 1)}", prec
 
 
-def format_expr(expr: Expr, parent_prec: int = 0, right: bool = False) -> str:
-    """Model text for ``expr`` as an operand of an operator binding at
-    ``parent_prec`` (on its right side if ``right``), with the fewest
-    parentheses that parse back to the same tree."""
-    printed = fold_expr(expr, _format_leaf, _format_unary, _format_binary)
-    return _wrap(printed, parent_prec + right)
+def format_expr(expr: Expr) -> str:
+    """Model text for ``expr``, with the fewest parentheses that parse back
+    to the same tree."""
+    return fold_expr(expr, _format_leaf, _format_unary, _format_binary)[0]
 
 
 def _format_domain(domain) -> str:

@@ -203,9 +203,7 @@ def _iterate(mgr: BddManager, steps, acc: NodeRef, early_stop: bool,
                     break
             else:
                 fails = 0
-                mgr.register_root(new)
-                mgr.release_root(acc)
-                acc = new
+                acc = mgr.rebind(acc, new)
                 if dead is not None and dead(acc):
                     break
         return acc, runs
@@ -365,11 +363,9 @@ def _event_guards(
             continue
         guard = mgr.false
         for r in by_event.get(name, ()):
-            new = mgr.register_root(mgr.relprev(
+            guard = mgr.rebind(guard, mgr.relprev(
                 behavior, r.rel, assigned=r.levels, into=guard,
             ))
-            mgr.release_root(guard)
-            guard = new
         guards[name] = guard
     return guards
 

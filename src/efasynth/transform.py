@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from .model import (
     FALSE, TRUE, Automaton, BinaryOp, Diagnostic, Edge, EnumLit, Event, Expr,
     IntDomain, IntLit, Invariant, LocRef, Location, Specification, UnaryOp,
-    VarRef, Variable, literal_codes, map_leaves,
+    VarRef, Variable, fresh_name, literal_codes, map_leaves,
 )
 
 __all__ = ["LinEdge", "LinearModel", "conj", "disj", "linearize",
@@ -133,14 +133,6 @@ class LinearModel:
     codes: dict[str, int]  # enumeration literal -> index
 
 
-def _pointer_name(aut: str, taken: set[str]) -> str:
-    name = f"{aut}_lp"
-    while name in taken:
-        name += "_"
-    taken.add(name)
-    return name
-
-
 def linearize(spec: Specification) -> tuple[LinearModel, list[Diagnostic]]:
     """Flatten a plantified specification into guarded update edges.
 
@@ -163,7 +155,7 @@ def linearize(spec: Specification) -> tuple[LinearModel, list[Diagnostic]]:
         }
         pointer = None
         if len(aut.locations) > 1:
-            pointer = pointers[aut.name] = _pointer_name(aut.name, taken)
+            pointer = pointers[aut.name] = fresh_name(f"{aut.name}_lp", taken)
             variables.append(
                 Variable(pointer, IntDomain(0, len(aut.locations) - 1),
                          kind="pointer", owner=aut.name)

@@ -58,6 +58,12 @@ STRATEGIES = (
     "pipeline-v08", "pipeline-v40",
 )
 
+# Rounds of center-of-gravity placement FORCE tries at most.
+_FORCE_ROUNDS = 20
+# Sloan's weight of a vertex's degree against its distance to the end
+# vertex, whose weight is 1.
+_SLOAN_DEGREE_WEIGHT = 2
+
 
 def expr_vars(expr: Expr, out: set[str]) -> set[str]:
     """Add the names of the variables ``expr`` reads to ``out``."""
@@ -217,13 +223,14 @@ def _cuthill_mckee(graph: _Graph, comp: list[int]) -> list[int]:
     return order
 
 
-def _sloan(graph: _Graph, comp: list[int], w1: int = 1, w2: int = 2) -> list[int]:
+def _sloan(graph: _Graph, comp: list[int]) -> list[int]:
     """Sloan profile reduction: balance distance-to-end against degree."""
     start, end = graph.pseudo_peripheral(comp)
     dist = graph.distances(end)
     INACTIVE, PREACTIVE, ACTIVE, POSTACTIVE = range(4)
     status = {v: INACTIVE for v in comp}
-    prio = {v: w1 * dist[v] - w2 * (graph.degree[v] + 1) for v in comp}
+    w2 = _SLOAN_DEGREE_WEIGHT
+    prio = {v: dist[v] - w2 * (graph.degree[v] + 1) for v in comp}
     status[start] = PREACTIVE
     queue = [start]
     order = []
@@ -272,14 +279,12 @@ def _dcsh(edges: list[frozenset[int]], n: int) -> list[int]:
     return order
 
 
-def force(
-    order: list[int], edges: list[frozenset[int]], rounds: int = 20
-) -> list[int]:
+def force(order: list[int], edges: list[frozenset[int]]) -> list[int]:
     """Iterated center-of-gravity placement; returns the best order seen
     by total hyperedge span (the initial order counts)."""
     best, best_span = list(order), total_span(order, edges)
     current = list(order)
-    for _ in range(rounds):
+    for _ in range(_FORCE_ROUNDS):
         pos = {v: i for i, v in enumerate(current)}
         pulls: dict[int, list[float]] = {}
         for edge in edges:

@@ -832,10 +832,59 @@ def test_live_and_peak_match_reference_walk(seed):
         if roots and rng.random() < 0.3:
             mgr.release_root(roots.pop(rng.randrange(len(roots))))
             check()
+        if roots and rng.random() < 0.3:
+            i = rng.randrange(len(roots))
+            new = rng.choice(pool)
+            # the new value is registered before the old one is released
+            both = [r.node for r in roots] + [new.node]
+            peak = max(peak, reachable(mgr, both))
+            roots[i] = mgr.rebind(roots[i], new)
+            check()
     while roots:
         mgr.release_root(roots.pop())
         check()
     assert mgr.live_nodes == 0
+
+
+def test_rebind_counts_both_values_at_its_peak():
+    # new shares no node with old; for a moment both are registered
+    mgr = fresh(4)
+    new = mgr.var(4) & mgr.var(6)
+    old = mgr.register_root(mgr.var(0) & mgr.var(2))
+    assert (mgr.live_nodes, mgr.peak_nodes) == (2, 2)
+    assert mgr.rebind(old, new) == new
+    assert (mgr.live_nodes, mgr.peak_nodes) == (2, 4)
+    mgr.release_root(new)
+    assert mgr.live_nodes == 0
+    with pytest.raises(BddError, match="not a registered root"):
+        mgr.release_root(old)
+
+
+def test_an_operation_that_raises_still_releases_its_temporaries(
+    monkeypatch,
+):
+    # The kernel builds three nodes and then fails; the boundary still
+    # ends the operation, so the next one's peak counts only its own node.
+    mgr = fresh(4)
+
+    def broken(code, u, v):
+        mgr._node(0, 0, mgr._node(2, 0, mgr._node(4, 0, 1)))
+        raise RuntimeError("kernel failed")
+
+    monkeypatch.setattr(mgr, "_apply", broken)
+    with pytest.raises(RuntimeError):
+        mgr.apply("and", mgr.true, mgr.true)
+    monkeypatch.undo()
+    assert (mgr.allocated_nodes, mgr.peak_nodes) == (3, 3)
+    mgr.var(6)
+    assert (mgr.allocated_nodes, mgr.peak_nodes) == (4, 3)
+
+
+@pytest.mark.parametrize("op", ["not", "ite", "nand"])
+def test_apply_takes_binary_connectives_only(op):
+    mgr = fresh()
+    with pytest.raises(BddError, match="not a binary connective"):
+        mgr.apply(op, mgr.var(0), mgr.var(2))
 
 
 def test_packed_key_fields_are_bounded(monkeypatch):
@@ -965,6 +1014,14 @@ def test_operands_must_share_manager():
     a, b = fresh(), fresh()
     with pytest.raises(BddError):
         a.apply("and", a.true, b.true)
+
+
+def test_noderef_hashes_by_node_and_compares_by_manager():
+    a, b = fresh(), fresh()
+    f, g, h = a.var(0), a.var(0), b.var(0)
+    assert f == g and hash(f) == hash(g)
+    assert h.node == f.node and h != f
+    assert len({f, g, h}) == 2
 
 
 def test_noderef_has_no_truth_value():

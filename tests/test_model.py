@@ -6,7 +6,7 @@ from efasynth.model import (
     Automaton, BinaryOp, BoolDomain, BoolLit, Diagnostic, Edge, EnumDomain,
     EnumLit, Event, IntDomain, IntLit, Location, LocRef, Span, Specification,
     UnaryOp, VarRef, Variable, domain_size, eval_expr, fold_expr,
-    literal_codes, map_leaves, model_stats, validate,
+    fresh_name, literal_codes, map_leaves, model_stats, validate,
 )
 from efasynth.parser import parse_file
 
@@ -164,6 +164,14 @@ def test_map_leaves_replaces_leaves_and_keeps_spans():
     out = map_leaves(expr, lambda n: BoolLit(True) if n == VarRef("b") else n)
     assert out == BinaryOp("and", UnaryOp("not", VarRef("a")), BoolLit(True))
     assert out.span == span and out.left.span == span
+
+
+def test_fresh_name_appends_underscores_and_records_the_name():
+    taken = {"a", "a_"}
+    assert fresh_name("a", taken) == "a__"
+    assert fresh_name("a", taken) == "a___"
+    assert fresh_name("b", taken) == "b"
+    assert taken == {"a", "a_", "a__", "a___", "b"}
 
 
 def test_long_expressions_validate():

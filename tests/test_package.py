@@ -1,7 +1,10 @@
 """Properties of the package as a whole."""
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import efasynth
@@ -99,3 +102,63 @@ def test_only_the_bdd_kernels_and_the_reference_evaluator_recurse():
     assert recursive == {f"bdd.BddManager.{k}" for k in kernels} | {
         "model.eval_expr"
     }
+
+
+def test_the_bdd_operation_boundary_is_one_method():
+    # Every public operation ends through _run, so no operation can leave
+    # its temporaries marked.
+    path = pathlib.Path(efasynth.__file__).parent / "bdd.py"
+    graph = _call_graph(ast.parse(path.read_text(), str(path)))
+    callers = [name for name, callees in graph.items()
+               if "BddManager._end" in callees]
+    assert callers == ["BddManager._run"]
+
+
+# Run in a subprocess: install() patches the toolkit for good.
+_TRACED_RUN = """
+import importlib.util, json, sys
+from efasynth import emit, parser, synthesis, transform
+
+def run(path):
+    out = {}
+    for preset in ("v08", "v40"):
+        plant = transform.plantify(parser.parse_file(path))
+        model, _ = transform.linearize(plant)
+        config = synthesis.SynthesisConfig.preset(preset)
+        result = synthesis.synthesize(model, config)
+        metrics = dict(result.metrics)
+        del metrics["count_s"]  # wall time
+        text = parser.unparse(emit.emit(plant, result))
+        out[preset] = [metrics, result.manager.op_counts(), text]
+    return out
+
+model, spans_path = sys.argv[1:]
+plain = run(model)
+spec = importlib.util.spec_from_file_location("spans", spans_path)
+spans = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(spans)
+tracer = spans.Tracer()
+spans.install(tracer)
+traced = run(model)
+print(json.dumps({"same": plain == traced, "calls": tracer.calls}))
+"""
+
+
+def test_the_benchmark_trace_mode_leaves_results_unchanged(models_dir):
+    # The benchmark's span tracer wraps public BDD methods and
+    # FixedPointEngine.reach by name and signature; a renamed method or
+    # a changed signature breaks it here rather than in a benchmark run.
+    root = models_dir.parent
+    src = pathlib.Path(efasynth.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACED_RUN,
+         str(models_dir / "producer_consumer.efa"),
+         str(root / "synthbench" / "spans.py")],
+        capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["same"]
+    assert report["calls"]["synthesis.nonblocking"] > 0
+    assert report["calls"]["bdd.relprev"] > 0

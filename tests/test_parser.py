@@ -163,6 +163,10 @@ def test_round_trip_shipped_models(models_dir):
         ("plant p { location l: } $", "unexpected character"),
         # a digit that is not decimal, which int() cannot read
         ("plant p { disc int[0..3] x = ²; location l: }", "unexpected character"),
+        # at the end of the file every error names it
+        ("input", "expected a type, found 'end of file'"),
+        ("plant a { disc int[0..3] x = ",
+         "expected a literal, found 'end of file'"),
     ],
 )
 def test_syntax_errors(text, fragment):
