@@ -14,12 +14,15 @@ supervisor made explicit:
   behavior.
 
 With simplification enabled, guards and the initialization predicate are
-reduced relative to what already holds anyway — the plant's own guard,
-the state invariants, the requirement conditions, and the synthesized
-behavior — and the requirement-derived invariants are kept (relabeled
-``supervisor``) because the reduced guards are only faithful inside that
-context.  With simplification disabled the raw strengthened guards are
-self-contained, so the requirement-derived invariants are dropped.
+reduced relative to what already holds anyway, and the requirement-derived
+invariants are kept (relabeled ``supervisor``) because the reduced guards
+are only faithful inside that context.  A guard is reduced against the
+emission's one care set, the domain and plant state invariants (``pp``)
+and the synthesized behavior, conjoined with the disjunction of the
+event's edge guards: those carry the plant's own guards and the
+requirement conditions of the event.  With simplification disabled the raw
+strengthened guards are self-contained, so the requirement-derived
+invariants are dropped.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ def _int(value: int) -> Expr:
     return IntLit(value)
 
 
-def lower_bdd_to_expr(f: NodeRef, enc, model) -> Expr:
+def lower_bdd_to_expr(f: NodeRef, enc) -> Expr:
     """Lower a state predicate to an expression over the model's variables.
 
     Each node of ``f`` that starts a variable's bits groups that
@@ -61,7 +64,7 @@ def lower_bdd_to_expr(f: NodeRef, enc, model) -> Expr:
     mgr = enc.manager
     location_names = {
         aut: {code: name for name, code in table.items()}
-        for aut, table in model.location_codes.items()
+        for aut, table in enc.model.location_codes.items()
     }
 
     def atom(sym, codes: list[int]) -> Expr:
@@ -144,25 +147,6 @@ def emit(
     sym = result.sym
     enc = sym.enc
     mgr = sym.manager
-    model = result.model
-
-    guards: dict[str, NodeRef] = {}
-    by_event = edges_by_event(sym.edges)
-    for name, controllable in sym.events:
-        if not controllable:
-            continue
-        guard = result.event_guards[name]
-        if simplify:
-            plant = mgr.false
-            for edge in by_event.get(name, ()):
-                plant = plant | edge.guard_plant
-            assumption = (
-                plant & sym.pp
-                & sym.req_guards.get(name, mgr.true) & result.controlled
-            )
-            if not assumption.is_false:  # else the event never occurs
-                guard = mgr.restrict(guard, assumption)
-        guards[name] = guard
 
     automata = []
     for aut in spec.automata:
@@ -171,10 +155,20 @@ def emit(
         else:
             automata.append(aut)
 
+    care = sym.pp & result.controlled if simplify else None
+    by_event = edges_by_event(sym.edges)
     alphabet = [ev.name for ev in spec.events if ev.controllable]
     edges = []
     for name in alphabet:
-        expr = lower_bdd_to_expr(guards[name], enc, model)
+        guard = result.event_guards[name]
+        if simplify:
+            occurs = mgr.false
+            for edge in by_event.get(name, ()):
+                occurs = occurs | edge.guard
+            assumption = occurs & care
+            if not assumption.is_false:  # else the event never occurs
+                guard = mgr.restrict(guard, assumption)
+        expr = lower_bdd_to_expr(guard, enc)
         edges.append(Edge("s0", [name], None if expr == TRUE else expr))
     taken = {aut.name for aut in spec.automata}
     taken.update(var.name for var in spec.variables())
@@ -188,7 +182,7 @@ def emit(
     init = result.initial
     if simplify:
         init = mgr.restrict(init, sym.initial)
-    init_expr = lower_bdd_to_expr(init, enc, model)
+    init_expr = lower_bdd_to_expr(init, enc)
     init_preds = list(spec.init_preds)
     if init_expr != TRUE:
         init_preds.append(init_expr)

@@ -29,13 +29,16 @@ result at every step.
    check or by restrict-based simplification)
 7. fold event-condition invariants into guards; requirement conditions on
    uncontrollable events contribute forbidden states instead of relying on
-   the guard alone
+   the guard alone.  The guards are the conditions' only home: each edge's
+   guard is its plant guard (``guard_plant``) and every requirement
+   condition of its event, so the disjunction of an event's guards is the
+   disjunction of its plant guards conjoined with those conditions
 8. compile initial (conjoined with ``pp``) and marked predicates
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .bdd import BddManager, NodeRef
 from .model import (
@@ -195,7 +198,6 @@ class Encoding:
     def __init__(self, model: LinearModel, order: list[int]):
         self.model = model
         self.manager = BddManager()
-        self.order = list(order)
         self.symvars: list[SymVar] = []
         self.by_name: dict[str, SymVar] = {}
         self.by_level: dict[int, SymVar] = {}  # even levels only
@@ -224,20 +226,20 @@ class Encoding:
         shift = 1 if primed else 0
         return [self.manager.var(lvl + shift) for lvl in sym.levels]
 
-    def value_bits(self, name: str, primed: bool = False) -> list[NodeRef]:
+    def value_bits(self, name: str) -> list[NodeRef]:
         """The variable as a signed vector in value space (code plus offset)."""
         sym = self.by_name[name]
-        bits = self.bits(name, primed) + [self.manager.false]
+        bits = self.bits(name) + [self.manager.false]
         if sym.lo:
             bits = bv_add(self.manager, bits, bv_const(self.manager, sym.lo))
         return bits
 
-    def in_domain(self, name: str, primed: bool = False) -> NodeRef:
+    def in_domain(self, name: str) -> NodeRef:
         """Code within the declared domain (the encoded range may be wider)."""
         sym = self.by_name[name]
         if sym.codes == 1 << sym.width:
             return self.manager.true
-        bits = self.bits(name, primed) + [self.manager.false]
+        bits = self.bits(name) + [self.manager.false]
         return bv_lt(self.manager, bits, bv_const(self.manager, sym.codes))
 
     def domain_predicate(self) -> NodeRef:
@@ -343,8 +345,8 @@ class SymEdge:
     error: NodeRef  # encoded-range overflow of the raw updates
     update: NodeRef  # partial relation over the assigned variables' pairs
     assigned: frozenset[str]
-    # guard without requirement conditions, read by emission and the plant
-    # count; set by build_symbolic
+    # guard without requirement conditions, read by the plant count; set by
+    # build_symbolic
     guard_plant: NodeRef = None
     is_input: bool = False
 
@@ -358,7 +360,6 @@ class SymbolicModel:
     marked: NodeRef
     forbidden: NodeRef
     pp: NodeRef  # domain and plant state invariants
-    req_guards: dict[str, NodeRef] = field(default_factory=dict)
 
     @property
     def manager(self) -> BddManager:
@@ -471,37 +472,30 @@ def build_symbolic(
             pred = mgr.negate(pred)
         key = (inv.side, inv.event)
         conditions[key] = conditions[key] & pred if key in conditions else pred
-    controllable = dict(events)
+    by_event = edges_by_event(edges)
     for (side, event), pred in conditions.items():
         if side == "plant":
-            for edge in edges:
-                if edge.event == event:
-                    edge.guard = edge.guard & pred
+            for edge in by_event.get(event, ()):
+                edge.guard = edge.guard & pred
     for edge in edges:
         edge.guard_plant = edge.guard
-    req_guards: dict[str, NodeRef] = {}
     for (side, event), pred in conditions.items():
         if side == "plant":
             continue
-        req_guards[event] = req_guards.get(event, mgr.true) & pred
-        for edge in edges:
-            if edge.event != event:
-                continue
-            if not controllable[event]:
+        for edge in by_event.get(event, ()):
+            if not edge.controllable:
                 forbidden = forbidden | (edge.guard & mgr.negate(pred))
             edge.guard = edge.guard & pred
 
     initial = enc.compile_pred(model.initial) & pp
     marked = enc.compile_pred(model.marked)
 
-    sym = SymbolicModel(
-        enc, events, edges, initial, marked, forbidden, pp, req_guards,
-    )
+    sym = SymbolicModel(enc, events, edges, initial, marked, forbidden, pp)
     for edge in edges:
         mgr.register_root(edge.guard)
         mgr.register_root(edge.update)
         mgr.register_root(edge.guard_plant)
-    for root in (initial, marked, forbidden, pp, *req_guards.values()):
+    for root in (initial, marked, forbidden, pp):
         mgr.register_root(root)
     return sym
 

@@ -150,6 +150,7 @@ def _wes_key(pos, edges) -> int:
 class _Graph:
     def __init__(self, edges: list[frozenset[int]], n: int):
         self.n = n
+        self.edges = edges
         self.weight = _pair_weights(edges, n)
         self.adj = [sorted(weights) for weights in self.weight]
         self.degree = [len(nbrs) for nbrs in self.adj]
@@ -161,17 +162,10 @@ class _Graph:
         for start in range(self.n):
             if seen[start]:
                 continue
-            comp = [start]
-            seen[start] = True
-            queue = deque([start])
-            while queue:
-                v = queue.popleft()
-                for w in self.adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        comp.append(w)
-                        queue.append(w)
-            comps.append(sorted(comp))
+            comp = sorted(v for level in self._levels(start) for v in level)
+            for v in comp:
+                seen[v] = True
+            comps.append(comp)
         comps.sort(key=lambda comp: (-len(comp), comp[0]))
         return comps
 
@@ -258,25 +252,28 @@ def _sloan(graph: _Graph, comp: list[int]) -> list[int]:
     return order
 
 
-def _dcsh(edges: list[frozenset[int]], n: int) -> list[int]:
-    """Per component, the best of Cuthill-McKee, Sloan, and their reversals
-    by WES; components concatenated largest first."""
+def _dcsh(graph: _Graph, comp: list[int]) -> list[int]:
+    """The best of Cuthill-McKee, Sloan, and their reversals by WES."""
+    members = set(comp)
+    local = [e for e in graph.edges if e <= members]
+    cm = _cuthill_mckee(graph, comp)
+    sl = _sloan(graph, comp)
+    return min(
+        [cm, sl, cm[::-1], sl[::-1]],
+        key=lambda cand: _wes_key({v: i for i, v in enumerate(cand)}, local),
+    )
+
+
+def _by_component(edges: list[frozenset[int]], n: int, order_comp) -> list[int]:
+    """The components of the variable graph, largest first, each ordered by
+    ``order_comp(graph, comp)``; an isolated vertex stays as it is."""
     graph = _Graph(edges, n)
-    order: list[int] = []
-    for comp in graph.components():
-        if len(comp) == 1:
-            order.extend(comp)
-            continue
-        members = set(comp)
-        local = [e for e in edges if e <= members]
-        cm = _cuthill_mckee(graph, comp)
-        sl = _sloan(graph, comp)
-        candidates = [cm, sl, cm[::-1], sl[::-1]]
-        order.extend(min(
-            candidates,
-            key=lambda cand: _wes_key({v: i for i, v in enumerate(cand)}, local),
-        ))
-    return order
+    return [v for comp in graph.components()
+            for v in (order_comp(graph, comp) if len(comp) > 1 else comp)]
+
+
+# The strategies that order each component on its own.
+_COMPONENT_ORDERS = {"dcsh": _dcsh, "sloan": _sloan, "cm": _cuthill_mckee}
 
 
 def force(order: list[int], edges: list[frozenset[int]]) -> list[int]:
@@ -414,18 +411,11 @@ def compute_order(model: LinearModel, strategy: str) -> list[int]:
     edges = hyperedges(model)
     if strategy == "model":
         return base
-    if strategy == "dcsh":
-        return _dcsh(edges, n)
+    if strategy in _COMPONENT_ORDERS:
+        return _by_component(edges, n, _COMPONENT_ORDERS[strategy])
     if strategy == "force":
         return force(base, edges)
-    if strategy == "sloan":
-        graph = _Graph(edges, n)
-        return [v for comp in graph.components()
-                for v in (_sloan(graph, comp) if len(comp) > 1 else comp)]
-    if strategy == "cm":
-        graph = _Graph(edges, n)
-        return [v for comp in graph.components()
-                for v in (_cuthill_mckee(graph, comp) if len(comp) > 1 else comp)]
     if strategy == "pipeline-v08":
         return sliding_window(force(base, edges), edges)
-    return sliding_window(force(_dcsh(edges, n), edges), edges)  # v40
+    # v40
+    return sliding_window(force(_by_component(edges, n, _dcsh), edges), edges)

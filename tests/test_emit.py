@@ -8,7 +8,7 @@ from efasynth.emit import emit, lower_bdd_to_expr
 from efasynth.encode import build_symbolic
 from efasynth.model import (
     BinaryOp, BoolLit, EnumLit, IntLit, LocRef, UnaryOp, VarRef, eval_expr,
-    validate,
+    map_leaves, validate,
 )
 from efasynth.oracle import ExplicitOracle
 from efasynth.parser import format_expr, parse_file, parse_spec, unparse
@@ -66,16 +66,16 @@ def assert_faithful(f, expr, model, enc, oracle):
 
 def test_lower_terminals():
     model, enc = mixed_enc()
-    assert lower_bdd_to_expr(enc.manager.true, enc, model) == TRUE
-    assert lower_bdd_to_expr(enc.manager.false, enc, model) == BoolLit(False)
+    assert lower_bdd_to_expr(enc.manager.true, enc) == TRUE
+    assert lower_bdd_to_expr(enc.manager.false, enc) == BoolLit(False)
 
 
 def test_lower_single_bool_is_the_variable():
     model, enc = mixed_enc()
     f = enc.compile_pred(VarRef("b"))
-    assert lower_bdd_to_expr(f, enc, model) == VarRef("b")
+    assert lower_bdd_to_expr(f, enc) == VarRef("b")
     g = enc.compile_pred(UnaryOp("not", VarRef("b")))
-    assert lower_bdd_to_expr(g, enc, model) == UnaryOp("not", VarRef("b"))
+    assert lower_bdd_to_expr(g, enc) == UnaryOp("not", VarRef("b"))
 
 
 x = VarRef("x")
@@ -96,13 +96,13 @@ x = VarRef("x")
 ])
 def test_lower_collapses_intervals(pred, want):
     model, enc = mixed_enc()
-    assert lower_bdd_to_expr(enc.compile_pred(pred), enc, model) == want
+    assert lower_bdd_to_expr(enc.compile_pred(pred), enc) == want
 
 
 def test_lower_enum_membership():
     model, enc = mixed_enc()
     f = enc.compile_pred(BinaryOp("=", VarRef("e"), EnumLit("green")))
-    assert lower_bdd_to_expr(f, enc, model) == BinaryOp(
+    assert lower_bdd_to_expr(f, enc) == BinaryOp(
         "=", VarRef("e"), EnumLit("green")
     )
 
@@ -111,7 +111,7 @@ def test_lower_pointer_becomes_location_reference():
     model, enc = mixed_enc()
     pointer = model.pointers["m"]
     f = enc.compile_pred(BinaryOp("=", VarRef(pointer), IntLit(0)))
-    assert lower_bdd_to_expr(f, enc, model) == LocRef("m", "a")
+    assert lower_bdd_to_expr(f, enc) == LocRef("m", "a")
 
 
 def random_pred(rng, depth=3):
@@ -136,7 +136,7 @@ def test_lower_fidelity_on_random_predicates():
     for _ in range(40):
         pred = random_pred(rng)
         f = enc.compile_pred(pred)
-        lowered = lower_bdd_to_expr(f, enc, model)
+        lowered = lower_bdd_to_expr(f, enc)
         assert_faithful(f, lowered, model, enc, oracle)
 
 
@@ -158,7 +158,7 @@ def test_lower_reads_cofactors_without_bdd_work():
     result = synthesize(model, SynthesisConfig())
     mgr = result.manager
     before = mgr.op_total, mgr.allocated_nodes
-    lowered = lower_bdd_to_expr(result.event_guards["inc"], result.sym.enc, model)
+    lowered = lower_bdd_to_expr(result.event_guards["inc"], result.sym.enc)
     assert (mgr.op_total, mgr.allocated_nodes) == before
     # one equality per multiple of 3 below 4,095
     assert format_expr(lowered).count(" = ") == 1365
@@ -288,14 +288,13 @@ def test_emit_simplified_guards_agree_inside_assumption(models_dir):
     for edge in out.automata[-1].edges:
         event = edge.events[0]
         expr = edge.guard if edge.guard is not None else TRUE
-        plant_guard = mgr.false
+        # the edge guards carry the plant guards and the requirement
+        # conditions of the event
+        occurs = mgr.false
         for base in sym.edges:
             if base.event == event:
-                plant_guard = plant_guard | base.guard_plant
-        assumption = (
-            plant_guard & sym.pp
-            & sym.req_guards.get(event, mgr.true) & result.controlled
-        )
+                occurs = occurs | base.guard
+        assumption = occurs & sym.pp & result.controlled
         raw = result.event_guards[event]
         for i in range(len(oracle.states)):
             assignment = oracle.assignment_for(enc, i)
@@ -306,6 +305,80 @@ def test_emit_simplified_guards_agree_inside_assumption(models_dir):
                 expr, values, locations_of(model, values), model.codes
             ))
             assert got == mgr.evaluate(raw, assignment), (event, values)
+
+
+# A controllable event whose requirement conditions come from two sources,
+# a two-location requirement automaton (one 'disables' per location) and a
+# 'needs' invariant, over two plant edges with different guards.  Both
+# domains fill their encodings, so a lowered guard compiles back to the
+# same diagram.
+TWO_SOURCES = """
+controllable go;
+uncontrollable drop;
+
+plant p {
+  disc int[0..7] x = 0;
+
+  location l:
+    initial; marked;
+    edge go when x < 4 do x := x + 3;
+    edge go when x >= 4 do x := x - 4;
+    edge drop when x = 6 do x := 1;
+}
+
+requirement r {
+  location lo:
+    initial; marked;
+    edge go when x != 2 goto hi;
+  location hi:
+    marked;
+    edge go when x < 5 goto lo;
+}
+
+requirement invariant go needs x != 0 or r.lo;
+requirement invariant x != 1;
+"""
+
+
+@pytest.mark.parametrize("simplify,guard", [
+    (True, "x = 0 or x = 2 or x = 4 or x >= 6"),
+    (False, "(x = 0 or x >= 6) and r.lo or (x = 1 or x = 4) "
+            "or x = 2 and r.hi"),
+])
+def test_emit_two_requirement_sources_over_two_edges(simplify, guard):
+    plant, model, result = pipeline(TWO_SOURCES)
+    sym = result.sym
+    mgr = sym.manager
+    conditions = [
+        inv.kind for inv in plant.invariants
+        if inv.side == "requirement" and inv.event == "go"
+    ]
+    assert sorted(conditions) == ["disables", "disables", "needs"]
+    assert len({e.guard_plant for e in sym.edges if e.event == "go"}) > 1
+
+    out = emit(plant, result, simplify=simplify)
+    (edge,) = out.automata[-1].edges
+    assert format_expr(edge.guard) == guard
+    assert [format_expr(p) for p in out.init_preds] == (
+        [] if simplify else ["x = 0 and r.lo"]
+    )
+
+    want = result.event_guards["go"]
+    if simplify:
+        occurs = mgr.false
+        for base in sym.edges:
+            if base.event == "go":
+                occurs = occurs | base.guard
+        want = mgr.restrict(want, occurs & sym.pp & result.controlled)
+
+    def locate(node):
+        if isinstance(node, LocRef):
+            pointer = VarRef(model.pointers[node.automaton])
+            code = model.location_codes[node.automaton][node.location]
+            return BinaryOp("=", pointer, IntLit(code))
+        return node
+
+    assert sym.enc.compile_pred(map_leaves(edge.guard, locate)) == want
 
 
 @pytest.mark.parametrize("simplify", [True, False])
