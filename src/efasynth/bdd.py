@@ -48,17 +48,27 @@ above each relation and end with a sweep that only confirms nothing
 changed.  Saturation steps take a computed table of their own per
 relation set and count as ``relnext`` operations.
 
-Node lifetime is explicit.  Nodes are never deleted; ``live`` counts the
-decision nodes reachable from the registered roots, and ``peak`` is the
-high-water mark of those nodes together with the temporaries of the public
-operation in flight: the nodes reachable from a node it returned from
-``_node``.  Registered roots hold reference counts.  The temporaries of an
-operation are instead marked with the operation's epoch: ``_node`` marks a
-node that is neither referenced nor marked, together with its unmarked,
-unreferenced descendants, and counts each in ``held``.  ``live`` does not
-change while an operation runs and ``held`` only grows, so ``_end`` raises
-``peak`` to ``live + held`` once, then clears ``held`` and advances the
-epoch, which unmarks the temporaries all at once without a walk.
+Node lifetime is explicit.  ``live`` counts the decision nodes reachable
+from the registered roots, and ``peak`` is the high-water mark of those
+nodes together with the temporaries of the public operation in flight: the
+nodes reachable from a node it returned from ``_node``.  Registered roots
+hold reference counts.  The temporaries of an operation are instead marked
+with the operation's epoch: ``_node`` marks a node that is neither
+referenced nor marked, together with its unmarked, unreferenced
+descendants, and counts each in ``held``.  ``live`` does not change while
+an operation runs and ``held`` only grows, so ``_end`` raises ``peak`` to
+``live + held`` once, then clears ``held`` and advances the epoch, which
+unmarks the temporaries all at once without a walk.
+
+Nodes that no root reaches are freed only at a safe point
+(:meth:`BddManager.safe_point`), which its caller places between
+operations where it holds no unregistered handle it will use again, and
+only once the unique table has outgrown the live nodes.  The collection is
+deterministic: the dead nodes are those whose reference count is zero,
+their slots are reused lowest id first, and every computed-table entry,
+support-memo entry and relation set that names one is dropped, after Brace,
+Rudell & Bryant (DAC 1990).  A handle carries its slot's generation, so
+using a handle to a freed node raises :class:`BddError`.
 
 The bookkeeping no counter sees is kept cheap and free of objects that
 Python's cyclic collector tracks.  Keys of the unique table are packed into
@@ -124,6 +134,15 @@ _TRUTH = {
 # low four bits of a computed-cache context.
 _KEY_LIMIT = 1 << 32
 
+# Per op code, how many low 32-bit fields of a computed-table key are node
+# ids; saturation's top field is a level.
+_NODE_FIELDS = (2, 2, 2, 2, 2, 2, 1, 3, 1, 1, 2, 4, 4, 2)
+
+# A safe point collects once the unique table holds more than this many
+# times the live nodes, and more than the floor below.
+_COLLECT_RATIO = 8
+_COLLECT_FLOOR = 16_384
+
 
 def _levels_of(mask: int) -> list[int]:
     """The levels set in ``mask``, in increasing order; the walk visits
@@ -148,6 +167,25 @@ def _rename_map(items: tuple[tuple[int, int], ...]) -> tuple[dict, int]:
     return dict(items), items[-1][0]
 
 
+def _purged(table: dict[int, int], dead: bytearray, fields: int) -> dict:
+    """The entries of a computed table whose result and node fields, the
+    low ``fields`` 32-bit fields of the key, are all alive."""
+    low = 0xFFFFFFFF  # one field
+    items = table.items()
+    if fields == 1:
+        return {k: v for k, v in items if not (dead[v] or dead[k])}
+    if fields == 2:
+        return {k: v for k, v in items
+                if not (dead[v] or dead[k & low] or dead[k >> 32 & low])}
+    if fields == 3:
+        return {k: v for k, v in items
+                if not (dead[v] or dead[k & low] or dead[k >> 32 & low]
+                        or dead[k >> 64])}
+    return {k: v for k, v in items
+            if not (dead[v] or dead[k & low] or dead[k >> 32 & low]
+                    or dead[k >> 64 & low] or dead[k >> 96])}
+
+
 class BddError(Exception):
     """Raised on misuse of the manager (bad operands, unbalanced roots)."""
 
@@ -156,23 +194,28 @@ class NodeRef:
     """Handle to a BDD node.
 
     A ``NodeRef`` is a value object: equality means "same node in the same
-    manager", which by canonicity is semantic equivalence.  It carries no
-    lifetime semantics; use :meth:`BddManager.register_root` to keep a node's
-    subgraph counted as live between operations, and
-    :meth:`BddManager.rebind` to move a registration to a new value.
+    manager", which by canonicity is semantic equivalence.  It does not keep
+    its node alive; use :meth:`BddManager.register_root` to keep a node's
+    subgraph live between operations, and :meth:`BddManager.rebind` to move
+    a registration to a new value.  A safe point
+    (:meth:`BddManager.safe_point`) may free the nodes no root holds; the
+    handle carries its node slot's generation, so a handle to a freed or
+    reused slot raises :class:`BddError` instead of naming another function.
     """
 
-    __slots__ = ("manager", "node")
+    __slots__ = ("manager", "node", "gen")
 
-    def __init__(self, manager: "BddManager", node: int):
+    def __init__(self, manager: "BddManager", node: int, gen: int):
         self.manager = manager
         self.node = node
+        self.gen = gen
 
     def __eq__(self, other):
         return (
             isinstance(other, NodeRef)
             and other.manager is self.manager
             and other.node == self.node
+            and other.gen == self.gen
         )
 
     def __hash__(self):
@@ -212,8 +255,10 @@ class BddManager:
     """Shared-node BDD store with deterministic metrics.
 
     Levels are allocated in current/next pairs via :meth:`add_pair`.  The
-    manager never reorders and never garbage-collects: determinism of the
-    operation and node counters takes precedence over memory reuse.
+    manager never reorders, and frees dead nodes only at the safe points
+    its caller marks (:meth:`safe_point`), by a rule that depends on the
+    node counts alone, so the operation and node counters stay
+    deterministic.
 
     Public operations do not nest: each runs its private recursion
     through ``_run``, whose ``_end`` releases every temporary the
@@ -221,6 +266,9 @@ class BddManager:
     """
 
     def __init__(self):
+        # CPython 3.11 specializes attribute access only on instances of at
+        # most 29 attributes; past that every ``self._x`` in the kernels
+        # slows down (about 8% of a benchmark round), so keep within it.
         # Node 0 is FALSE, node 1 is TRUE.
         self._var = [_TERMINAL_LEVEL, _TERMINAL_LEVEL]
         self._low = [0, 1]
@@ -230,9 +278,16 @@ class BddManager:
         # temporary.
         self._ref = [0, 0]
         self._mark = [-1, -1]
+        # Per node: the generation of its slot, advanced when a collection
+        # frees it, so a handle made before then no longer matches.
+        self._gen = [0, 0]
         self._unique: dict[int, int] = {}
-        # Computed tables by operation context, each keyed by operand ids.
+        # Slots freed by collections, the lowest id last: reused first.
+        self._free: list[int] = []
+        # Computed tables by operation context, each keyed by operand ids,
+        # and the ones fresh_cache set aside.
         self._cache: defaultdict[int, dict[int, int]] = defaultdict(dict)
+        self._saved_caches: list[defaultdict[int, dict[int, int]]] = []
         # Interned level sets (see _level_set) and rename maps referenced
         # from cache keys.
         self._set_ids: dict[int, int] = {}  # level mask -> id
@@ -242,14 +297,19 @@ class BddManager:
         # Interned relation sets of saturate: per pair, the next pair a
         # relation starts at and the firings of the relations starting there.
         self._relset_ids: dict[tuple[tuple[int, int], ...], int] = {}
-        self._relsets: list[tuple[list[int], list[tuple]]] = []
-        self._num_vars = 0
-        self._odd = 0  # mask of the odd levels allocated so far
+        self._relsets: list[tuple[list[int], list[tuple]] | None] = []
+        # Checked masks of assigned odd levels, by the levels given.
+        self._assigned_masks: dict[tuple[int, ...], int] = {}
+        # mask of the odd levels allocated so far; its length is the
+        # number of levels
+        self._odd = 0
         self._labels: list[str] = []
         # Metrics.
         self._ops = [0] * len(_OP_NAMES)
         self._live = 0
         self._peak = 0
+        self._collections = 0
+        self._freed = 0
         self._roots: dict[int, int] = {}
         # Temporaries of the public operation in flight.
         self._epoch = 0
@@ -260,28 +320,27 @@ class BddManager:
 
     @property
     def false(self) -> NodeRef:
-        return NodeRef(self, 0)
+        return NodeRef(self, 0, 0)
 
     @property
     def true(self) -> NodeRef:
-        return NodeRef(self, 1)
+        return NodeRef(self, 1, 0)
 
     # ------------------------------------------------------------------
     # variables
 
     def add_pair(self, label: str = "") -> tuple[int, int]:
         """Allocate a current/next level pair; returns ``(even, odd)``."""
-        c = self._num_vars
+        c = self._odd.bit_length()
         if c + 2 > min(_KEY_LIMIT, _TERMINAL_LEVEL):
             raise BddError("too many variable levels")
-        self._num_vars += 2
         self._odd |= 1 << (c + 1)
         self._labels.append(label or f"b{c // 2}")
         return c, c + 1
 
     @property
     def num_vars(self) -> int:
-        return self._num_vars
+        return self._odd.bit_length()
 
     def level_name(self, level: int) -> str:
         base = self._labels[level // 2]
@@ -299,7 +358,7 @@ class BddManager:
 
     def _mask(self, levels: Iterable[int]) -> int:
         """Bit mask of ``levels``, each checked to be an allocated level."""
-        mask, n = 0, self._num_vars
+        mask, n = 0, self._odd.bit_length()
         for l in levels:
             if not 0 <= l < n:
                 raise BddError(f"level {l} out of range")
@@ -318,16 +377,25 @@ class BddManager:
         # so live/peak accounting sees intermediate results.
         ref, mark, epoch = self._ref, self._mark, self._epoch
         if u is None:
-            u = len(self._var)
-            if u >= _KEY_LIMIT:
-                raise BddError("node table full")
-            self._var.append(var)
-            self._low.append(low)
-            self._high.append(high)
             odd = self._odd_below
-            odd.append(var & 1 | odd[low] | odd[high])
-            ref.append(0)
-            mark.append(epoch)
+            if self._free:
+                u = self._free.pop()
+                self._var[u] = var
+                self._low[u] = low
+                self._high[u] = high
+                odd[u] = var & 1 | odd[low] | odd[high]
+                mark[u] = epoch
+            else:
+                u = len(self._var)
+                if u >= _KEY_LIMIT:
+                    raise BddError("node table full")
+                self._var.append(var)
+                self._low.append(low)
+                self._high.append(high)
+                odd.append(var & 1 | odd[low] | odd[high])
+                ref.append(0)
+                mark.append(epoch)
+                self._gen.append(0)
             self._unique[key] = u
         elif ref[u] or mark[u] == epoch:
             return u
@@ -393,7 +461,8 @@ class BddManager:
     def _run(self, kernel, *args) -> NodeRef:
         """The public operation ``kernel(*args)``, closed by :meth:`_end`."""
         try:
-            return NodeRef(self, kernel(*args))
+            u = kernel(*args)
+            return NodeRef(self, u, self._gen[u])
         finally:
             self._end()
 
@@ -411,7 +480,10 @@ class BddManager:
     def _unwrap(self, ref: NodeRef) -> int:
         if not isinstance(ref, NodeRef) or ref.manager is not self:
             raise BddError("operand belongs to a different manager")
-        return ref.node
+        u = ref.node
+        if ref.gen != self._gen[u]:
+            raise BddError(f"handle to node {u}, which a collection freed")
+        return u
 
     # ------------------------------------------------------------------
     # roots and metrics
@@ -454,7 +526,17 @@ class BddManager:
 
     @property
     def allocated_nodes(self) -> int:
-        return len(self._var) - 2
+        """Decision nodes created so far, reused slots included: every
+        freed slot is either reused or still free."""
+        return len(self._var) - 2 + self._freed - len(self._free)
+
+    @property
+    def collections(self) -> int:
+        return self._collections
+
+    @property
+    def freed_nodes(self) -> int:
+        return self._freed
 
     def op_counts(self) -> dict[str, int]:
         return {name: self._ops[i] for i, name in enumerate(_OP_NAMES)}
@@ -468,13 +550,65 @@ class BddManager:
         """Run the block on empty computed tables, then restore the ones
         they replaced, every context's table with them: the block's
         operation counts depend on its own work alone, and later operations
-        see the hits they would have seen without it.  Node ids never die,
-        so every entry stays valid."""
-        saved, self._cache = self._cache, defaultdict(dict)
+        see the hits they would have seen without it.  A collection in the
+        block purges the set-aside tables too, so every entry they bring
+        back names live nodes."""
+        self._saved_caches.append(self._cache)
+        self._cache = defaultdict(dict)
         try:
             yield
         finally:
-            self._cache = saved
+            self._cache = self._saved_caches.pop()
+
+    # ------------------------------------------------------------------
+    # collection
+
+    def safe_point(self) -> None:
+        """Mark a point between operations where the caller holds no
+        handle it has not registered and will use again; collect there
+        once the unique table holds more than ``_COLLECT_RATIO`` times the
+        live nodes and more than ``_COLLECT_FLOOR`` nodes."""
+        if len(self._unique) > max(_COLLECT_RATIO * self._live,
+                                   _COLLECT_FLOOR):
+            self._collect()
+
+    def _collect(self) -> None:
+        """Free every node no registered root reaches.
+
+        No operation is in flight at a safe point, so no node is a
+        temporary, and the reference counts say exactly which nodes the
+        roots reach: the dead ones are the unique-table entries whose count
+        is zero, and no marking walk is needed.  Their slots advance their
+        generation and join the free list in id order.  Then every
+        structure that names a node id drops what names a dead one: the
+        computed-table entries (by each op code's key layout, the tables
+        ``fresh_cache`` set aside included), the support memo and the
+        interned relation sets of :meth:`saturate`, with their tables."""
+        ref, gen = self._ref, self._gen
+        freed = [u for u in self._unique.values() if not ref[u]]
+        self._unique = {k: u for k, u in self._unique.items() if ref[u]}
+        dead = bytearray(len(ref))
+        for u in freed:
+            dead[u] = 1
+            gen[u] += 1
+        self._free = sorted(self._free + freed, reverse=True)
+        self._collections += 1
+        self._freed += len(freed)
+        # a relation set names its relations' nodes, and their cofactors
+        # are live while they are
+        for key in [key for key in self._relset_ids
+                    if any(dead[t] for t, _ in key)]:
+            self._relsets[self._relset_ids.pop(key)] = None
+        self._support_memo = {
+            u: m for u, m in self._support_memo.items() if not dead[u]
+        }
+        for cache in (self._cache, *self._saved_caches):
+            for ctx in list(cache):
+                op, gid = ctx & 15, ctx >> 4
+                if op == _SATURATE and self._relsets[gid] is None:
+                    del cache[ctx]
+                else:
+                    cache[ctx] = _purged(cache[ctx], dead, _NODE_FIELDS[op])
 
     # ------------------------------------------------------------------
     # interning helpers
@@ -850,14 +984,20 @@ class BddManager:
     def _assigned_levels(
         self, tn: int, assigned: Iterable[int] | None
     ) -> int:
-        """Mask of the odd levels ``tn`` assigns."""
+        """Mask of the odd levels ``tn`` assigns.  A given ``assigned`` is
+        checked once and its mask interned, keyed by levels alone; whether
+        it covers the odd support of ``tn`` is checked on every call."""
         odd_support = self._support(tn) & self._odd
         if assigned is None:
             return odd_support
-        odd = self._mask(assigned)
-        if odd & ~self._odd:
-            even = _levels_of(odd & ~self._odd)[0]
-            raise BddError(f"assigned level {even} is not an odd level")
+        levels = tuple(assigned)
+        odd = self._assigned_masks.get(levels)
+        if odd is None:
+            odd = self._mask(levels)
+            if odd & ~self._odd:
+                even = _levels_of(odd & ~self._odd)[0]
+                raise BddError(f"assigned level {even} is not an odd level")
+            self._assigned_masks[levels] = odd
         missing = odd_support & ~odd
         if missing:
             raise BddError(
@@ -1162,7 +1302,7 @@ class BddManager:
             raise BddError(f"a fixed level comes after free level {after - 1}")
         while u > 1 and self._var[u] in bits:
             u = self._high[u] if bits[self._var[u]] else self._low[u]
-        return NodeRef(self, u)
+        return NodeRef(self, u, self._gen[u])
 
     def sat_count(self, f: NodeRef, levels: Iterable[int]) -> int:
         """Number of satisfying assignments of ``f`` over ``levels``.

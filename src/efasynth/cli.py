@@ -154,6 +154,8 @@ def _report(path: Path, config: SynthesisConfig, result: SynthesisResult,
         "peak_nodes": m["peak_nodes"],
         "live_nodes": m["live_nodes"],
         "allocated_nodes": m["allocated_nodes"],
+        "collections": m["collections"],
+        "freed_nodes": m["freed_nodes"],
         "edge_applications": m["edge_applications"],
         "reach_calls": m["reach_calls"],
         "sweeps": m["sweeps"],

@@ -179,7 +179,8 @@ class SynthesisResult:
 
 
 def _iterate(mgr: BddManager, steps, acc: NodeRef, early_stop: bool,
-             quiet: int | None = None, dead=None) -> tuple[NodeRef, int]:
+             quiet: int | None = None, dead=None,
+             on_change=None) -> tuple[NodeRef, int]:
     """Apply ``steps`` round-robin to ``acc`` until it is stable.
 
     Stops once the last ``quiet`` applications (default: one per step)
@@ -187,7 +188,9 @@ def _iterate(mgr: BddManager, steps, acc: NodeRef, early_stop: bool,
     ``early_stop`` it stops only at the end of a sweep.  Stops at once when
     ``dead(acc)`` holds after a change.  ``acc`` must be a registered root;
     the registration moves to each new value and the final one is released.
-    Returns the result and the number of applications.
+    ``on_change()`` runs after each change, once the new value is
+    registered and the old one released.  Returns the result and the
+    number of applications.
     """
     n = len(steps)
     quiet = n if quiet is None else quiet
@@ -204,6 +207,8 @@ def _iterate(mgr: BddManager, steps, acc: NodeRef, early_stop: bool,
             else:
                 fails = 0
                 acc = mgr.rebind(acc, new)
+                if on_change is not None:
+                    on_change()
                 if dead is not None and dead(acc):
                     break
         return acc, runs
@@ -323,23 +328,37 @@ class FixedPointEngine:
 
     def reach(self, start, rels, restriction, backward: bool) -> NodeRef:
         """Least fixed point of ``start | step(...) & restriction`` under
-        the relations ``rels``."""
+        the relations ``rels``.
+
+        Under compound application each step that changes the set is
+        followed by a safe point (:meth:`BddManager.safe_point`), where the
+        manager may free the nodes no root holds: the restriction and the
+        relations are registered for the call, and the caller must hold
+        every other value it uses after the call as a registered root.
+        Naive application has none: it finds its step intermediates again
+        across sweeps only through the computed cache, which a collection
+        would purge."""
         self.reach_calls += 1
         mgr = self.mgr
         acc = mgr.register_root(start & restriction)
+        call_roots = [mgr.register_root(restriction)]
         if self.config.edge_apply == "naive":
-            apply = self._apply_naive
-            rels = call_roots = [
+            apply, on_change = self._apply_naive, None
+            rels = [
                 mgr.register_root(self.framed(r) & restriction) for r in rels
             ]
+            call_roots += rels
         else:
-            apply, call_roots = self._apply_compound, []
+            apply, on_change = self._apply_compound, mgr.safe_point
+            call_roots += [mgr.register_root(r.rel) for r in rels]
         steps = [
             functools.partial(apply, rel, restriction, backward)
             for rel in rels
         ]
         try:
-            acc, runs = _iterate(mgr, steps, acc, self.config.early_stop)
+            acc, runs = _iterate(
+                mgr, steps, acc, self.config.early_stop, on_change=on_change
+            )
         finally:
             for ref in call_roots:
                 mgr.release_root(ref)
@@ -575,6 +594,8 @@ def synthesize(
         "peak_nodes": mgr.peak_nodes,
         "live_nodes": mgr.live_nodes,
         "allocated_nodes": mgr.allocated_nodes,
+        "collections": mgr.collections,
+        "freed_nodes": mgr.freed_nodes,
         "nonempty": nonempty,
     }
 

@@ -494,13 +494,16 @@ def test_synthesis_invariant_suite(models_dir):
             strengthened = relations(
                 sym.enc, sym.events, strengthened_edges(result), False
             )
-            reachable = engine.reach(
+            # a reach may free the nodes no root holds, so the first set
+            # is registered across the second reach
+            reachable = mgr.register_root(engine.reach(
                 sym.initial & behavior, strengthened, behavior, backward=False
-            )
+            ))
             coreachable = engine.reach(
                 sym.marked, rels, behavior, backward=True
             )
             assert (reachable & mgr.negate(coreachable)).is_false
+            mgr.release_root(reachable)
 
             # guard strengthening shrinks each event's guard, monotonically
             # in the target

@@ -880,6 +880,124 @@ def test_an_operation_that_raises_still_releases_its_temporaries(
     assert (mgr.allocated_nodes, mgr.peak_nodes) == (4, 3)
 
 
+# ----------------------------------------------------------------------
+# collection
+
+
+def cache_nodes(mgr, cache):
+    """Every node id a computed cache names: results and node key fields."""
+    out = set()
+    for ctx, table in cache.items():
+        fields = bdd._NODE_FIELDS[ctx & 15]
+        for key, value in table.items():
+            out.add(value)
+            out.update(key >> 32 * i & 0xFFFFFFFF for i in range(fields))
+    return out
+
+
+def test_a_handle_to_a_freed_node_raises():
+    mgr = fresh(4)
+    kept = mgr.register_root(mgr.var(0) & mgr.var(2))
+    dropped = mgr.var(4) | mgr.var(6)
+    mgr._collect()
+    freed = set(mgr._free)
+    assert dropped.node in freed
+    for use in (lambda: dropped & kept, lambda: mgr.support(dropped),
+                lambda: mgr.register_root(dropped), lambda: ~dropped):
+        with pytest.raises(BddError, match="freed"):
+            use()
+    # the same function again, in reused slots: equal to no stale handle
+    again = mgr.var(4) | mgr.var(6)
+    assert set(mgr._nodes(again.node)) <= freed
+    assert again != dropped
+    assert mgr.sat_count(again, [4, 6]) == 3
+    # terminals and the live root are untouched
+    assert (kept & mgr.true) == kept and mgr.false.is_false
+
+
+def test_a_collection_frees_exactly_the_unreferenced_nodes():
+    rng = random.Random(11)
+    mgr = fresh(4)
+    levels = [0, 2, 4, 6]
+    masks = [rng.getrandbits(16) for _ in range(12)]
+    fs = [from_table(mgr, levels, m) for m in masks]
+    roots = [mgr.register_root(f) for f in fs[::2]]
+    # a relation set over a dropped relation and a table set aside by
+    # fresh_cache, both purged with the current cache
+    mgr.saturate(fs[0], [(fs[1] & mgr.var(1), None)])
+    with mgr.fresh_cache():
+        mgr.exists(fs[3] | fs[5], [2])
+        held = set()
+        for r in roots:
+            held.update(mgr._nodes(r.node))
+        before = set(mgr._unique.values())
+        dead = before - held
+        # reference counts mark exactly the nodes the roots reach
+        assert dead == {u for u in before if not mgr._ref[u]}
+        assert dead and cache_nodes(mgr, mgr._saved_caches[0]) & dead
+        counters = (mgr.live_nodes, mgr.peak_nodes, mgr.allocated_nodes)
+        mgr._collect()
+        assert set(mgr._unique.values()) == held
+        assert mgr._free == sorted(dead, reverse=True)
+        assert (mgr.live_nodes, mgr.peak_nodes, mgr.allocated_nodes) == counters
+        assert (mgr.collections, mgr.freed_nodes) == (1, len(dead))
+        for cache in (mgr._cache, *mgr._saved_caches):
+            assert not cache_nodes(mgr, cache) & dead
+        assert not set(mgr._support_memo) & dead
+        assert mgr._relsets == [None] and not mgr._relset_ids
+    for f, m in zip(roots, masks[::2]):
+        assert mgr.sat_count(f, levels) == bin(m).count("1")
+        for index, env in assignments(levels):
+            assert mgr.evaluate(f, env) == bool(m >> index & 1)
+    # the dropped functions come back in the freed slots, lowest id first
+    rebuilt = [from_table(mgr, levels, m) for m in masks[1::2]]
+    new = set(mgr._unique.values()) - held
+    assert len(new) < len(dead)
+    assert new == set(sorted(dead)[:len(new)])
+    assert mgr.allocated_nodes == counters[2] + len(new)
+    for f, m in zip(rebuilt, masks[1::2]):
+        for index, env in assignments(levels):
+            assert mgr.evaluate(f, env) == bool(m >> index & 1)
+
+
+def test_a_safe_point_collects_past_its_thresholds(monkeypatch):
+    mgr = fresh(4)
+    root = mgr.register_root(mgr.var(0) & mgr.var(2))
+    for level in (4, 6):
+        mgr.var(level)
+    # x0 alone, x4 and x6 are dead
+    assert (len(mgr._unique), mgr.live_nodes) == (5, 2)
+    monkeypatch.setattr(bdd, "_COLLECT_FLOOR", 5)
+    mgr.safe_point()  # 5 nodes are not more than the floor
+    monkeypatch.setattr(bdd, "_COLLECT_FLOOR", 4)
+    monkeypatch.setattr(bdd, "_COLLECT_RATIO", 3)
+    mgr.safe_point()  # nor more than three times the live nodes
+    assert mgr.collections == 0
+    monkeypatch.setattr(bdd, "_COLLECT_RATIO", 2)
+    mgr.safe_point()
+    assert (mgr.collections, mgr.freed_nodes) == (1, 3)
+    assert len(mgr._unique) == mgr.live_nodes == mgr.size(root)
+
+
+def test_assigned_levels_are_interned_and_covered_on_every_call():
+    mgr = fresh(2)
+    p = mgr.var(0)
+    mgr.relnext(p, mgr.var(1), assigned=[1])
+    assert mgr._assigned_masks == {(1,): 0b10}
+    # the interned mask still has to cover each relation's odd support
+    with pytest.raises(BddError, match="outside the assigned set"):
+        mgr.relnext(p, mgr.var(1) & mgr.var(3), assigned=(1,))
+    with pytest.raises(BddError, match="not an odd level"):
+        mgr.relprev(p, mgr.var(1), assigned=(1, 2))
+    assert mgr._assigned_masks == {(1,): 0b10}
+
+
+def test_the_manager_keeps_within_the_attribute_count_cpython_specializes():
+    # CPython 3.11 stops specializing instance attribute access past 29
+    # attributes, which slows every kernel's self._x lookups.
+    assert len(vars(BddManager())) <= 29
+
+
 @pytest.mark.parametrize("op", ["not", "ite", "nand"])
 def test_apply_takes_binary_connectives_only(op):
     mgr = fresh()

@@ -75,6 +75,8 @@ def test_run_stats_json(producer, tmp_path, capsys):
         "encode", "nonblocking", "controllability", "strengthen"
     }
     assert report["operations"] > 0 and report["peak_nodes"] > 0
+    # far below the collector's thresholds
+    assert (report["collections"], report["freed_nodes"]) == (0, 0)
     assert report["count_operations"] > 0
     assert report["count_s"] >= 0
     assert report["unstaged_operations"] + sum(

@@ -114,6 +114,36 @@ def test_the_bdd_operation_boundary_is_one_method():
     assert callers == ["BddManager._run"]
 
 
+def _referrers(attr):
+    """The functions of the package, by module and qualified name, that
+    name the attribute ``attr``: called, or passed on uncalled."""
+    out = []
+    for path in sorted(pathlib.Path(efasynth.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        funcs = [(node.name, node) for node in tree.body
+                 if isinstance(node, ast.FunctionDef)]
+        funcs += [(f"{node.name}.{item.name}", item) for node in tree.body
+                  if isinstance(node, ast.ClassDef) for item in node.body
+                  if isinstance(item, ast.FunctionDef)]
+        out += [f"{path.stem}.{name}" for name, func in funcs
+                if any(isinstance(n, ast.Attribute) and n.attr == attr
+                       for n in ast.walk(func))]
+    return out
+
+
+def test_nodes_are_freed_only_at_the_fixed_point_safe_point():
+    # The collector frees every node no registered root holds, so it may
+    # run only where no caller keeps a handle it has not registered: the
+    # safe point, which only compound reachability places.
+    path = pathlib.Path(efasynth.__file__).parent / "bdd.py"
+    graph = _call_graph(ast.parse(path.read_text(), str(path)))
+    callers = [name for name, callees in graph.items()
+               if "BddManager._collect" in callees]
+    assert callers == ["BddManager.safe_point"]
+    assert _referrers("_collect") == ["bdd.BddManager.safe_point"]
+    assert _referrers("safe_point") == ["synthesis.FixedPointEngine.reach"]
+
+
 # Run in a subprocess: install() patches the toolkit for good.
 _TRACED_RUN = """
 import importlib.util, json, sys

@@ -11,7 +11,7 @@ import pytest
 from efasynth.emit import emit
 from efasynth.oracle import ExplicitOracle
 from efasynth.parser import parse_file, parse_spec, unparse
-from efasynth import synthesis
+from efasynth import bdd, synthesis
 from efasynth.bdd import BddManager
 from efasynth.synthesis import (
     PRESETS, FixedPointEngine, SynthesisConfig, _count_states, relations,
@@ -326,7 +326,9 @@ def strengthened_edges(result):
 
 def reach_counts(result):
     """The state counts by ``FixedPointEngine.reach`` under the run's own
-    configuration, over one relation per model edge."""
+    configuration, over one relation per model edge.  A reach may free the
+    nodes no root holds, so the first count is registered across the
+    second."""
     sym = result.sym
     mgr = result.manager
     levels = sym.enc.state_levels
@@ -338,9 +340,9 @@ def reach_counts(result):
     def per_edge(edges):
         return relations(sym.enc, sym.events, edges, per_event=False)
 
-    us = engine.reach(
+    us = mgr.register_root(engine.reach(
         sym.initial, per_edge(plant_edges), mgr.true, backward=False
-    )
+    ))
     cs = engine.reach(
         sym.initial & result.controlled, per_edge(strengthened_edges(result)),
         result.controlled, backward=False,
@@ -349,6 +351,7 @@ def reach_counts(result):
         mgr.sat_count(us, levels),
         mgr.sat_count(cs, levels) if result.nonempty else 0,
     )
+    mgr.release_root(us)
     engine.close()
     return counts
 
@@ -514,8 +517,13 @@ def test_controlled_count_follows_strengthened_guards():
 
 def plain_counts(sym, behavior, strengthened):
     """The reference for ``_count_states``: both forward reaches over every
-    variable, input edges included, with the edges merged per event."""
+    variable, input edges included, with the edges merged per event.  A
+    reach may free the nodes no root holds, so the behavior and the
+    strengthened guards are registered across the first."""
     mgr = sym.manager
+    held = [mgr.register_root(behavior)] + [
+        mgr.register_root(e.guard) for e in strengthened
+    ]
     counter = FixedPointEngine(
         sym, SynthesisConfig(edge_apply="compound", early_stop=True)
     )
@@ -535,6 +543,8 @@ def plain_counts(sym, behavior, strengthened):
         )
     finally:
         counter.close()
+        for ref in held:
+            mgr.release_root(ref)
 
 
 def model_text(models_dir, families, name):
@@ -1048,3 +1058,52 @@ def test_tank_count_relations_start_where_their_edges_do(
     text = families.tank(k, cap)
     m = synthesize(lin(parse_spec(text)), SynthesisConfig.preset(preset)).metrics
     assert m["count_operations"] <= bound
+
+
+@pytest.mark.parametrize("name", [
+    "agv_mutex", "cat_mouse", "dining_philosophers", "producer_consumer",
+    "sensor_input", "philosophers(8)", "chain(100)", "tank(2,12)",
+])
+def test_collecting_at_every_safe_point_changes_no_result(
+    models_dir, families, monkeypatch, name
+):
+    # With both thresholds at 0 every safe point of compound application
+    # collects.  Collection purges computed-table entries, so operation
+    # counts may rise, but the sets, the emitted guards and the live-node
+    # high-water mark stay as they are without it.
+    plant = plantify(parse_spec(model_text(models_dir, families, name)))
+    model, _ = linearize(plant)
+    safe_points = []
+    safe_point = BddManager.safe_point
+
+    def counted(mgr):
+        safe_points.append(mgr)
+        safe_point(mgr)
+
+    def run(config):
+        result = synthesize(model, config)
+        m = result.metrics
+        texts = [unparse(emit(plant, result, simplify))
+                 for simplify in (True, False)]
+        return m, (m["uncontrolled_states"], m["controlled_states"],
+                   m["peak_nodes"], texts)
+
+    collections = 0
+    for forward, plant_inv in itertools.product(
+        (False, True), ("implication", "restrict")
+    ):
+        config = SynthesisConfig.preset("v40")
+        config.forward, config.plant_inv = forward, plant_inv
+        m, want = run(config)
+        assert m["collections"] == 0
+        with monkeypatch.context() as patch:
+            patch.setattr(bdd, "_COLLECT_RATIO", 0)
+            patch.setattr(bdd, "_COLLECT_FLOOR", 0)
+            patch.setattr(BddManager, "safe_point", counted)
+            safe_points.clear()
+            m, got = run(config)
+        assert got == want, (forward, plant_inv)
+        assert m["collections"] == len(safe_points)
+        collections += len(safe_points)
+    # chain's fixed points change nothing without the forward stage
+    assert collections > 0
