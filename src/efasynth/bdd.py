@@ -8,6 +8,17 @@ advance identically on every platform, which is what makes benchmark output
 reproducible: an operation is counted exactly when a recursive invocation
 survives the terminal-case shortcuts *and* misses the computed cache.
 
+A public operation checks its operands and runs its kernel, the private
+recursion that counts and builds nodes, through the one operation
+boundary, ``_run``.  Each call pays outside the kernel only for what
+depends on its node operands.  A rename map or a level list is checked and
+interned the first time it is seen, and a rename map is checked to keep
+the level order once per support it meets.  A connective whose truth table
+alone decides the answer, from a terminal operand or two equal ones, gives
+back a constant or an operand without entering ``_run``: such an answer
+counts, builds and holds nothing, so no counter can tell it from the
+kernel's.  An answer that negates an operand still takes the kernel.
+
 Variable levels come in adjacent pairs: an even level holds a current-state
 bit and the next odd level holds its primed (next-state) partner.  The
 relational products (:meth:`BddManager.relnext`, :meth:`BddManager.relprev`)
@@ -262,7 +273,10 @@ class BddManager:
 
     Public operations do not nest: each runs its private recursion
     through ``_run``, whose ``_end`` releases every temporary the
-    operation marked, also when the recursion raises.
+    operation marked, also when the recursion raises.  An operation
+    answered without a recursion (a connective its truth table decides
+    with no negation, an identity rename map, an empty level list) returns
+    before ``_run``, as it has no temporary to release.
     """
 
     def __init__(self):
@@ -289,10 +303,14 @@ class BddManager:
         self._cache: defaultdict[int, dict[int, int]] = defaultdict(dict)
         self._saved_caches: list[defaultdict[int, dict[int, int]]] = []
         # Interned level sets (see _level_set) and rename maps referenced
-        # from cache keys.
-        self._set_ids: dict[int, int] = {}  # level mask -> id
+        # from cache keys.  Level set ids by mask, and by each level tuple
+        # exists has checked.
+        self._set_ids: dict[int | tuple[int, ...], int] = {}
         self._sets: list[tuple[frozenset[int], int, frozenset[int]]] = []
-        self._map_ids: dict[tuple[tuple[int, int], ...], int] = {}
+        # Rename map ids by the sorted non-identity pairs, and by the items
+        # of each map replace has checked; (id, support mask) once the map
+        # is known to keep the level order on that support.
+        self._map_ids: dict[tuple, int] = {}
         self._maps: list[tuple[dict[int, int], int]] = []  # (map, max key)
         # Interned relation sets of saturate: per pair, the next pair a
         # relation starts at and the firings of the relations starting there.
@@ -672,10 +690,31 @@ class BddManager:
         code = _CONNECTIVES.get(op)
         if code is None:
             raise BddError(f"{op!r} is not a binary connective")
-        return self._run(self._apply, code, self._unwrap(f), self._unwrap(g))
+        u, v = self._unwrap(f), self._unwrap(g)
+        if u > 1 and v > 1 and u != v:
+            return self._run(self._apply, code, u, v)
+        # A terminal operand or equal operands: the truth table decides, as
+        # in _apply.  A constant or an operand is answered here, since it
+        # counts and holds nothing; only a negated operand takes the kernel.
+        table = _TRUTH[code]
+        if u <= 1:
+            lo, hi, w, h = table[2 * u], table[2 * u + 1], v, g
+        elif v <= 1:
+            lo, hi, w, h = table[v], table[2 + v], u, f
+        else:
+            same = table[4]
+            return f if same is None else NodeRef(self, same, 0)
+        if w <= 1 or lo == hi:
+            return NodeRef(self, hi if w == 1 else lo, 0)
+        if hi:
+            return h
+        return self._run(self._apply, code, u, v)
 
     def negate(self, f: NodeRef) -> NodeRef:
-        return self._run(self._not, self._unwrap(f))
+        u = self._unwrap(f)
+        if u <= 1:
+            return NodeRef(self, 1 - u, 0)
+        return self._run(self._not, u)
 
     def ite(self, f: NodeRef, g: NodeRef, h: NodeRef) -> NodeRef:
         return self._run(
@@ -776,11 +815,20 @@ class BddManager:
     # quantification, renaming, generalized cofactor
 
     def exists(self, f: NodeRef, levels: Iterable[int]) -> NodeRef:
+        """``f`` with the variables at ``levels`` quantified existentially.
+
+        A level tuple is checked and its level set interned the first time
+        it is seen; after that it maps straight to the set's id.
+        """
         u = self._unwrap(f)
-        mask = self._mask(levels)
-        if not mask:
-            return f
-        return self._run(self._exists, u, self._intern_set(mask))
+        key = tuple(levels)
+        sid = self._set_ids.get(key)
+        if sid is None:
+            mask = self._mask(key)
+            if not mask:
+                return f
+            sid = self._set_ids[key] = self._intern_set(mask)
+        return self._run(self._exists, u, sid)
 
     def _exists(self, u: int, sid: int) -> int:
         levels, top, _ = self._sets[sid]
@@ -806,22 +854,34 @@ class BddManager:
         The map extended with the identity must be strictly increasing on
         the support of ``f``; anything else would require reordering the
         diagram and is rejected.
+
+        A map's items are checked and the map interned, identity pairs
+        dropped, the first time they are seen; whether the map preserves
+        order is checked once per support.  A map that passed both costs a
+        lookup of its items and one of its id and ``f``'s support.
         """
         u = self._unwrap(f)
-        mapping = {k: v for k, v in mapping.items() if k != v}
-        if not mapping:
-            return f
-        self._mask([*mapping, *mapping.values()])  # checks every level
-        sup = _levels_of(self._support(u))
-        imgs = [mapping.get(l, l) for l in sup]
-        if any(b <= a for a, b in zip(imgs, imgs[1:])):
-            raise BddError(
-                f"rename map is not order-preserving on support {sup}"
+        items = tuple(mapping.items())
+        mid = self._map_ids.get(items)
+        if mid is None:
+            mapping = {k: v for k, v in items if k != v}
+            if not mapping:
+                return f
+            self._mask([*mapping, *mapping.values()])  # checks every level
+            mid = self._map_ids[items] = self._intern(
+                self._map_ids, self._maps, tuple(sorted(mapping.items())),
+                _rename_map, "rename-map",
             )
-        mid = self._intern(
-            self._map_ids, self._maps, tuple(sorted(mapping.items())),
-            _rename_map, "rename-map",
-        )
+        sup = self._support(u)
+        if (mid, sup) not in self._map_ids:
+            mapping = self._maps[mid][0]
+            levels = _levels_of(sup)
+            imgs = [mapping.get(l, l) for l in levels]
+            if any(b <= a for a, b in zip(imgs, imgs[1:])):
+                raise BddError(
+                    f"rename map is not order-preserving on support {levels}"
+                )
+            self._map_ids[mid, sup] = mid
         return self._run(self._replace, u, mid)
 
     def _replace(self, u: int, mid: int) -> int:

@@ -24,7 +24,8 @@ result at every step.
    invariants start the forbidden predicate
 4. add one free-running edge per input variable, successors bounded by ``pp``
 5. collect the remaining forbidden states: guard-and-error states of
-   uncontrollable edges; fold ``not error`` into every guard
+   uncontrollable edges; fold ``not error`` into every guard and drop the
+   error, which no root holds (``compile_edges`` gives it again)
 6. strengthen guards so all successors satisfy ``pp`` (by implication
    check or by restrict-based simplification)
 7. fold event-condition invariants into guards; requirement conditions on
@@ -342,7 +343,9 @@ class SymEdge:
     event: str
     controllable: bool
     guard: NodeRef
-    error: NodeRef  # encoded-range overflow of the raw updates
+    # encoded-range overflow of the raw updates; None once build_symbolic
+    # has folded it into the guard
+    error: NodeRef | None
     update: NodeRef  # partial relation over the assigned variables' pairs
     assigned: frozenset[str]
     # guard without requirement conditions, read by the plant count; set by
@@ -450,12 +453,14 @@ def build_symbolic(
     events += [(e.event, False) for e in edges if e.is_input]
 
     # Range errors: uncontrollable ones poison their source states, and no
-    # erroring transition survives in any edge.
+    # erroring transition survives in any edge.  The error is then dropped:
+    # it is no root, so a collection may free its node.
     for edge in edges:
         if not edge.controllable and not edge.error.is_false:
             forbidden = forbidden | (edge.guard & edge.error)
         if not edge.error.is_false:
             edge.guard = edge.guard & mgr.negate(edge.error)
+        edge.error = None
 
     _enforce_targets(edges, enc, pp, plant_inv)
 

@@ -506,7 +506,9 @@ def _count_states(sym: SymbolicModel, behavior, closed: bool = False):
     if sym.pp.is_false:
         return 0, 0
     plant_edges = [
-        dataclasses.replace(e, guard=e.guard_plant) for e in sym.edges
+        e if e.guard_plant == e.guard
+        else dataclasses.replace(e, guard=e.guard_plant)
+        for e in sym.edges
     ]
     by_input = [s.levels for s in enc.symvars if s.var.kind == "input"]
     inputs = [lvl for levels in by_input for lvl in levels]

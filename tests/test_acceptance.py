@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from efasynth import bdd
 from efasynth.bdd import BddManager
 from efasynth.encode import (
     Encoding, build_symbolic, compile_edges, edges_by_event,
@@ -436,6 +437,23 @@ def test_symbolic_matches_explicit_oracle_on_randomized_models():
 # 8. synthesis invariants hold on the shipped models
 
 
+def assert_uncontrollable_steps_stay_inside(result):
+    """Controllability, stated on raw transitions: no uncontrollable step,
+    and no uncontrollable range error, leaves the behavior.  The raw error
+    predicates are compiled again, as no edge keeps them after the build."""
+    sym, mgr, behavior = result.sym, result.manager, result.controlled
+    assert all(edge.error is None for edge in sym.edges)
+    errors = [edge.error for edge in compile_edges(sym.enc)]
+    errors += [mgr.false] * (len(sym.edges) - len(errors))  # input edges
+    per_edge = relations(sym.enc, sym.events, sym.edges, False)
+    for edge, error, r in zip(sym.edges, errors, per_edge):
+        if edge.controllable and not edge.is_input:
+            continue
+        assert (behavior & sym.pp & error).is_false
+        succ = mgr.relnext(behavior & sym.pp, r.rel, assigned=r.levels)
+        assert (succ & sym.pp & mgr.negate(behavior)).is_false
+
+
 def test_synthesis_invariant_suite(models_dir):
     # BDD-level laws on random functions
     mgr = fresh(3)
@@ -480,15 +498,7 @@ def test_synthesis_invariant_suite(models_dir):
             bad = engine.reach(mgr.negate(behavior), unc, mgr.true, backward=True)
             assert mgr.negate(bad) == behavior
 
-            # controllability, stated on raw transitions: no uncontrollable
-            # step (and no uncontrollable range error) leaves the behavior
-            per_edge = relations(sym.enc, sym.events, sym.edges, False)
-            for edge, r in zip(sym.edges, per_edge):
-                if edge.controllable and not edge.is_input:
-                    continue
-                assert (behavior & sym.pp & edge.error).is_false
-                succ = mgr.relnext(behavior & sym.pp, r.rel, assigned=r.levels)
-                assert (succ & sym.pp & mgr.negate(behavior)).is_false
+            assert_uncontrollable_steps_stay_inside(result)
 
             # nonblocking: every controlled reachable state coreaches a mark
             strengthened = relations(
@@ -516,6 +526,23 @@ def test_synthesis_invariant_suite(models_dir):
                 assert (strong & mgr.negate(base)).is_false
                 assert (tighter[event] & mgr.negate(strong)).is_false
             engine.close()
+
+
+def test_range_errors_are_checked_after_collections(models_dir, monkeypatch):
+    # With both thresholds at 0 every safe point collects, and nodes no
+    # root holds are freed: no edge may keep a handle to its error.
+    monkeypatch.setattr(bdd, "_COLLECT_RATIO", 0)
+    monkeypatch.setattr(bdd, "_COLLECT_FLOOR", 0)
+    model = lin(parse_file(models_dir / "producer_consumer.efa"))
+    for plant_inv in ("implication", "restrict"):
+        config = SynthesisConfig.preset("v40")
+        config.plant_inv = plant_inv
+        result = synthesize(model, config)
+        assert result.metrics["collections"] > 0
+        # increase may take x past its encoded range
+        raw = compile_edges(result.sym.enc)
+        assert any(not e.controllable and not e.error.is_false for e in raw)
+        assert_uncontrollable_steps_stay_inside(result)
 
 
 # ----------------------------------------------------------------------

@@ -106,6 +106,63 @@ def test_terminal_cases_are_not_counted(op):
                 assert mgr.evaluate(got, env) == want
 
 
+@pytest.mark.parametrize("op", ["and", "or", "xor", "diff", "imp", "biimp"])
+def test_terminal_answers_are_the_kernels_and_cost_nothing(op):
+    # A terminal operand or equal operands are answered before the
+    # operation boundary unless the answer negates an operand: the answer
+    # is the kernel's, and no counter moves.
+    mgr = fresh(2)
+    x = mgr.register_root(mgr.var(0))
+    y = mgr.var(0) & mgr.var(2)
+    assert mgr.peak_nodes > mgr.live_nodes
+    code = bdd._CONNECTIVES[op]
+    operands = (mgr.false, mgr.true, x, y)
+    for f in operands:
+        for g in operands:
+            if f.node > 1 and g.node > 1 and f != g:
+                continue
+            before = (mgr.op_counts(), mgr.live_nodes, mgr.peak_nodes,
+                      mgr.allocated_nodes)
+            got = mgr.apply(op, f, g)
+            after = (mgr.op_counts(), mgr.live_nodes, mgr.peak_nodes,
+                     mgr.allocated_nodes)
+            assert got == mgr._run(mgr._apply, code, f.node, g.node)
+            if got.node in (0, 1, f.node, g.node):
+                assert after == before, (f, g)
+    before = (mgr.op_counts(), mgr.peak_nodes, mgr.allocated_nodes)
+    assert ~mgr.true == mgr.false and ~mgr.false == mgr.true
+    assert (mgr.op_counts(), mgr.peak_nodes, mgr.allocated_nodes) == before
+
+
+def test_a_negated_operand_still_counts_its_not():
+    mgr = fresh(1)
+    x = mgr.var(0)
+    assert (x ^ mgr.true) == mgr.nvar(0)
+    assert mgr.apply("imp", x, mgr.false) == mgr.nvar(0)
+    assert mgr.op_counts()["not"] == 1  # the second negation is a hit
+
+
+def test_terminal_answers_still_check_their_operands():
+    mgr = fresh(2)
+    dropped = mgr.var(0) | mgr.var(2)
+    mgr._collect()
+    other = fresh(2)
+    for op in ("and", "or", "xor", "diff", "imp", "biimp"):
+        for t in (mgr.false, mgr.true):
+            for f, g in ((dropped, t), (t, dropped)):
+                with pytest.raises(BddError, match="freed"):
+                    mgr.apply(op, f, g)
+            for f, g in ((other.true, t), (t, other.false)):
+                with pytest.raises(BddError, match="different manager"):
+                    mgr.apply(op, f, g)
+        with pytest.raises(BddError, match="freed"):
+            mgr.apply(op, dropped, dropped)
+    with pytest.raises(BddError, match="freed"):
+        ~dropped
+    with pytest.raises(BddError, match="different manager"):
+        mgr.negate(other.true)
+
+
 def test_canonicity_shares_nodes():
     mgr = fresh()
     f = (mgr.var(0) & mgr.var(2)) | (mgr.var(4) & mgr.var(6))
@@ -172,6 +229,68 @@ def test_replace_rejects_order_violation():
     f = mgr.var(0) & mgr.var(2)
     with pytest.raises(BddError):
         mgr.replace(f, {0: 3, 2: 1})
+
+
+def test_a_rename_map_is_interned_once_in_any_form():
+    mgr = fresh(3)
+    f = mgr.var(0) & ~mgr.var(2)
+    want = mgr.var(1) & ~mgr.var(3)
+    for mapping in ({0: 1, 2: 3}, {0: 1, 2: 3}, {0: 1, 4: 4, 2: 3},
+                    {2: 3, 0: 1}):
+        assert mgr.replace(f, mapping) == want
+    assert mgr._maps == [({0: 1, 2: 3}, 2)]
+    assert set(mgr._map_ids.values()) == {0}
+
+
+def test_a_rename_map_is_checked_on_each_support():
+    # {0: 3} keeps the order of {0} and {0, 4}, not of {0, 2}
+    mgr = fresh(3)
+    up = {0: 3}
+    assert mgr.replace(mgr.var(0), up) == mgr.var(3)
+    f = mgr.var(0) & mgr.var(4)
+    assert mgr.replace(f, up) == mgr.var(3) & mgr.var(4)
+    for _ in range(2):
+        with pytest.raises(BddError, match=r"order-preserving on support \[0, 2\]"):
+            mgr.replace(mgr.var(0) & mgr.var(2), up)
+    assert mgr.replace(f, dict(up)) == mgr.var(3) & mgr.var(4)
+
+
+def test_an_out_of_range_level_raises_on_every_call():
+    mgr = fresh(2)
+    f = mgr.var(0)
+    for _ in range(2):
+        with pytest.raises(BddError, match="level 9 out of range"):
+            mgr.replace(f, {0: 9})
+        with pytest.raises(BddError, match="level 9 out of range"):
+            mgr.replace(f, {9: 1})
+        with pytest.raises(BddError, match="level 9 out of range"):
+            mgr.exists(f, [9])
+        with pytest.raises(BddError, match="level -1 out of range"):
+            mgr.exists(f, (0, -1))
+    assert not mgr._maps and not mgr._sets
+
+
+def test_a_level_list_maps_to_its_interned_set():
+    mgr = fresh(2)
+    f = mgr.var(0) & mgr.var(2)
+    want = mgr.var(0)
+    for levels in ((level for level in [2]), [2], (2,), [2, 2]):
+        assert mgr.exists(f, levels) == want
+    assert mgr.exists(f, [0, 2]) == mgr.true
+    assert [levels for levels, _, _ in mgr._sets] == [{2}, {0, 2}]
+
+
+def test_identity_maps_and_empty_level_lists_return_f():
+    mgr = fresh(2)
+    f = mgr.var(0) & mgr.var(2)
+    before = (mgr.op_counts(), mgr.allocated_nodes, mgr.peak_nodes)
+    for _ in range(2):
+        assert mgr.replace(f, {}) is f
+        assert mgr.replace(f, {0: 0, 2: 2}) is f
+        assert mgr.exists(f, []) is f
+        assert mgr.exists(f, iter(())) is f
+    assert (mgr.op_counts(), mgr.allocated_nodes, mgr.peak_nodes) == before
+    assert not mgr._maps and not mgr._sets
 
 
 def test_restrict_contracts():
@@ -865,7 +984,11 @@ def test_an_operation_that_raises_still_releases_its_temporaries(
 ):
     # The kernel builds three nodes and then fails; the boundary still
     # ends the operation, so the next one's peak counts only its own node.
+    # The operands are decision nodes: a terminal one is answered before
+    # the kernel runs.
     mgr = fresh(4)
+    f, g = mgr.var(0), mgr.var(2)
+    made = mgr.allocated_nodes
 
     def broken(code, u, v):
         mgr._node(0, 0, mgr._node(2, 0, mgr._node(4, 0, 1)))
@@ -873,11 +996,11 @@ def test_an_operation_that_raises_still_releases_its_temporaries(
 
     monkeypatch.setattr(mgr, "_apply", broken)
     with pytest.raises(RuntimeError):
-        mgr.apply("and", mgr.true, mgr.true)
+        mgr.apply("and", f, g)
     monkeypatch.undo()
-    assert (mgr.allocated_nodes, mgr.peak_nodes) == (3, 3)
+    assert (mgr.allocated_nodes - made, mgr.peak_nodes) == (3, 3)
     mgr.var(6)
-    assert (mgr.allocated_nodes, mgr.peak_nodes) == (4, 3)
+    assert (mgr.allocated_nodes - made, mgr.peak_nodes) == (4, 3)
 
 
 # ----------------------------------------------------------------------

@@ -114,6 +114,35 @@ def test_the_bdd_operation_boundary_is_one_method():
     assert callers == ["BddManager._run"]
 
 
+def test_only_the_bdd_kernels_build_nodes_or_call_a_kernel():
+    # Any other method reaches the kernels and _node through _run alone,
+    # so an answer given before _run builds no node outside an operation.
+    # The lambda saturate hands to _run runs inside _run.
+    path = pathlib.Path(efasynth.__file__).parent / "bdd.py"
+    tree = ast.parse(path.read_text(), str(path))
+    (cls,) = [node for node in tree.body
+              if isinstance(node, ast.ClassDef) and node.name == "BddManager"]
+    kernels = {"_apply", "_not", "_ite", "_exists", "_replace", "_restrict",
+               "_relprod", "_saturate"}
+
+    def self_call(node):
+        f = node.func if isinstance(node, ast.Call) else None
+        return (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
+                and f.value.id == "self" and f.attr)
+
+    callers = set()
+    for func in cls.body:
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        handed = {node for call in ast.walk(func) if self_call(call) == "_run"
+                  for arg in call.args if isinstance(arg, ast.Lambda)
+                  for node in ast.walk(arg)}
+        if any(self_call(node) in kernels | {"_node"}
+               for node in ast.walk(func) if node not in handed):
+            callers.add(func.name)
+    assert callers == kernels
+
+
 def _referrers(attr):
     """The functions of the package, by module and qualified name, that
     name the attribute ``attr``: called, or passed on uncalled."""
