@@ -92,7 +92,11 @@ id the operation depends on (the connectives, ``not``, ``ite`` and
 ``restrict`` depend on none).  A table maps the packed operand node ids
 alone to the result's, so a probe packs two to four ids rather than every
 field of the call.  The tables hold nothing but ints, so the collector does
-not track them, however many entries they gain.  The support
+not track them, however many entries they gain.  They have one lifetime
+rule: a layer measured after synthesis runs in
+:meth:`BddManager.fresh_cache`, which empties them on entry and on exit,
+so the layer's operation count depends on its own work alone and it
+leaves no entry behind.  The support
 of a node is memoized as an ``int`` bitmask of levels, computed on demand;
 whether a node's diagram holds an odd level is one byte per node, set as
 the node is made, so checking that an operand is a state set costs no walk
@@ -102,15 +106,16 @@ alone.
 
 The walks that build nothing (support, size, satisfying-assignment count,
 rendering) are one bottom-up fold, ``_fold``, on an explicit stack, and
-``cofactor`` only follows edges through fixed levels: it builds and counts
-nothing, so it refuses a fixed level after a free one in the support.
+``cofactors`` reads every sub-diagram a block of fixed levels leaves in one
+walk down that block's edges: it builds and counts nothing, so it refuses
+a fixed level after a free one in the support.
 """
 
 from __future__ import annotations
 
 import contextlib
 from collections import defaultdict
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 __all__ = ["BddError", "BddManager", "NodeRef"]
 
@@ -298,10 +303,8 @@ class BddManager:
         self._unique: dict[int, int] = {}
         # Slots freed by collections, the lowest id last: reused first.
         self._free: list[int] = []
-        # Computed tables by operation context, each keyed by operand ids,
-        # and the ones fresh_cache set aside.
+        # Computed tables by operation context, each keyed by operand ids.
         self._cache: defaultdict[int, dict[int, int]] = defaultdict(dict)
-        self._saved_caches: list[defaultdict[int, dict[int, int]]] = []
         # Interned level sets (see _level_set) and rename maps referenced
         # from cache keys.  Level set ids by mask, and by each level tuple
         # exists has checked.
@@ -565,18 +568,14 @@ class BddManager:
 
     @contextlib.contextmanager
     def fresh_cache(self):
-        """Run the block on empty computed tables, then restore the ones
-        they replaced, every context's table with them: the block's
-        operation counts depend on its own work alone, and later operations
-        see the hits they would have seen without it.  A collection in the
-        block purges the set-aside tables too, so every entry they bring
-        back names live nodes."""
-        self._saved_caches.append(self._cache)
-        self._cache = defaultdict(dict)
+        """Run the block on empty computed tables and empty them again
+        after it: the block's operation counts depend on its own work
+        alone, and so do the counts of a later block run the same way."""
+        self._cache.clear()
         try:
             yield
         finally:
-            self._cache = self._saved_caches.pop()
+            self._cache.clear()
 
     # ------------------------------------------------------------------
     # collection
@@ -599,9 +598,9 @@ class BddManager:
         is zero, and no marking walk is needed.  Their slots advance their
         generation and join the free list in id order.  Then every
         structure that names a node id drops what names a dead one: the
-        computed-table entries (by each op code's key layout, the tables
-        ``fresh_cache`` set aside included), the support memo and the
-        interned relation sets of :meth:`saturate`, with their tables."""
+        computed-table entries (by each op code's key layout), the support
+        memo and the interned relation sets of :meth:`saturate`, with their
+        tables."""
         ref, gen = self._ref, self._gen
         freed = [u for u in self._unique.values() if not ref[u]]
         self._unique = {k: u for k, u in self._unique.items() if ref[u]}
@@ -620,13 +619,13 @@ class BddManager:
         self._support_memo = {
             u: m for u, m in self._support_memo.items() if not dead[u]
         }
-        for cache in (self._cache, *self._saved_caches):
-            for ctx in list(cache):
-                op, gid = ctx & 15, ctx >> 4
-                if op == _SATURATE and self._relsets[gid] is None:
-                    del cache[ctx]
-                else:
-                    cache[ctx] = _purged(cache[ctx], dead, _NODE_FIELDS[op])
+        cache = self._cache
+        for ctx in list(cache):
+            op, gid = ctx & 15, ctx >> 4
+            if op == _SATURATE and self._relsets[gid] is None:
+                del cache[ctx]
+            else:
+                cache[ctx] = _purged(cache[ctx], dead, _NODE_FIELDS[op])
 
     # ------------------------------------------------------------------
     # interning helpers
@@ -1036,7 +1035,8 @@ class BddManager:
         even levels ``c`` of the pairs it quantifies (``c`` itself for the
         image, ``c + 1`` for the preimage) and ``top`` the set's highest
         level.  ``pairs`` come with the interned set; the table is looked
-        up per call, as :meth:`fresh_cache` may have swapped it."""
+        up per call, as :meth:`fresh_cache` or a collection may have
+        emptied or replaced it."""
         levels, top, preimage_pairs = self._sets[sid]
         pairs = levels if op == _RELNEXT else preimage_pairs
         return op, sid, self._cache[sid << 4 | op], pairs, top
@@ -1345,24 +1345,51 @@ class BddManager:
             u = self._high[u] if assignment[self._var[u]] else self._low[u]
         return u == 1
 
-    def cofactor(self, f: NodeRef, bits: Mapping[int, int]) -> NodeRef:
-        """``f`` with each level of ``bits`` fixed to its value (0 or 1).
+    def cofactors(
+        self, f: NodeRef, levels: Sequence[int]
+    ) -> dict[NodeRef, list[int]]:
+        """The non-false sub-diagrams ``f`` leaves once ``levels`` are
+        fixed, each with the codes over ``levels`` that lead to it (bit
+        ``i`` of a code at ``levels[i]``) in increasing order; the
+        sub-diagrams come in the order of their least codes.
 
-        The result is read off the diagram: the walk follows ``f``'s edges
-        through the fixed levels and builds and counts nothing.  So every
-        fixed level in the support of ``f`` must come before the support's
-        other levels; :class:`BddError` is raised otherwise.
+        The result is read off the diagram by one walk down its edges
+        through the fixed levels, which builds and counts nothing; a fixed
+        level the diagram skips leads both ways.  So every fixed level in
+        the support of ``f`` must come before the support's other levels;
+        :class:`BddError` is raised otherwise.
         """
         u = self._unwrap(f)
-        fixed = self._mask(bits)
+        fixed = self._mask(levels)
+        if fixed.bit_count() != len(levels):
+            raise BddError("a level is fixed twice")
         sup = self._support(u)
         free = sup & ~fixed
         after = (free & -free).bit_length()  # one past the first free level
         if free and (sup & fixed) >> after:
             raise BddError(f"a fixed level comes after free level {after - 1}")
-        while u > 1 and self._var[u] in bits:
-            u = self._high[u] if bits[self._var[u]] else self._low[u]
-        return NodeRef(self, u, self._gen[u])
+        # (level, code bit) in the order the diagram decides them
+        steps = sorted((l, 1 << i) for i, l in enumerate(levels))
+        var, lows, highs = self._var, self._low, self._high
+        found: dict[int, list[int]] = {}
+        stack = [(u, 0, [0])] if u else []
+        while stack:
+            u, j, codes = stack.pop()
+            if j == len(steps):
+                found.setdefault(u, []).extend(codes)
+                continue
+            level, bit = steps[j]
+            ones = [c | bit for c in codes]
+            if var[u] != level:  # a skipped level: both values lead to u
+                stack.append((u, j + 1, codes + ones))
+                continue
+            for v, vcodes in ((lows[u], codes), (highs[u], ones)):
+                if v:
+                    stack.append((v, j + 1, vcodes))
+        for codes in found.values():
+            codes.sort()
+        return {NodeRef(self, v, self._gen[v]): found[v]
+                for v in sorted(found, key=lambda v: found[v][0])}
 
     def sat_count(self, f: NodeRef, levels: Iterable[int]) -> int:
         """Number of satisfying assignments of ``f`` over ``levels``.

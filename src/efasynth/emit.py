@@ -23,10 +23,15 @@ event's edge guards: those carry the plant's own guards and the
 requirement conditions of the event.  With simplification disabled the raw
 strengthened guards are self-contained, so the requirement-derived
 invariants are dropped.
+
+Emission's BDD work runs on an empty computed cache
+(:meth:`BddManager.fresh_cache`), so its operation count depends only on
+the supervisor it prints, not on how synthesis ran.
 """
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 
 from .bdd import NodeRef
@@ -53,13 +58,15 @@ def lower_bdd_to_expr(f: NodeRef, enc) -> Expr:
 
     Each node of ``f`` that starts a variable's bits groups that
     variable's values by the cofactor they leave, which is a node starting
-    a later variable; the cofactors are read off the diagram, so lowering
-    does no BDD operation.  A group's membership test collapses to
-    interval or equality comparisons where the values are contiguous, and
-    location-pointer values print as location references.  Agreement
-    with the BDD on every in-domain state is the only contract — values
-    outside the declared domains (the encoded range may be wider) are
-    never enumerated, so the expression may disagree there.
+    a later variable; one walk of the variable's bits reads the groups off
+    the diagram (:meth:`BddManager.cofactors`), so lowering does no BDD
+    operation and costs the nodes of each block and the codes it lists,
+    not one walk per value of the domain.  A group's membership test
+    collapses to interval or equality comparisons where the values are
+    contiguous, and location-pointer values print as location references.
+    Agreement with the BDD on every in-domain state is the only contract —
+    codes outside the declared domains (the encoded range may be wider)
+    are dropped from every group, so the expression may disagree there.
     """
     mgr = enc.manager
     location_names = {
@@ -117,12 +124,11 @@ def lower_bdd_to_expr(f: NodeRef, enc) -> Expr:
         if g.is_false or g.is_true or g in groups:
             continue
         sym = enc.by_level[mgr.top_level(g)]
-        by_child: dict[NodeRef, list[int]] = {}
-        for code in range(sym.codes):
-            bits = {lvl: code >> bit & 1 for bit, lvl in enumerate(sym.levels)}
-            child = mgr.cofactor(g, bits)
-            if not child.is_false:
-                by_child.setdefault(child, []).append(code)
+        by_child = {}
+        for child, codes in mgr.cofactors(g, sym.levels).items():
+            codes = codes[:bisect.bisect_left(codes, sym.codes)]
+            if codes:  # else only codes outside the domain lead there
+                by_child[child] = codes
         groups[g] = sym, by_child
         todo.extend(by_child)
     # A cofactor starts a later variable, so building in decreasing top
@@ -155,21 +161,26 @@ def emit(
         else:
             automata.append(aut)
 
-    care = sym.pp & result.controlled if simplify else None
     by_event = edges_by_event(sym.edges)
     alphabet = [ev.name for ev in spec.events if ev.controllable]
     edges = []
-    for name in alphabet:
-        guard = result.event_guards[name]
+    with mgr.fresh_cache():
+        care = sym.pp & result.controlled if simplify else None
+        for name in alphabet:
+            guard = result.event_guards[name]
+            if simplify:
+                occurs = mgr.false
+                for edge in by_event.get(name, ()):
+                    occurs = occurs | edge.guard
+                assumption = occurs & care
+                if not assumption.is_false:  # else the event never occurs
+                    guard = mgr.restrict(guard, assumption)
+            expr = lower_bdd_to_expr(guard, enc)
+            edges.append(Edge("s0", [name], None if expr == TRUE else expr))
+        init = result.initial
         if simplify:
-            occurs = mgr.false
-            for edge in by_event.get(name, ()):
-                occurs = occurs | edge.guard
-            assumption = occurs & care
-            if not assumption.is_false:  # else the event never occurs
-                guard = mgr.restrict(guard, assumption)
-        expr = lower_bdd_to_expr(guard, enc)
-        edges.append(Edge("s0", [name], None if expr == TRUE else expr))
+            init = mgr.restrict(init, sym.initial)
+        init_expr = lower_bdd_to_expr(init, enc)
     taken = {aut.name for aut in spec.automata}
     taken.update(var.name for var in spec.variables())
     taken.update(ev.name for ev in spec.events)
@@ -179,10 +190,6 @@ def emit(
         edges=edges, alphabet=alphabet,
     ))
 
-    init = result.initial
-    if simplify:
-        init = mgr.restrict(init, sym.initial)
-    init_expr = lower_bdd_to_expr(init, enc)
     init_preds = list(spec.init_preds)
     if init_expr != TRUE:
         init_preds.append(init_expr)

@@ -288,10 +288,13 @@ class ExplicitOracle:
 
     def event_guard_states(self, event: str, within: set[int] | None = None) -> set[int]:
         """States where the supervisor leaves a controllable event enabled:
-        some edge of the event has a transition staying inside the safe
-        set (or ``within``, for behaviors clipped by a forward pass).
-        Edges of the same event are strengthened one by one and the
-        results unioned, matching the symbolic per-edge strengthening."""
+        the union over the event's edges of the states with a transition
+        staying inside the safe set (or ``within``, for behaviors clipped
+        by a forward pass).  That union is the preimage of the target set
+        under the event's whole transition relation, which the symbolic
+        guard matches under both granularities: per edge, as the union of
+        one preimage per edge, and per event, as one preimage of the
+        merged relation."""
         targets = self.safe if within is None else within
         out = set()
         for edge in self.edges:

@@ -604,7 +604,7 @@ def synthesize(
     engine.close()
     before_count = mgr.op_total
     # an empty computed cache makes count_operations a function of the
-    # count alone; the synthesis cache comes back for emission
+    # count alone, and the count leaves the cache empty for emission
     start = time.perf_counter()
     with mgr.fresh_cache():
         us, cs = _count_states(sym, behavior, closed=config.forward and nonempty)

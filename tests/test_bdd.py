@@ -309,33 +309,52 @@ def test_restrict_contracts():
         mgr.restrict(f, mgr.false)
 
 
-def test_cofactor_reads_exists_of_the_cube_off_the_diagram():
+def counter_state(mgr):
+    return (mgr.op_counts(), mgr.allocated_nodes, mgr.live_nodes,
+            mgr.peak_nodes)
+
+
+def test_cofactors_read_exists_of_the_cube_off_the_diagram():
     mgr = fresh(4)
     levels = [0, 2, 4, 6]
     rng = random.Random(17)
     for _ in range(60):
         f = from_table(mgr, levels, rng.randrange(1 << 16))
+        # a prefix of the order, its bits in any order
         fixed = levels[:rng.randint(0, 4)]
-        bits = {l: rng.randint(0, 1) for l in fixed}
-        cube = mgr.true
-        for l, bit in bits.items():
-            cube = cube & (mgr.var(l) if bit else mgr.nvar(l))
-        want = mgr.exists(f & cube, fixed)
-        ops, allocated = mgr.op_total, mgr.allocated_nodes
-        assert mgr.cofactor(f, bits) == want
-        assert (mgr.op_total, mgr.allocated_nodes) == (ops, allocated)
+        rng.shuffle(fixed)
+        before = counter_state(mgr)
+        groups = mgr.cofactors(f, fixed)
+        assert counter_state(mgr) == before
+        assert all(codes == sorted(set(codes)) for codes in groups.values())
+        assert [codes[0] for codes in groups.values()] == sorted(
+            codes[0] for codes in groups.values())
+        group_of = {c: g for g, codes in groups.items() for c in codes}
+        for code in range(1 << len(fixed)):
+            cube = mgr.true
+            for i, l in enumerate(fixed):
+                cube = cube & (mgr.var(l) if code >> i & 1 else mgr.nvar(l))
+            want = mgr.exists(f & cube, fixed)
+            if want.is_false:
+                assert code not in group_of
+            else:
+                assert group_of[code] == want
 
 
-def test_cofactor_refuses_a_fixed_level_below_a_free_one():
+def test_cofactors_refuse_a_fixed_level_below_a_free_one():
     mgr = fresh(3)
     f = mgr.var(0) & mgr.var(4)
     # level 4 lies below the free support level 0
     with pytest.raises(BddError):
-        mgr.cofactor(f, {4: 1})
-    # fixing a level outside the support is no obstacle
-    assert mgr.cofactor(f, {0: 1, 2: 0}) == mgr.var(4)
-    with pytest.raises(BddError):
-        mgr.cofactor(f, {8: 1})
+        mgr.cofactors(f, [4])
+    # a fixed level outside the support leads both ways
+    assert mgr.cofactors(f, [0, 2]) == {mgr.var(4): [1, 3]}
+    assert mgr.cofactors(f, [2, 0]) == {mgr.var(4): [2, 3]}
+    assert mgr.cofactors(mgr.false, [0, 2]) == {}
+    assert mgr.cofactors(mgr.true, [2]) == {mgr.true: [0, 1]}
+    for bad in ([8], [0, 0]):
+        with pytest.raises(BddError):
+            mgr.cofactors(f, bad)
 
 
 # ----------------------------------------------------------------------
@@ -1045,29 +1064,26 @@ def test_a_collection_frees_exactly_the_unreferenced_nodes():
     masks = [rng.getrandbits(16) for _ in range(12)]
     fs = [from_table(mgr, levels, m) for m in masks]
     roots = [mgr.register_root(f) for f in fs[::2]]
-    # a relation set over a dropped relation and a table set aside by
-    # fresh_cache, both purged with the current cache
+    # a relation set over a dropped relation, purged with the cache
     mgr.saturate(fs[0], [(fs[1] & mgr.var(1), None)])
-    with mgr.fresh_cache():
-        mgr.exists(fs[3] | fs[5], [2])
-        held = set()
-        for r in roots:
-            held.update(mgr._nodes(r.node))
-        before = set(mgr._unique.values())
-        dead = before - held
-        # reference counts mark exactly the nodes the roots reach
-        assert dead == {u for u in before if not mgr._ref[u]}
-        assert dead and cache_nodes(mgr, mgr._saved_caches[0]) & dead
-        counters = (mgr.live_nodes, mgr.peak_nodes, mgr.allocated_nodes)
-        mgr._collect()
-        assert set(mgr._unique.values()) == held
-        assert mgr._free == sorted(dead, reverse=True)
-        assert (mgr.live_nodes, mgr.peak_nodes, mgr.allocated_nodes) == counters
-        assert (mgr.collections, mgr.freed_nodes) == (1, len(dead))
-        for cache in (mgr._cache, *mgr._saved_caches):
-            assert not cache_nodes(mgr, cache) & dead
-        assert not set(mgr._support_memo) & dead
-        assert mgr._relsets == [None] and not mgr._relset_ids
+    mgr.exists(fs[3] | fs[5], [2])
+    held = set()
+    for r in roots:
+        held.update(mgr._nodes(r.node))
+    before = set(mgr._unique.values())
+    dead = before - held
+    # reference counts mark exactly the nodes the roots reach
+    assert dead == {u for u in before if not mgr._ref[u]}
+    assert dead and cache_nodes(mgr, mgr._cache) & dead
+    counters = (mgr.live_nodes, mgr.peak_nodes, mgr.allocated_nodes)
+    mgr._collect()
+    assert set(mgr._unique.values()) == held
+    assert mgr._free == sorted(dead, reverse=True)
+    assert (mgr.live_nodes, mgr.peak_nodes, mgr.allocated_nodes) == counters
+    assert (mgr.collections, mgr.freed_nodes) == (1, len(dead))
+    assert not cache_nodes(mgr, mgr._cache) & dead
+    assert not set(mgr._support_memo) & dead
+    assert mgr._relsets == [None] and not mgr._relset_ids
     for f, m in zip(roots, masks[::2]):
         assert mgr.sat_count(f, levels) == bin(m).count("1")
         for index, env in assignments(levels):
@@ -1248,7 +1264,8 @@ def test_contexts_never_share_entries(pair, seed):
     assert counted(mgr, second) == want_cold
     with mgr.fresh_cache():
         assert counted(mgr, second) == want_cold
-    assert counted(mgr, second) == (want[0], dict.fromkeys(want[1], 0))
+    # the block leaves no entry behind
+    assert counted(mgr, second) == want_cold
 
 
 def test_operands_must_share_manager():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from efasynth.bdd import NodeRef
 from efasynth.emit import emit, lower_bdd_to_expr
 from efasynth.encode import build_symbolic
 from efasynth.model import (
@@ -162,6 +163,37 @@ def test_lower_reads_cofactors_without_bdd_work():
     assert (mgr.op_total, mgr.allocated_nodes) == before
     # one equality per multiple of 3 below 4,095
     assert format_expr(lowered).count(" = ") == 1365
+
+
+NARROW_GUARD = """
+controllable a;
+plant p {
+  disc int[0..65535] x = 0;
+  location l:
+    initial; marked;
+    edge a when x < 9 do x := x + 1;
+}
+requirement invariant x != 4;
+"""
+
+
+def test_lower_walks_each_block_once_not_each_value(monkeypatch):
+    # one walk of the 16 bits of x finds the few codes that lead anywhere,
+    # where a read per value made a handle for each of the 65,536 codes
+    model = lin(parse_spec(NARROW_GUARD))
+    result = synthesize(model, SynthesisConfig())
+    made = []
+    init = NodeRef.__init__
+
+    def counting_init(self, *args):
+        made.append(args[1])
+        init(self, *args)
+
+    monkeypatch.setattr(NodeRef, "__init__", counting_init)
+    lowered = lower_bdd_to_expr(result.event_guards["a"], result.sym.enc)
+    monkeypatch.undo()
+    assert len(made) <= 30
+    assert format_expr(lowered) == "x <= 2 or 4 <= x and x <= 8"
 
 
 # ----------------------------------------------------------------------
@@ -462,3 +494,24 @@ def test_emitted_text_is_deterministic(models_dir, simplify):
         )
         texts.append(unparse(emit(plant, result, simplify=simplify)))
     assert texts[0] == texts[1]
+
+
+def test_emission_counts_the_same_work_however_synthesis_ran(models_dir):
+    # emission runs on an empty computed cache, so the same emitted text
+    # costs the same operations whatever synthesis left cached
+    for path in sorted(models_dir.glob("*.efa")):
+        plant = plantify(parse_file(path))
+        model, _ = linearize(plant)
+        counts: dict[str, set[int]] = {}
+        for early_stop in (False, True):
+            for edge_apply in ("naive", "compound"):
+                for granularity in ("edge", "event"):
+                    result = synthesize(model, SynthesisConfig(
+                        early_stop=early_stop, edge_apply=edge_apply,
+                        granularity=granularity))
+                    before = result.manager.op_total
+                    text = unparse(emit(plant, result))
+                    counts.setdefault(text, set()).add(
+                        result.manager.op_total - before)
+        assert all(len(c) == 1 for c in counts.values()), (
+            path.name, list(counts.values()))

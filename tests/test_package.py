@@ -1,13 +1,16 @@
 """Properties of the package as a whole."""
 
 import ast
+import importlib.util
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import efasynth
+from efasynth.synthesis import SynthesisConfig
 
 
 def test_package_imports_only_the_standard_library():
@@ -221,3 +224,42 @@ def test_the_benchmark_trace_mode_leaves_results_unchanged(models_dir):
     assert report["same"]
     assert report["calls"]["synthesis.nonblocking"] > 0
     assert report["calls"]["bdd.relprev"] > 0
+
+
+def test_the_benchmark_workloads_match_their_ci_pins(models_dir):
+    # The CI workflow pins each workload's summed operations, peak nodes,
+    # emitted bytes and allocated nodes in one table; one round of every
+    # workload, run through the benchmark's own functions, must match it.
+    root = models_dir.parent
+    workflow = (root / ".github" / "workflows" / "tests.yml").read_text()
+    table = re.search(r"declare -A counters=\((.*?)\)", workflow, re.S)
+    pins = {name: [int(x) for x in values.split()]
+            for name, values in re.findall(r'\[(\w+)\]="([^"]*)"',
+                                           table.group(1))}
+    synthbench = root / "synthbench"
+    path, modules = sys.path[:], set(sys.modules)
+    try:
+        spec = importlib.util.spec_from_file_location(
+            "synthbench_run", synthbench / "run.py")
+        run = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(run)
+        got = {}
+        for name, workload in run.WORKLOADS.items():
+            config = SynthesisConfig.preset(workload.preset)
+            records = [run.synthesize_and_emit(p, config)
+                       for p in run.prepare(workload, run.tag_for(1))]
+            got[name] = [
+                sum(r.metrics["operations"] for r in records),
+                sum(r.metrics["peak_nodes"] for r in records),
+                sum(len(r.text.encode()) for r in records),
+                sum(r.allocated for r in records),
+            ]
+    finally:
+        # run.py puts synthbench/ on the path and imports its helpers as
+        # top-level modules
+        sys.path[:] = path
+        for name in set(sys.modules) - modules:
+            where = getattr(sys.modules[name], "__file__", None) or ""
+            if pathlib.Path(where).parent == synthbench:
+                del sys.modules[name]
+    assert got == pins
