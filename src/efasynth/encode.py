@@ -2,11 +2,22 @@
 
 Each variable becomes a block of interleaved BDD level pairs (current bit
 at the even level, next-state partner right below it), least significant
-bit first, blocks following the chosen variable order.  Integer expressions
-compile to little-endian two's-complement bit vectors wide enough to be
-exact, so arithmetic never wraps; an assignment's value leaving the encoded
-bit range is the edge's error predicate, while leaving the declared domain
-is handled by guard strengthening against the domain predicate.
+bit first, blocks following the chosen variable order.
+
+Integer expressions compile to little-endian bit vectors (:class:`BitVec`)
+that carry the interval ``[lo, hi]`` of the values they take.  A variable
+reference spans its whole encoded range, codes past the declared domain
+included, so every guard is the same function of every code however it is
+built.  Each sum, difference, negation and remainder is exactly as wide as
+its interval (unsigned when ``lo >= 0``, two's complement otherwise), so
+arithmetic never wraps and never carries bits that are constant.  Where the
+intervals decide an outcome (a comparison, an equality, ``mod m`` of a value
+already in ``[0, m)``) the result is a constant built with no BDD call.  An
+assignment's value leaving the encoded bit range is the edge's error
+predicate; its two parts, below code 0 and above the top code, are each
+``false`` for free when the interval rules them out, so a constant
+right-hand side has no error at all.  Leaving the declared domain is
+handled by guard strengthening against the domain predicate.
 
 Conjunctions and disjunctions of many operands (an 'and'/'or' chain in an
 expression, the domain predicate, a frame, a bit-vector equality) are
@@ -40,6 +51,7 @@ result at every step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bdd import BddManager, NodeRef
 from .model import (
@@ -72,6 +84,8 @@ def combine(mgr: BddManager, op: str, operands: list[NodeRef]) -> NodeRef:
     """
     if not operands:
         return mgr.true if op == "and" else mgr.false
+    if len(operands) == 1:
+        return operands[0]
     ordered = sorted(operands, key=mgr.top_level, reverse=True)
     acc = mgr.register_root(ordered[0])
     try:
@@ -83,79 +97,141 @@ def combine(mgr: BddManager, op: str, operands: list[NodeRef]) -> NodeRef:
 
 
 # ----------------------------------------------------------------------
-# two's-complement bit vectors (little endian lists of BDD functions)
+# bit vectors sized to their value intervals
 
 
-def bv_const(mgr: BddManager, value: int) -> list[NodeRef]:
-    width = value.bit_length() + 1  # sign bit, also for value 0
+def _width(lo: int, hi: int) -> int:
+    """Bits that hold every value of ``[lo, hi]``: unsigned when ``lo >= 0``,
+    two's complement otherwise; at least one."""
+    if lo >= 0:
+        return max(1, hi.bit_length())
+    return 1 + max((~lo).bit_length(), max(hi, 0).bit_length())
+
+
+class BitVec(NamedTuple):
+    """An integer value: little-endian bits of :func:`_width` ``(lo, hi)``,
+    unsigned when ``lo >= 0`` and two's complement otherwise, for a value
+    that lies in ``[lo, hi]`` at every code."""
+
+    bits: list[NodeRef]
+    lo: int
+    hi: int
+
+    def at(self, width: int) -> list[NodeRef]:
+        """The bits of the value modulo ``2**width``: extended by the bit
+        above the top (false, or the sign) or cut."""
+        fill = self.bits[-1] if self.lo < 0 else self.bits[0].manager.false
+        return self.bits[:width] + [fill] * (width - len(self.bits))
+
+
+def _narrow(v: BitVec, lo: int, hi: int) -> BitVec:
+    """``v`` in the width of ``[lo, hi]``, exact wherever its value lies in
+    that interval."""
+    return BitVec(v.at(_width(lo, hi)), lo, hi)
+
+
+def bv_const(mgr: BddManager, value: int) -> BitVec:
+    width = _width(value, value)
     mask = value & ((1 << width) - 1)
-    return [mgr.true if mask >> i & 1 else mgr.false for i in range(width)]
-
-
-def bv_extend(bits: list[NodeRef], width: int) -> list[NodeRef]:
-    return bits + [bits[-1]] * (width - len(bits))
+    bits = [mgr.true if mask >> i & 1 else mgr.false for i in range(width)]
+    return BitVec(bits, value, value)
 
 
 def bv_add(
-    mgr: BddManager, a: list[NodeRef], b: list[NodeRef], *,
-    negate_b: bool = False,
-) -> list[NodeRef]:
-    width = max(len(a), len(b)) + 1
-    a, b = bv_extend(a, width), bv_extend(b, width)
+    mgr: BddManager, a: BitVec, b: BitVec, *, negate_b: bool = False,
+) -> BitVec:
+    """``a + b`` (``a - b`` with ``negate_b``) in the width of its interval;
+    a decided sum is a constant, built with no BDD call."""
+    if negate_b:
+        lo, hi = a.lo - b.hi, a.hi - b.lo
+    else:
+        lo, hi = a.lo + b.lo, a.hi + b.hi
+    if lo == hi:
+        return bv_const(mgr, lo)
+    width = _width(lo, hi)
     carry = mgr.true if negate_b else mgr.false
     out = []
-    for x, rawy in zip(a, b):
-        y = mgr.negate(rawy) if negate_b else rawy
+    for i, (x, y) in enumerate(zip(a.at(width), b.at(width))):
+        if negate_b:
+            y = mgr.negate(y)
         out.append(x ^ y ^ carry)
-        carry = (x & y) | (carry & (x | y))
-    return out
+        if i < width - 1:  # the carry out of the top bit is not needed
+            carry = (x & y) | (carry & (x | y))
+    return BitVec(out, lo, hi)
 
 
 def bv_sub(mgr, a, b):
     return bv_add(mgr, a, b, negate_b=True)
 
 
-def bv_eq(mgr, a, b) -> NodeRef:
-    width = max(len(a), len(b))
+def bv_eq(mgr, a: BitVec, b: BitVec) -> NodeRef:
+    if a.hi < b.lo or b.hi < a.lo:
+        return mgr.false
+    if a.lo == a.hi == b.lo == b.hi:
+        return mgr.true
+    # distinct values of the joint interval differ in this many bits
+    width = _width(min(a.lo, b.lo), max(a.hi, b.hi))
     return combine(mgr, "and", [
-        mgr.apply("biimp", x, y)
-        for x, y in zip(bv_extend(a, width), bv_extend(b, width))
+        mgr.apply("biimp", x, y) for x, y in zip(a.at(width), b.at(width))
     ])
 
 
-def bv_lt(mgr, a, b) -> NodeRef:
-    return bv_sub(mgr, a, b)[-1]  # sign of the exact difference
+def bv_lt(mgr, a: BitVec, b: BitVec) -> NodeRef:
+    """``a < b``: the sign of ``a - b`` from its borrow chain alone, or a
+    constant where the intervals decide."""
+    if a.hi < b.lo:
+        return mgr.true
+    if a.lo >= b.hi:
+        return mgr.false
+    # the difference's interval holds 0 and -1, so its top bit is the sign
+    width = _width(a.lo - b.hi, a.hi - b.lo)
+    xs, ys = a.at(width), [mgr.negate(y) for y in b.at(width)]
+    carry = mgr.true
+    for x, y in zip(xs[:-1], ys[:-1]):
+        carry = (x & y) | (carry & (x | y))
+    return xs[-1] ^ ys[-1] ^ carry
 
 
-def bv_ite(mgr, cond: NodeRef, a, b) -> list[NodeRef]:
-    width = max(len(a), len(b))
-    return [
-        mgr.ite(cond, x, y)
-        for x, y in zip(bv_extend(a, width), bv_extend(b, width))
-    ]
+def bv_ite(mgr, cond: NodeRef, a: BitVec, b: BitVec) -> BitVec:
+    lo, hi = min(a.lo, b.lo), max(a.hi, b.hi)
+    width = _width(lo, hi)
+    return BitVec([
+        mgr.ite(cond, x, y) for x, y in zip(a.at(width), b.at(width))
+    ], lo, hi)
 
 
-def bv_mod(mgr, a: list[NodeRef], modulus: int) -> list[NodeRef]:
+def bv_mod(mgr, a: BitVec, modulus: int) -> BitVec:
     """Remainder by a positive constant, nonnegative result.
 
-    Folds the magnitude bits most significant first keeping a running
-    remainder, then corrects for the sign bit's negative weight.
+    A negative interval is first shifted by a multiple of the modulus.
+    Then the bits are folded most significant first into a running
+    remainder ``r``: ``2r + bit`` loses the modulus where it reaches it,
+    and the intervals skip every step they decide.
     """
-    remainder = bv_const(mgr, 0)
-    for bit in reversed(a[:-1]):
-        doubled = bv_add(mgr, remainder, remainder)
-        doubled[0] = doubled[0] | bit  # lowest bit of 2r is zero
-        over = mgr.negate(bv_lt(mgr, doubled, bv_const(mgr, modulus)))
-        remainder = bv_ite(
-            mgr, over, bv_sub(mgr, doubled, bv_const(mgr, modulus)), doubled
+    if 0 <= a.lo and a.hi < modulus:
+        return a
+    if a.lo == a.hi:
+        return bv_const(mgr, a.lo % modulus)
+    if a.lo < 0:
+        a = bv_add(mgr, a, bv_const(mgr, -(a.lo // modulus) * modulus))
+    top = bv_const(mgr, modulus)
+    remainder = BitVec([], 0, 0)  # of no bits yet: 2r + bit is one bit wide
+    for bit in reversed(a.bits):
+        doubled = BitVec(
+            [bit] + remainder.bits,
+            2 * remainder.lo + (1 if bit.is_true else 0),
+            2 * remainder.hi + (0 if bit.is_false else 1),
         )
-    sign_weight = (1 << (len(a) - 1)) % modulus
-    negative = bv_sub(mgr, remainder, bv_const(mgr, sign_weight))
-    wrapped = bv_ite(
-        mgr, negative[-1], bv_add(mgr, negative, bv_const(mgr, modulus)),
-        negative,
-    )
-    return bv_ite(mgr, a[-1], wrapped, remainder)
+        over = mgr.negate(bv_lt(mgr, doubled, top))
+        if over.is_false:
+            remainder = doubled
+            continue
+        # where it is taken, 2r + bit - modulus lies in [0, modulus)
+        less = _narrow(bv_sub(mgr, doubled, top), 0, doubled.hi - modulus)
+        remainder = less if over.is_true else bv_ite(
+            mgr, over, less, _narrow(doubled, doubled.lo, modulus - 1)
+        )
+    return remainder
 
 
 # The arithmetic and ordering operators on compiled bit vectors.
@@ -227,21 +303,24 @@ class Encoding:
         shift = 1 if primed else 0
         return [self.manager.var(lvl + shift) for lvl in sym.levels]
 
-    def value_bits(self, name: str) -> list[NodeRef]:
-        """The variable as a signed vector in value space (code plus offset)."""
+    def code_bits(self, name: str, primed: bool = False) -> BitVec:
+        """The variable's code over its whole encoded range: a guard is a
+        function of every code, not only of those in the declared domain."""
         sym = self.by_name[name]
-        bits = self.bits(name) + [self.manager.false]
-        if sym.lo:
-            bits = bv_add(self.manager, bits, bv_const(self.manager, sym.lo))
-        return bits
+        return BitVec(self.bits(name, primed), 0, (1 << sym.width) - 1)
+
+    def value_bits(self, name: str) -> BitVec:
+        """The variable in value space (code plus offset)."""
+        lo = self.by_name[name].lo
+        code = self.code_bits(name)
+        if lo:
+            return bv_add(self.manager, code, bv_const(self.manager, lo))
+        return code
 
     def in_domain(self, name: str) -> NodeRef:
         """Code within the declared domain (the encoded range may be wider)."""
-        sym = self.by_name[name]
-        if sym.codes == 1 << sym.width:
-            return self.manager.true
-        bits = self.bits(name) + [self.manager.false]
-        return bv_lt(self.manager, bits, bv_const(self.manager, sym.codes))
+        codes = bv_const(self.manager, self.by_name[name].codes)
+        return bv_lt(self.manager, self.code_bits(name), codes)
 
     def domain_predicate(self) -> NodeRef:
         return combine(self.manager, "and", [
@@ -328,9 +407,12 @@ class Encoding:
         code = self.compile_pred(rhs)
         if sym.lo:
             code = bv_sub(mgr, code, bv_const(mgr, sym.lo))
-        top = bv_const(mgr, (1 << sym.width) - 1)
-        error = code[-1] | bv_lt(mgr, top, code)
-        update = bv_eq(mgr, self.bits(name, primed=True) + [mgr.false], code)
+        # The code leaves [0, 2**width) where a bit from ``width`` up, the
+        # sign included, is set: none is where the interval rules that out,
+        # so a constant right-hand side costs no BDD call.
+        high = code.at(max(len(code.bits), sym.width + 1))[sym.width:]
+        error = combine(mgr, "or", high)
+        update = bv_eq(mgr, self.code_bits(name, primed=True), code)
         return update, error
 
 

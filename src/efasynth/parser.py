@@ -415,8 +415,10 @@ def parse_file(path) -> Specification:
 _TIGHT = _PREFIX + 1
 
 
-def _wrap(printed: tuple[str, int], bound: int) -> str:
+def _wrap(printed: tuple[str | list[str], int], bound: int) -> str:
     text, prec = printed
+    if not isinstance(text, str):
+        text = "".join(text)
     return f"({text})" if prec < bound else text
 
 
@@ -433,16 +435,25 @@ def _format_unary(expr: UnaryOp, operand) -> tuple[str, int]:
     return (f"not {inner}" if expr.op == "not" else f"-{inner}"), _TIGHT
 
 
-def _format_binary(expr: BinaryOp, left, right) -> tuple[str, int]:
+def _format_binary(expr: BinaryOp, left, right) -> tuple[str | list[str], int]:
     # left-associative: a right operand at the same strength needs parens
     prec = _PREC[expr.op]
-    return f"{_wrap(left, prec)} {expr.op} {_wrap(right, prec + 1)}", prec
+    text, left_prec = left
+    right_text = _wrap(right, prec + 1)
+    if left_prec != prec:
+        return f"{_wrap(left, prec)} {expr.op} {right_text}", prec
+    # A chain of operators of one strength keeps its text as pieces, extended
+    # in place and joined once by whatever reads them, so it prints in linear
+    # time instead of copying its text before each operator.
+    pieces = text if isinstance(text, list) else [text]
+    pieces += (f" {expr.op} ", right_text)
+    return pieces, prec
 
 
 def format_expr(expr: Expr) -> str:
     """Model text for ``expr``, with the fewest parentheses that parse back
     to the same tree."""
-    return fold_expr(expr, _format_leaf, _format_unary, _format_binary)[0]
+    return _wrap(fold_expr(expr, _format_leaf, _format_unary, _format_binary), 0)
 
 
 def _format_domain(domain) -> str:

@@ -558,7 +558,8 @@ def synthesize(
 ) -> SynthesisResult:
     """Order, encode, and synthesize; returns result plus metrics."""
     config = config or SynthesisConfig()
-    order = varorder.compute_order(model, config.order)
+    edges_hyper = varorder.hyperedges(model)
+    order = varorder.compute_order(model, config.order, edges_hyper)
     sym = build_symbolic(model, order, plant_inv=config.plant_inv)
     mgr = sym.manager
     # the engine builds its relations here, so building them counts as
@@ -579,7 +580,6 @@ def synthesize(
         "strengthen": mgr.op_total - before_strengthen,
     }
 
-    edges_hyper = varorder.hyperedges(model)
     metrics = {
         "variables": len(model.variables),
         "bdd_levels": 2 * len(sym.enc.state_levels),

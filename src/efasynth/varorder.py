@@ -390,11 +390,15 @@ def check_strategy(strategy: str) -> None:
         raise OrderError(f"unknown ordering strategy '{strategy}'")
 
 
-def compute_order(model: LinearModel, strategy: str) -> list[int]:
+def compute_order(
+    model: LinearModel, strategy: str,
+    edges: list[frozenset[int]] | None = None,
+) -> list[int]:
     """Variable order per strategy name; see :data:`STRATEGIES`.
 
     ``custom:a,b,c`` orders the named variables explicitly (all of them,
-    each exactly once).
+    each exactly once).  ``edges`` are the model's :func:`hyperedges`, for
+    a caller that has them already.
     """
     check_strategy(strategy)
     n = len(model.variables)
@@ -408,7 +412,8 @@ def compute_order(model: LinearModel, strategy: str) -> list[int]:
         if sorted(index[name] for name in names) != base:
             raise OrderError("custom order must list every variable exactly once")
         return [index[name] for name in names]
-    edges = hyperedges(model)
+    if edges is None:
+        edges = hyperedges(model)
     if strategy == "model":
         return base
     if strategy in _COMPONENT_ORDERS:

@@ -4,7 +4,7 @@ import functools
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from efasynth.bdd import BddManager
 from efasynth.encode import (
@@ -17,10 +17,14 @@ from efasynth.synthesis import FixedPointEngine, SynthesisConfig, relations
 from efasynth.transform import linearize, plantify
 
 
-def decode(bits):
-    """Value of a constant two's-complement vector of terminal nodes."""
-    value = sum(1 << i for i, b in enumerate(bits[:-1]) if b.is_true)
-    return value - (1 << (len(bits) - 1) if bits[-1].is_true else 0)
+def decode(vec):
+    """Value of a constant vector of terminal nodes, which lies in its
+    interval."""
+    value = sum(1 << i for i, b in enumerate(vec.bits) if b.is_true)
+    if vec.lo < 0 and vec.bits[-1].is_true:
+        value -= 1 << len(vec.bits)
+    assert vec.lo <= value <= vec.hi
+    return value
 
 
 @given(st.integers(-300, 300), st.integers(-300, 300))
@@ -59,14 +63,28 @@ initial {0};
 """
 
 
-def all_states():
-    return itertools.product(range(13), range(3, 10), (False, True), range(3))
+def encoded_values(enc, name):
+    """The value of every code of ``name``'s block, also past its domain."""
+    sym = enc.by_name[name]
+    return range(sym.lo, sym.lo + (1 << sym.width))
 
 
 def bits_for(enc, name, value):
     sym = enc.by_name[name]
     code = value - sym.lo
     return {lvl: code >> bit & 1 for bit, lvl in enumerate(sym.levels)}
+
+
+def assert_matches_evaluation(enc, expr, pred, names):
+    """``pred`` agrees with ``eval_expr`` on every code of ``names``."""
+    model = enc.model
+    for point in itertools.product(*(encoded_values(enc, n) for n in names)):
+        values = dict(zip(names, point))
+        assignment = {}
+        for name, value in values.items():
+            assignment.update(bits_for(enc, name, value))
+        want = eval_expr(expr, values, {}, model.codes)
+        assert enc.manager.evaluate(pred, assignment) == want, values
 
 
 @pytest.mark.parametrize(
@@ -83,19 +101,43 @@ def bits_for(enc, name, value):
         "y - x - x < -10",
         "b = (x = y)",
         "c = blue or c = red",
+        "x < 16 and y <= 10 and x + y != 26",
+        "x mod 16 = x and (y - 20) mod 3 = (y + 1) mod 3",
+        "x = y - 11 or x - 16 = y - 11",  # [0, 15] against [-8, -1]
     ],
 )
 def test_compiled_predicates_match_evaluation(text):
+    # every encoded code: x codes 13 to 15 and y value 10 lie outside the
+    # declared domains, and c has a fourth code
     model = lin(EVAL_MODEL.format(text))
-    expr = model.initial
     enc = Encoding(model, list(range(len(model.variables))))
-    pred = enc.compile_pred(expr)
-    for x, y, b, c in all_states():
-        assignment = {}
-        for name, value in (("x", x), ("y", y), ("b", int(b)), ("c", c)):
-            assignment.update(bits_for(enc, name, value))
-        want = eval_expr(expr, {"x": x, "y": y, "b": b, "c": c}, {}, model.codes)
-        assert enc.manager.evaluate(pred, assignment) == want, (text, x, y, b, c)
+    assert list(encoded_values(enc, "x")) == list(range(16))
+    assert list(encoded_values(enc, "y")) == list(range(3, 11))
+    assert_matches_evaluation(
+        enc, model.initial, enc.compile_pred(model.initial), "xybc",
+    )
+
+
+_ints = st.recursive(
+    st.one_of(st.sampled_from("xy").map(VarRef),
+              st.integers(-20, 20).map(IntLit)),
+    lambda kids: st.one_of(
+        kids.map(lambda e: UnaryOp("-", e)),
+        st.builds(BinaryOp, st.sampled_from("+-"), kids, kids),
+        st.builds(lambda e, m: BinaryOp("mod", e, IntLit(m)),
+                  kids, st.integers(1, 9)),
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["<", "<=", ">", ">=", "=", "!="]), _ints, _ints)
+def test_interval_arithmetic_matches_evaluation(op, left, right):
+    model = lin(EVAL_MODEL.format("true"))
+    enc = Encoding(model, list(range(len(model.variables))))
+    expr = BinaryOp(op, left, right)
+    assert_matches_evaluation(enc, expr, enc.compile_pred(expr), "xy")
 
 
 def test_long_guards_compile_like_short_ones():
@@ -208,6 +250,76 @@ def test_edge_updates_combine_in_linear_operations():
     assert enc.manager.op_total == n - 1
     assert enc.manager.size(edge.update) == n
     assert edge.error.is_false
+
+
+@pytest.mark.parametrize("rhs,decided", [
+    ("5", True),  # a constant: every pointer assignment is one
+    ("y", True),  # values 3 to 10 lie inside x's codes 0 to 15
+    ("y - 3 + x mod 3", True),
+    ("x + 3", False),  # may pass the top code
+    ("x - 1", False),  # may fall below code 0
+])
+def test_decided_range_errors_cost_no_operations(rhs, decided):
+    model = lin(ASSIGN_MODEL.format(rhs))
+    (edge,) = compile_edges(Encoding(model, [0, 1]))
+    assert edge.error.is_false == decided
+    if decided:
+        # the edge costs what its update alone costs
+        enc = Encoding(model, [0, 1])
+        (rhs_expr,) = [e for _, e in model.edges[0].updates]
+        target = enc.code_bits("x", primed=True)
+        bv_eq(enc.manager, target, enc.compile_pred(rhs_expr))
+        assert edge.update.manager.op_total == enc.manager.op_total
+
+
+@pytest.mark.parametrize(
+    "rhs", ["x + 3", "x - 1", "y - 10", "y - 3 - x", "20", "-1", "x mod 5 + y"],
+)
+def test_assignments_match_evaluation(rhs):
+    # on every code of x and y, and every next code of x: the update holds
+    # where x' is the value, and the error where no code of x holds it
+    model = lin(ASSIGN_MODEL.format(rhs))
+    enc = Encoding(model, [0, 1])
+    (edge,) = compile_edges(enc)
+    (expr,) = [e for _, e in model.edges[0].updates]
+    levels = enc.by_name["x"].levels
+    for x, y in itertools.product(range(16), range(3, 11)):
+        assignment = bits_for(enc, "x", x) | bits_for(enc, "y", y)
+        value = eval_expr(expr, {"x": x, "y": y}, {}, model.codes)
+        assert enc.manager.evaluate(edge.error, assignment) == (
+            not 0 <= value <= 15
+        ), (x, y)
+        for nxt in range(16):
+            primed = {lvl + 1: nxt >> bit & 1 for bit, lvl in enumerate(levels)}
+            assert enc.manager.evaluate(edge.update, assignment | primed) == (
+                nxt == value
+            ), (x, y, nxt)
+
+
+ASSIGN_MODEL = """
+controllable a;
+plant m {{
+  disc int[0..12] x;
+  disc int[3..9] y;
+  location l: initial; marked; edge a do x := {0};
+}}
+"""
+
+
+def test_a_long_sum_stays_as_wide_as_its_interval():
+    # x + x + ... + x over int[0..3]: each sum is as wide as its interval
+    # [0, 3k], where widening by one bit per addition took 13.6 s at this
+    # length
+    n = 3000
+    model = lin(ASSIGN_MODEL.format(0).replace(
+        "edge a", "edge a when " + " + ".join(["x"] * n) + f" <= {3 * n - 1}"
+    ).replace("int[0..12] x", "int[0..3] x"))
+    enc = Encoding(model, [0, 1])
+    total = enc.compile_pred(model.edges[0].guard.left)
+    assert (total.lo, total.hi) == (0, 3 * n)
+    assert len(total.bits) <= (3 * n).bit_length() + 1
+    below = enc.compile_pred(BinaryOp("<", VarRef("x"), IntLit(3)))
+    assert enc.compile_pred(model.edges[0].guard) == below
 
 
 def test_variable_layout_of_producer_consumer(models_dir):

@@ -1,5 +1,6 @@
 """Syntax round-trips and parse diagnostics."""
 
+import functools
 import re
 import string
 
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from efasynth.model import (
-    BinaryOp, BoolLit, EnumLit, IntLit, LocRef, UnaryOp, VarRef, validate,
+    BinaryOp, BoolLit, EnumLit, IntLit, LocRef, UnaryOp, VarRef, fold_expr,
+    validate,
 )
 from efasynth.parser import (
     _KEYWORDS, _SYMBOLS, ParseError, _tokenize, format_expr, parse_file, parse_spec,
@@ -268,3 +270,27 @@ def test_expression_print_parse_round_trip(expr):
     # so a parse of the output must rebuild the identical tree.
     text = f"initial {format_expr(expr)};"
     assert parse_spec(text).init_preds == [expr]
+
+
+def test_a_long_chain_prints_in_linear_time():
+    # 100,000 terms: copying the whole left text at every operator took
+    # 5 s at this length, and 65 s at three times it
+    terms = [VarRef(f"v{i % 7}") for i in range(100_000)]
+    expr = functools.reduce(lambda a, b: BinaryOp("+", a, b), terms)
+    expr = BinaryOp("<", expr, IntLit(3))
+    printed = format_expr(expr)
+    assert printed.startswith("v0 + v1 + v2") and printed.endswith(" < 3")
+    (parsed,) = parse_spec(f"initial {printed};").init_preds
+    assert postorder(parsed) == postorder(expr)
+
+
+def postorder(expr):
+    """The nodes of ``expr`` in post-order, which with each operator's arity
+    fix the tree; ``==`` on a tree this deep would recurse too far."""
+    nodes = []
+    fold_expr(
+        expr, nodes.append,
+        lambda node, _: nodes.append(("unary", node.op)),
+        lambda node, *_: nodes.append(("binary", node.op)),
+    )
+    return nodes

@@ -924,22 +924,22 @@ def test_state_counts_scale_linearly(families, family, size, bound):
 # strengthen), then sweeps, edge_applications, reach_calls, peak_nodes and
 # controlled_states.
 GOLDEN = """
-agv_mutex           off off naive     2165 477  1482  146     -   44 2  52 4  402  91
-agv_mutex           off off compound   847 477   267   45     -   42 2  52 4  202  91
-agv_mutex           off on  naive     5398 477  1806  250  2789   54 2 136 6  496  91
-agv_mutex           off on  compound  1649 477   305   92   700   53 2 136 6  237  91
-agv_mutex           on  off naive     1761 477  1078  146     -   44 1  23 2  390  91
-agv_mutex           on  off compound   735 477   155   45     -   42 1  23 2  202  91
-agv_mutex           on  on  naive     4878 477  1806  250  2269   54 2  87 5  495  91
-agv_mutex           on  on  compound  1374 477   305   92   425   53 2  87 5  237  91
-cat_mouse           off off naive      796 139   554   81     -   16 2  36 4  124   6
-cat_mouse           off off compound   312 139   123   30     -   14 2  36 4   61   6
-cat_mouse           off on  naive     1011 139   503   81   266   16 2  60 6  124   6
-cat_mouse           off on  compound   343 139   123   30    31   14 2  60 6   61   6
-cat_mouse           on  off naive      793 139   554   78     -   16 2  30 3  124   6
-cat_mouse           on  off compound   309 139   123   27     -   14 2  30 3   61   6
-cat_mouse           on  on  naive     1008 139   503   78   266   16 2  41 4  124   6
-cat_mouse           on  on  compound   340 139   123   27    31   14 2  41 4   61   6
+agv_mutex           off off naive     2154 464  1482  148     -   44 2  52 4  402  91
+agv_mutex           off off compound   836 464   267   47     -   42 2  52 4  202  91
+agv_mutex           off on  naive     5387 464  1806  252  2789   54 2 136 6  496  91
+agv_mutex           off on  compound  1638 464   305   94   700   53 2 136 6  237  91
+agv_mutex           on  off naive     1750 464  1078  148     -   44 1  23 2  390  91
+agv_mutex           on  off compound   724 464   155   47     -   42 1  23 2  202  91
+agv_mutex           on  on  naive     4867 464  1806  252  2269   54 2  87 5  495  91
+agv_mutex           on  on  compound  1363 464   305   94   425   53 2  87 5  237  91
+cat_mouse           off off naive      795 138   554   81     -   16 2  36 4  124   6
+cat_mouse           off off compound   311 138   123   30     -   14 2  36 4   61   6
+cat_mouse           off on  naive     1010 138   503   81   266   16 2  60 6  124   6
+cat_mouse           off on  compound   342 138   123   30    31   14 2  60 6   61   6
+cat_mouse           on  off naive      792 138   554   78     -   16 2  30 3  124   6
+cat_mouse           on  off compound   308 138   123   27     -   14 2  30 3   61   6
+cat_mouse           on  on  naive     1007 138   503   78   266   16 2  41 4  124   6
+cat_mouse           on  on  compound   339 138   123   27    31   14 2  41 4   61   6
 dining_philosophers off off naive    29271 459 28065  149     -  585 2 270 4 1862 241
 dining_philosophers off off compound  8066 459  6928  149     -  517 2 270 4  583 241
 dining_philosophers off on  naive    34176 459 26711  149  6259  585 2 330 6 1862 241
@@ -948,30 +948,30 @@ dining_philosophers on  off naive    20515 459 19309  149     -  585 1 125 2  98
 dining_philosophers on  off compound  4936 459  3798  149     -  517 1 125 2  583 241
 dining_philosophers on  on  naive    26774 459 19309  149  6259  585 1 154 3 1755 241
 dining_philosophers on  on  compound  5280 459  3798  149   344  517 1 154 3  583 241
-producer_consumer   off off naive     6758 861  5362  362     -  161 2 158 4  765 249
-producer_consumer   off off compound  2863 861  1715  159     -  116 2 158 4  334 249
-producer_consumer   off on  naive    19105 861  6705 1019 10254  245 2 354 6 1155 249
-producer_consumer   off on  compound  7262 861  1698  466  4000  216 2 354 6  450 249
-producer_consumer   on  off naive     5104 861  3708  362     -  161 1  79 2  601 249
-producer_consumer   on  off compound  2145 861   997  159     -  116 1  79 2  334 249
-producer_consumer   on  on  naive    16368 861  6705 1019  7517  245 2 254 5 1043 249
-producer_consumer   on  on  compound  5558 861  1698  466  2296  216 2 254 5  437 249
-sensor_input        off off naive      525 172   312   23     -   15 2  20 4  147  30
-sensor_input        off off compound   250 172    57    5     -   13 2  20 4   82  30
-sensor_input        off on  naive     1378 172   409  104   670   18 2  60 6  193  30
-sensor_input        off on  compound   473 172    58   32   188   18 2  60 6   89  30
-sensor_input        on  off naive      483 172   270   23     -   15 1  10 2  147  30
-sensor_input        on  off compound   233 172    40    5     -   13 1  10 2   82  30
-sensor_input        on  on  naive     1254 172   409  104   546   18 2  38 5  179  30
-sensor_input        on  on  compound   401 172    58   32   116   18 2  38 5   87  30
-empty               off off naive       68  35    11   22     -    0 1   5 2   15   0
-empty               off off compound    41  35     0    6     -    0 1   5 2   13   0
-empty               off on  naive       68  35    11   22     0    0 1   5 2   15   0
-empty               off on  compound    41  35     0    6     0    0 1   5 2   13   0
-empty               on  off naive       68  35    11   22     -    0 1   5 2   15   0
-empty               on  off compound    41  35     0    6     -    0 1   5 2   13   0
-empty               on  on  naive       68  35    11   22     0    0 1   5 2   15   0
-empty               on  on  compound    41  35     0    6     0    0 1   5 2   13   0
+producer_consumer   off off naive     6669 768  5362  366     -  161 2 158 4  765 249
+producer_consumer   off off compound  2774 768  1715  163     -  116 2 158 4  334 249
+producer_consumer   off on  naive    19018 768  6705 1025 10254  245 2 354 6 1155 249
+producer_consumer   off on  compound  7175 768  1698  472  4000  216 2 354 6  450 249
+producer_consumer   on  off naive     5015 768  3708  366     -  161 1  79 2  601 249
+producer_consumer   on  off compound  2056 768   997  163     -  116 1  79 2  334 249
+producer_consumer   on  on  naive    16281 768  6705 1025  7517  245 2 254 5 1043 249
+producer_consumer   on  on  compound  5471 768  1698  472  2296  216 2 254 5  437 249
+sensor_input        off off naive      518 165   312   23     -   15 2  20 4  147  30
+sensor_input        off off compound   243 165    57    5     -   13 2  20 4   82  30
+sensor_input        off on  naive     1371 165   409  104   670   18 2  60 6  193  30
+sensor_input        off on  compound   466 165    58   32   188   18 2  60 6   89  30
+sensor_input        on  off naive      476 165   270   23     -   15 1  10 2  147  30
+sensor_input        on  off compound   226 165    40    5     -   13 1  10 2   82  30
+sensor_input        on  on  naive     1247 165   409  104   546   18 2  38 5  179  30
+sensor_input        on  on  compound   394 165    58   32   116   18 2  38 5   87  30
+empty               off off naive       64  31    11   22     -    0 1   5 2   15   0
+empty               off off compound    37  31     0    6     -    0 1   5 2   13   0
+empty               off on  naive       64  31    11   22     0    0 1   5 2   15   0
+empty               off on  compound    37  31     0    6     0    0 1   5 2   13   0
+empty               on  off naive       64  31    11   22     -    0 1   5 2   15   0
+empty               on  off compound    37  31     0    6     -    0 1   5 2   13   0
+empty               on  on  naive       64  31    11   22     0    0 1   5 2   15   0
+empty               on  on  compound    37  31     0    6     0    0 1   5 2   13   0
 """
 GOLDEN_ROWS = [line.split() for line in GOLDEN.strip().splitlines()]
 
@@ -1023,8 +1023,8 @@ FAMILY_COUNTERS = {
         297, 97, 0, 0, 0, 0, 100, 0, 199, 0, 0, 394, 0,
     ),
     ("tank(2,40)", "v08"): (
-        16988, 1725, 1029, 6865, 3728,
-        12167, 2384, 77, 0, 0, 89, 339, 0, 2275, 525, 902, 1410, 548,
+        16855, 1725, 1029, 6817, 3728,
+        12156, 2384, 58, 0, 0, 89, 236, 0, 2275, 525, 902, 1410, 548,
     ),
 }
 

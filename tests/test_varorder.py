@@ -6,6 +6,7 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from efasynth import synthesis, varorder
 from efasynth.parser import parse_file, parse_spec
 from efasynth.transform import linearize, plantify
 from efasynth.varorder import (
@@ -91,6 +92,27 @@ def test_strategies_return_permutations(models_dir, strategy):
     order = compute_order(model, strategy)
     assert sorted(order) == list(range(5))
     assert order == compute_order(model, strategy)  # deterministic
+
+
+def test_synthesis_extracts_the_hypergraph_once(models_dir, monkeypatch):
+    # the order and the wes metric read the same hyperedges
+    model = lin(models_dir)
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return hyperedges(m)
+
+    monkeypatch.setattr(varorder, "hyperedges", counted)
+    for preset in ("v08", "v40"):
+        config = synthesis.SynthesisConfig.preset(preset)
+        calls.clear()
+        m = synthesis.synthesize(model, config).metrics
+        assert calls == [model]
+        order = compute_order(model, config.order)
+        names = [model.variables[i].name for i in order]
+        assert m["order"] == names
+        assert m["wes"] == round(wes(order, hyperedges(model)), 6)
 
 
 def test_model_strategy_is_declaration_order(models_dir):
