@@ -104,8 +104,8 @@ and memoizes nothing.  The manager holds no reference to anything that
 refers back to it, so a dropped manager is freed by reference counting
 alone.
 
-The walks that build nothing (support, size, satisfying-assignment count,
-rendering) are one bottom-up fold, ``_fold``, on an explicit stack, and
+The walks that build nothing (support, size, satisfying-assignment count)
+are one bottom-up fold, ``_fold``, on an explicit stack, and
 ``cofactors`` reads every sub-diagram a block of fixed levels leaves in one
 walk down that block's edges: it builds and counts nothing, so it refuses
 a fixed level after a free one in the support.
@@ -282,12 +282,21 @@ class BddManager:
     answered without a recursion (a connective its truth table decides
     with no negation, an identity rename map, an empty level list) returns
     before ``_run``, as it has no temporary to release.
+
+    The manager's state is declared in ``__slots__``, so every ``self._x``
+    the kernels read is a slot load however many there are: new state is a
+    new name there and an assignment in ``__init__``.
     """
 
+    __slots__ = (
+        "_var", "_low", "_high", "_ref", "_mark", "_gen", "_unique", "_free",
+        "_cache", "_set_ids", "_sets", "_map_ids", "_maps", "_relset_ids",
+        "_relsets", "_assigned_masks", "_odd", "_ops", "_live", "_peak",
+        "_collections", "_freed", "_roots", "_epoch", "_held",
+        "_support_memo", "_odd_below", "__weakref__",
+    )
+
     def __init__(self):
-        # CPython 3.11 specializes attribute access only on instances of at
-        # most 29 attributes; past that every ``self._x`` in the kernels
-        # slows down (about 8% of a benchmark round), so keep within it.
         # Node 0 is FALSE, node 1 is TRUE.
         self._var = [_TERMINAL_LEVEL, _TERMINAL_LEVEL]
         self._low = [0, 1]
@@ -324,7 +333,6 @@ class BddManager:
         # mask of the odd levels allocated so far; its length is the
         # number of levels
         self._odd = 0
-        self._labels: list[str] = []
         # Metrics.
         self._ops = [0] * len(_OP_NAMES)
         self._live = 0
@@ -350,32 +358,18 @@ class BddManager:
     # ------------------------------------------------------------------
     # variables
 
-    def add_pair(self, label: str = "") -> tuple[int, int]:
+    def add_pair(self) -> tuple[int, int]:
         """Allocate a current/next level pair; returns ``(even, odd)``."""
         c = self._odd.bit_length()
         if c + 2 > min(_KEY_LIMIT, _TERMINAL_LEVEL):
             raise BddError("too many variable levels")
         self._odd |= 1 << (c + 1)
-        self._labels.append(label or f"b{c // 2}")
         return c, c + 1
-
-    @property
-    def num_vars(self) -> int:
-        return self._odd.bit_length()
-
-    def level_name(self, level: int) -> str:
-        base = self._labels[level // 2]
-        return base + ("'" if level & 1 else "")
 
     def var(self, level: int) -> NodeRef:
         """The function of a single variable at ``level``."""
         self._mask((level,))
         return self._run(self._node, level, 0, 1)
-
-    def nvar(self, level: int) -> NodeRef:
-        """Negated single variable, allocated without an apply call."""
-        self._mask((level,))
-        return self._run(self._node, level, 1, 0)
 
     def _mask(self, levels: Iterable[int]) -> int:
         """Bit mask of ``levels``, each checked to be an allocated level."""
@@ -1417,20 +1411,3 @@ class BddManager:
             )
 
         return self._fold(u, {0: 0, 1: 1}, combine) << rank_of(u)
-
-    def to_dot(self, f: NodeRef, name: str = "bdd") -> str:
-        """Graphviz rendering of ``f`` (dashed = low, solid = high)."""
-        u = self._unwrap(f)
-        lines = [f"digraph {name} {{"]
-        lines.append('  f [shape=plaintext, label="f"];')
-        lines.append('  n0 [shape=box, label="0"];')
-        lines.append('  n1 [shape=box, label="1"];')
-        for v in self._nodes(u):
-            lines.append(
-                f'  n{v} [shape=circle, label="{self.level_name(self._var[v])}"];'
-            )
-            lines.append(f"  n{v} -> n{self._low[v]} [style=dashed];")
-            lines.append(f"  n{v} -> n{self._high[v]};")
-        lines.append(f"  f -> n{u};")
-        lines.append("}")
-        return "\n".join(lines)

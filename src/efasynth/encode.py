@@ -283,10 +283,7 @@ class Encoding:
             size = domain_size(var.domain)
             width = max(1, (size - 1).bit_length())
             lo = var.domain.lo if isinstance(var.domain, IntDomain) else 0
-            levels = [
-                self.manager.add_pair(f"{var.name}.{bit}")[0]
-                for bit in range(width)
-            ]
+            levels = [self.manager.add_pair()[0] for _ in range(width)]
             sym = SymVar(var, width, lo, levels)
             self.symvars.append(sym)
             self.by_name[var.name] = sym

@@ -146,7 +146,7 @@ def test_same_event_relation_merge():
     # that leave x = 3, 4 disabled (x <= 2, x >= 5).
     p = enc.domain_predicate()
     # y even and z odd, so every branch's assignment decides membership
-    target = (p & mgr.nvar(enc.by_name["y"].levels[0])
+    target = (p & ~mgr.var(enc.by_name["y"].levels[0])
               & mgr.var(enc.by_name["z"].levels[0]))
     for b1, b2 in ((e1, e2), gapped_example_edges(enc)):
         (merged,) = relations(enc, [("e", True)], [b1, b2], per_event=True)
@@ -469,7 +469,7 @@ def test_synthesis_invariant_suite(models_dir):
             if (table >> i) & 1:
                 cube = mgr.true
                 for j, lvl in enumerate(levels):
-                    cube = cube & (mgr.var(lvl) if (i >> j) & 1 else mgr.nvar(lvl))
+                    cube = cube & (mgr.var(lvl) if (i >> j) & 1 else ~mgr.var(lvl))
                 rebuilt = rebuilt | cube
         assert rebuilt == f and rebuilt.node is f.node  # canonicity
         assert ~(~f | ~g) == f & g

@@ -5,7 +5,13 @@ explicit truth tables, so the suite stays independent of the structures it
 verifies.
 """
 
+import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +24,7 @@ from efasynth.bdd import BddError, BddManager
 def fresh(num_pairs=4):
     mgr = BddManager()
     for i in range(num_pairs):
-        mgr.add_pair(f"x{i}")
+        mgr.add_pair()
     return mgr
 
 
@@ -26,7 +32,7 @@ def minterm(mgr, levels, index):
     f = mgr.true
     for j, level in enumerate(levels):
         bit = (index >> j) & 1
-        f = f & (mgr.var(level) if bit else mgr.nvar(level))
+        f = f & (mgr.var(level) if bit else ~mgr.var(level))
     return f
 
 
@@ -137,8 +143,9 @@ def test_terminal_answers_are_the_kernels_and_cost_nothing(op):
 def test_a_negated_operand_still_counts_its_not():
     mgr = fresh(1)
     x = mgr.var(0)
-    assert (x ^ mgr.true) == mgr.nvar(0)
-    assert mgr.apply("imp", x, mgr.false) == mgr.nvar(0)
+    nx = x ^ mgr.true
+    assert [mgr.evaluate(nx, {0: bit}) for bit in (0, 1)] == [True, False]
+    assert mgr.apply("imp", x, mgr.false) == nx
     assert mgr.op_counts()["not"] == 1  # the second negation is a hit
 
 
@@ -333,7 +340,7 @@ def test_cofactors_read_exists_of_the_cube_off_the_diagram():
         for code in range(1 << len(fixed)):
             cube = mgr.true
             for i, l in enumerate(fixed):
-                cube = cube & (mgr.var(l) if code >> i & 1 else mgr.nvar(l))
+                cube = cube & (mgr.var(l) if code >> i & 1 else ~mgr.var(l))
             want = mgr.exists(f & cube, fixed)
             if want.is_false:
                 assert code not in group_of
@@ -580,11 +587,11 @@ def test_explicit_assigned_levels_recover_vacuous_bits():
     # x=0 -> x'=0.  Their union no longer mentions x' at all, so with the
     # default support-derived quantification the bit would read as framed.
     mgr = fresh(2)
-    b1 = mgr.nvar(0) & mgr.var(1)
-    b2 = mgr.nvar(0) & mgr.nvar(1)
+    b1 = ~mgr.var(0) & mgr.var(1)
+    b2 = ~mgr.var(0) & ~mgr.var(1)
     union = b1 | b2
     assert 1 not in mgr.support(union)
-    p = mgr.nvar(0)
+    p = ~mgr.var(0)
     want = mgr.relnext(p, b1) | mgr.relnext(p, b2)
     assert mgr.relnext(p, union, assigned=[1]) == want
     assert mgr.relnext(p, union) == p  # support-derived: reads as a frame
@@ -659,8 +666,8 @@ def test_saturation_matches_a_round_robin_fixed_point(seed):
 
 def test_saturation_of_nothing():
     mgr = fresh(3)
-    t = mgr.nvar(2) & mgr.var(3)  # x1 := true once x1 is false
-    p, c = mgr.nvar(2) & mgr.var(0), mgr.nvar(4)
+    t = ~mgr.var(2) & mgr.var(3)  # x1 := true once x1 is false
+    p, c = ~mgr.var(2) & mgr.var(0), ~mgr.var(4)
     assert mgr.saturate(mgr.false, [(t, None)], c) == mgr.false
     assert mgr.saturate(p, [], c) == p & c
     assert mgr.saturate(p, [(mgr.true, None), (mgr.false, [5])]) == p
@@ -728,7 +735,7 @@ def truth_table(mgr, f, levels):
 def test_operations_on_the_last_pairs_of_a_wide_manager(seed):
     small, wide = fresh(3), fresh(WIDE_PAIRS)
     base = 2 * (WIDE_PAIRS - 3)
-    assert wide.num_vars >= 3000
+    assert 2 * WIDE_PAIRS >= 3000
 
     def build(levels, mask):
         """The same function on both managers, shifted by ``base`` on the
@@ -817,7 +824,7 @@ def test_shared_roots_release_every_count():
     mgr = fresh()
     shared = mgr.var(2) & mgr.var(4)
     f = mgr.var(0) & shared
-    g = (mgr.nvar(0) | mgr.var(6)) & shared
+    g = (~mgr.var(0) | mgr.var(6)) & shared
     mgr.register_root(f)
     mgr.register_root(g)
     assert mgr.live_nodes == len(set(mgr._nodes(f.node) + mgr._nodes(g.node)))
@@ -845,7 +852,7 @@ def test_peak_counts_temporaries():
     assert (mgr.live_nodes, mgr.peak_nodes) == (0, 4)
 
 
-def test_a_step_that_adds_nothing_makes_no_probe():
+def test_a_step_that_adds_nothing_makes_no_probe(monkeypatch):
     # acc is the parity of 12 bits, two nodes on every level but the
     # first; t keeps the last bit at 1, so the preimage of acc is acc & x11
     # and every split of the accumulating step comes back unchanged
@@ -858,14 +865,14 @@ def test_a_step_that_adds_nothing_makes_no_probe():
     nodes = set(mgr._nodes(acc.node))
     assert len(nodes) == 23
     built = []
-    node = mgr._node
+    node = BddManager._node
 
-    def recording_node(var, low, high):
-        u = node(var, low, high)
+    def recording_node(self, var, low, high):
+        u = node(self, var, low, high)
         built.append(u)
         return u
 
-    mgr._node = recording_node
+    monkeypatch.setattr(BddManager, "_node", recording_node)
     assert mgr.relprev(acc, t, into=acc).node == acc.node
     assert not nodes & set(built)
     # an accumulator nothing holds still counts as the step's temporaries
@@ -890,19 +897,29 @@ def reachable(mgr, nodes):
     return len(seen)
 
 
-def random_step(mgr, rng, pool, roots):
-    """Exactly one public operation on random operands from ``pool``.
+# The level pairs of the manager random_step runs on.
+STEP_PAIRS = 3
+
+
+def random_step(mgr, rng, pool, roots, between=lambda: None):
+    """One public operation on random operands from ``pool``; a negated
+    literal takes two, ``var`` and then ``negate``, with ``between()``
+    called after the first.
 
     When ``roots`` holds a non-constant state set, a relational product
     takes one as both its source set and ``into`` half the time, with a
     non-constant relation and a non-empty constraint: the shape of a
     fixed-point step, whose unchanged splits return the accumulator."""
-    even = [l for l in range(mgr.num_vars) if l % 2 == 0]
+    levels = 2 * STEP_PAIRS
+    even = list(range(0, levels, 2))
     f, g, h = (rng.choice(pool) for _ in range(3))
     kind = rng.randrange(9)
     if kind == 0:
-        level = rng.randrange(mgr.num_vars)
-        return mgr.var(level) if rng.random() < 0.5 else mgr.nvar(level)
+        literal = mgr.var(rng.randrange(levels))
+        if rng.random() < 0.5:
+            return literal
+        between()
+        return ~literal
     if kind == 1:
         op = rng.choice(["and", "or", "xor", "diff", "imp", "biimp"])
         return mgr.apply(op, f, g)
@@ -911,7 +928,7 @@ def random_step(mgr, rng, pool, roots):
     if kind == 3:
         return mgr.ite(f, g, h)
     if kind == 4:
-        return mgr.exists(f, rng.sample(range(mgr.num_vars), 2))
+        return mgr.exists(f, rng.sample(range(levels), 2))
     if kind == 5:
         if any(l % 2 for l in mgr.support(f)):
             return f
@@ -933,22 +950,22 @@ def random_step(mgr, rng, pool, roots):
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_live_and_peak_match_reference_walk(seed):
+def test_live_and_peak_match_reference_walk(seed, monkeypatch):
     # live: the nodes under the registered roots once an operation is over.
     # peak: the high-water mark of the nodes under the roots and under the
     # nodes the operation in flight built, which only grow until it ends.
     rng = random.Random(seed)
-    mgr = fresh(3)
+    mgr = fresh(STEP_PAIRS)
     built = []
-    node = mgr._node
+    node = BddManager._node
 
-    def recording_node(var, low, high):
-        u = node(var, low, high)
+    def recording_node(self, var, low, high):
+        u = node(self, var, low, high)
         if low != high:
             built.append(u)
         return u
 
-    mgr._node = recording_node
+    monkeypatch.setattr(BddManager, "_node", recording_node)
     pool = [mgr.true, mgr.false]
     roots = []
     peak = 0
@@ -962,7 +979,7 @@ def test_live_and_peak_match_reference_walk(seed):
         assert mgr.peak_nodes == peak
 
     for _ in range(80):
-        pool.append(random_step(mgr, rng, pool, roots))
+        pool.append(random_step(mgr, rng, pool, roots, check))
         check()
         if rng.random() < 0.4:
             roots.append(mgr.register_root(rng.choice(pool)))
@@ -1009,11 +1026,11 @@ def test_an_operation_that_raises_still_releases_its_temporaries(
     f, g = mgr.var(0), mgr.var(2)
     made = mgr.allocated_nodes
 
-    def broken(code, u, v):
-        mgr._node(0, 0, mgr._node(2, 0, mgr._node(4, 0, 1)))
+    def broken(self, code, u, v):
+        self._node(0, 0, self._node(2, 0, self._node(4, 0, 1)))
         raise RuntimeError("kernel failed")
 
-    monkeypatch.setattr(mgr, "_apply", broken)
+    monkeypatch.setattr(BddManager, "_apply", broken)
     with pytest.raises(RuntimeError):
         mgr.apply("and", f, g)
     monkeypatch.undo()
@@ -1131,10 +1148,64 @@ def test_assigned_levels_are_interned_and_covered_on_every_call():
     assert mgr._assigned_masks == {(1,): 0b10}
 
 
-def test_the_manager_keeps_within_the_attribute_count_cpython_specializes():
-    # CPython 3.11 stops specializing instance attribute access past 29
-    # attributes, which slows every kernel's self._x lookups.
-    assert len(vars(BddManager())) <= 29
+def test_the_manager_keeps_its_state_in_slots():
+    # The weak reference is how a test sees a dropped manager freed.
+    mgr = BddManager()
+    assert not hasattr(mgr, "__dict__")
+    assert weakref.ref(mgr)() is mgr
+
+
+# Run in a subprocess, so that only one manager type warms the shared code
+# of _node: a load that sees two types is not specialized for either.
+_SLOT_LOADS = """
+import dis, json
+from efasynth import bdd
+from efasynth.bdd import BddManager
+
+class Wider(BddManager):
+    __slots__ = tuple(f"_extra{i}" for i in range(8))
+
+mgr = Wider()
+for _ in range(8):
+    mgr.add_pair()
+bdd._COLLECT_RATIO = bdd._COLLECT_FLOOR = 0
+for shift in range(3):  # each collection sends the next round to the free list
+    acc = mgr.false
+    for i in range(200):
+        cube = mgr.true
+        for level in range(0, 16, 2):
+            lit = mgr.var(level)
+            cube = cube & (lit if (i + shift) >> (level // 2) & 1 else ~lit)
+        acc = acc | cube
+    mgr.safe_point()
+code = list(dis.get_instructions(BddManager._node, adaptive=True))
+print(json.dumps([
+    [b.opname, b.argval] for a, b in zip(code, code[1:])
+    if a.opname == "LOAD_FAST" and a.argval == "self"
+    and b.opname.startswith("LOAD_ATTR")
+    or b.opname.startswith("STORE_ATTR")
+]))
+"""
+
+
+@pytest.mark.skipif(
+    sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+    reason="reads CPython 3.11's specialized instructions",
+)
+def test_kernel_attribute_loads_stay_slot_loads_past_29_attributes():
+    # Instance dicts lose CPython 3.11's fast attribute loads past 29
+    # keys; slots keep them at any count, also with 8 more in a subclass.
+    # The warm-up runs every path of _node, the free-list one included.
+    src = pathlib.Path(bdd.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", _SLOT_LOADS], capture_output=True, text=True,
+        timeout=120, env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    accesses = json.loads(proc.stdout)
+    assert len(accesses) >= 14
+    assert not [a for a in accesses if a[0] == "LOAD_ATTR_WITH_HINT"]
+    assert [a for a in accesses if not a[0].endswith("_ATTR_SLOT")] == []
 
 
 @pytest.mark.parametrize("op", ["not", "ite", "nand"])
@@ -1286,10 +1357,3 @@ def test_noderef_has_no_truth_value():
     mgr = fresh()
     with pytest.raises(BddError):
         bool(mgr.var(0))
-
-
-def test_to_dot_mentions_levels():
-    mgr = fresh(2)
-    f = mgr.var(0) & ~mgr.var(2)
-    dot = mgr.to_dot(f)
-    assert "digraph" in dot and "x0" in dot and "x1" in dot

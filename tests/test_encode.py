@@ -6,7 +6,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from efasynth.bdd import BddManager
+from efasynth.bdd import BddError, BddManager
 from efasynth.encode import (
     Encoding, SymEdge, build_symbolic, bv_add, bv_const, bv_eq, bv_lt,
     bv_mod, bv_sub, compile_edges,
@@ -329,7 +329,11 @@ def test_variable_layout_of_producer_consumer(models_dir):
     assert widths == {
         "producer_lp": 3, "v": 1, "x": 3, "consumer_lp": 2, "y": 4,
     }
-    assert enc.manager.num_vars == 2 * (3 + 1 + 3 + 2 + 4)
+    # every bit takes a level pair, and no more levels are allocated
+    levels = 2 * (3 + 1 + 3 + 2 + 4)
+    enc.manager.var(levels - 1)
+    with pytest.raises(BddError, match="out of range"):
+        enc.manager.var(levels)
     # interleaved: each bit's next-state partner is directly below it
     assert enc.by_name["x"].levels == [8, 10, 12]
 
@@ -538,7 +542,7 @@ def test_merged_relation_preserves_images():
     point = mgr.true
     for name, value in (("x", 4), ("y", 1), ("z", 5)):
         for bit, lvl in enumerate(enc.by_name[name].levels):
-            lit = mgr.var(lvl) if value >> bit & 1 else mgr.nvar(lvl)
+            lit = mgr.var(lvl) if value >> bit & 1 else ~mgr.var(lvl)
             point = point & lit
     separate = mgr.relnext(point, g1 & u1) | mgr.relnext(point, g2 & u2)
     together = mgr.relnext(point, merged.rel, assigned=merged.levels)

@@ -21,7 +21,7 @@ def lin(spec):
 def point(mgr, assignment):
     p = mgr.true
     for lvl, val in assignment.items():
-        p = p & (mgr.var(lvl) if val else mgr.nvar(lvl))
+        p = p & (mgr.var(lvl) if val else ~mgr.var(lvl))
     return p
 
 

@@ -9,8 +9,13 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 import efasynth
+from efasynth.cli import main
 from efasynth.synthesis import SynthesisConfig
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def test_package_imports_only_the_standard_library():
@@ -263,3 +268,42 @@ def test_the_benchmark_workloads_match_their_ci_pins(models_dir):
             if pathlib.Path(where).parent == synthbench:
                 del sys.modules[name]
     assert got == pins
+
+
+def _run_python(args):
+    """Run ``python *args`` from the checkout root on this toolkit."""
+    src = pathlib.Path(efasynth.__file__).resolve().parent.parent
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=300,
+        cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+
+
+def test_the_readme_library_snippet_writes_what_synth_run_writes(tmp_path):
+    # The snippet emits from the plantified specification, as ``synth
+    # run`` does; from the raw one it would keep the requirement automaton
+    # and drop the supervisor invariants and self-loops.
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1]
+    snippet = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    proc = _run_python(["-c", snippet])
+    assert proc.returncode == 0, proc.stderr
+    states, text = proc.stdout.split("\n", 1)
+    out, stats = tmp_path / "agv_mutex.sup.efa", tmp_path / "stats.json"
+    assert main(["run", str(ROOT / "models" / "agv_mutex.efa"),
+                 "--out", str(out), "--stats-json", str(stats)]) == 0
+    assert int(states) == json.loads(stats.read_text())["controlled_states"]
+    assert text == out.read_text() + "\n"
+    assert "supervisor invariant" in text
+
+
+@pytest.mark.parametrize(
+    "script",
+    ["synthbench/selftest.py"]
+    + sorted(p.relative_to(ROOT).as_posix()
+             for p in (ROOT / "demos").glob("*.py")),
+)
+def test_the_benchmark_self_test_and_each_demo_exit_cleanly(script):
+    # The CI workflow runs these as steps of their own.
+    proc = _run_python([script])
+    assert proc.returncode == 0, proc.stdout + proc.stderr
