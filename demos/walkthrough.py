@@ -32,7 +32,8 @@ def main():
           f"  locations: {stats.lp + stats.lr}  edges: {stats.ep + stats.er}")
     print(f"events: {stats.sigma_c} controllable, {stats.sigma_u} uncontrollable")
 
-    model, diags = linearize(plantify(spec))
+    plant = plantify(spec)
+    model, diags = linearize(plant)
     assert not diags
     print(f"\nlinearized: {len(model.variables)} variables,"
           f" {len(model.edges)} self-loop edges")
@@ -47,7 +48,7 @@ def main():
         print("empty supervisor")
         return 2
 
-    controlled = emit(spec, result)
+    controlled = emit(plant, result)
     print("\n-- controlled system model --")
     print(unparse(controlled))
     return 0

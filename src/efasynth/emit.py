@@ -156,6 +156,11 @@ def emit(
 
     automata = []
     for aut in spec.automata:
+        if aut.kind == "requirement":
+            raise ValueError(
+                f"requirement automaton '{aut.name}' is not plantified:"
+                " emit from plantify(spec), the specification synthesized"
+            )
         if aut.plantified:
             automata.append(dataclasses.replace(aut, kind="supervisor"))
         else:

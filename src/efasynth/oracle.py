@@ -203,25 +203,12 @@ class ExplicitOracle:
     def _backward(
         self, start: set[int], edges: list[_Edge], within: set[int] | None
     ) -> set[int]:
-        if within is not None:
-            start = start & within
         pre: dict[int, list[int]] = {}
         for edge in edges:
             for src, dsts in edge.allowed.items():
                 for dst in dsts:
                     pre.setdefault(dst, []).append(src)
-        reach = set(start)
-        frontier = list(start)
-        while frontier:
-            nxt = []
-            for state in frontier:
-                for src in pre.get(state, ()):
-                    if src in reach or (within is not None and src not in within):
-                        continue
-                    reach.add(src)
-                    nxt.append(src)
-            frontier = nxt
-        return reach
+        return self._forward(start, lambda s: pre.get(s, ()), within)
 
     def _forward(
         self, start: set[int], succ_of, within: set[int] | None

@@ -549,10 +549,10 @@ def test_range_errors_are_checked_after_collections(models_dir, monkeypatch):
 # 9. repeated runs are bit-identical
 
 
-def test_runs_are_deterministic(models_dir):
-    for name in ("producer_consumer.efa", "dining_philosophers.efa"):
-        spec = parse_file(models_dir / name)
-        model = lin(spec)
+def test_runs_are_deterministic(model_suite):
+    for name, text in model_suite.items():
+        plant = plantify(parse_spec(text))
+        model, _ = linearize(plant)
         for preset in ("v08", "v40"):
             first, second = (
                 synthesize(model, SynthesisConfig.preset(preset)) for _ in range(2)
@@ -561,9 +561,9 @@ def test_runs_are_deterministic(models_dir):
             # is not a counter
             times = [r.metrics.pop("count_s") for r in (first, second)]
             assert all(t >= 0 for t in times)
-            assert first.metrics == second.metrics
+            assert first.metrics == second.metrics, (name, preset)
             if first.nonempty:
-                assert unparse(emit(spec, first)) == unparse(emit(spec, second))
+                assert unparse(emit(plant, first)) == unparse(emit(plant, second))
 
 
 # ----------------------------------------------------------------------

@@ -478,6 +478,15 @@ requirement invariant x <= 2;
         emit(plant, result)
 
 
+def test_emit_refuses_a_requirement_automaton():
+    # From the raw specification the emitted model would keep the
+    # requirement and drop the invariants and self-loops plantify adds.
+    plant, model, result = pipeline(REQ_AUTOMATON)
+    with pytest.raises(ValueError, match="requirement automaton 'limiter'"):
+        emit(parse_spec(REQ_AUTOMATON), result)
+    assert "limiter" in unparse(emit(plant, result))
+
+
 def test_supervisor_name_avoids_collision():
     text = UNRESTRICTED.replace("plant counter", "plant sup")
     plant, model, result = pipeline(text)

@@ -5,6 +5,8 @@ synthesized with both presets; the counts below were derived once with
 the oracle and act as regression pins.
 """
 
+import itertools
+
 import pytest
 
 from efasynth.model import validate
@@ -57,10 +59,18 @@ def test_oracle_counts(linearized, name):
 @pytest.mark.parametrize("name", sorted(COUNTS))
 @pytest.mark.parametrize("preset", ["v08", "v40"])
 def test_presets_match_oracle(linearized, name, preset):
+    # The forward stage changes the behavior the controlled count stays
+    # inside, and the plant-invariant modes leave different guards for the
+    # count's relations; neither may change a count.
     _, us, cs = COUNTS[name]
-    result = synthesize(linearized(name), SynthesisConfig.preset(preset))
-    assert result.metrics["uncontrolled_states"] == us
-    assert result.metrics["controlled_states"] == cs
+    for forward, plant_inv in itertools.product(
+        (False, True), ("implication", "restrict")
+    ):
+        config = SynthesisConfig.preset(preset)
+        config.forward, config.plant_inv = forward, plant_inv
+        metrics = synthesize(linearized(name), config).metrics
+        counts = metrics["uncontrolled_states"], metrics["controlled_states"]
+        assert counts == (us, cs), config
 
 
 def test_sensor_model_needs_no_state_removal(linearized):

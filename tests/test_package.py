@@ -1,7 +1,6 @@
 """Properties of the package as a whole."""
 
 import ast
-import importlib.util
 import json
 import os
 import pathlib
@@ -13,9 +12,10 @@ import pytest
 
 import efasynth
 from efasynth.cli import main
-from efasynth.synthesis import SynthesisConfig
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+# The directory this toolkit is imported from, for subprocesses
+SRC = pathlib.Path(efasynth.__file__).resolve().parent.parent
 
 
 def test_package_imports_only_the_standard_library():
@@ -216,13 +216,12 @@ def test_the_benchmark_trace_mode_leaves_results_unchanged(models_dir):
     # FixedPointEngine.reach by name and signature; a renamed method or
     # a changed signature breaks it here rather than in a benchmark run.
     root = models_dir.parent
-    src = pathlib.Path(efasynth.__file__).resolve().parent.parent
     proc = subprocess.run(
         [sys.executable, "-c", _TRACED_RUN,
          str(models_dir / "producer_consumer.efa"),
          str(root / "synthbench" / "spans.py")],
         capture_output=True, text=True, timeout=300,
-        env=dict(os.environ, PYTHONPATH=str(src)),
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
@@ -231,52 +230,122 @@ def test_the_benchmark_trace_mode_leaves_results_unchanged(models_dir):
     assert report["calls"]["bdd.relprev"] > 0
 
 
-def test_the_benchmark_workloads_match_their_ci_pins(models_dir):
-    # The CI workflow pins each workload's summed operations, peak nodes,
-    # emitted bytes and allocated nodes in one table; one round of every
-    # workload, run through the benchmark's own functions, must match it.
-    root = models_dir.parent
-    workflow = (root / ".github" / "workflows" / "tests.yml").read_text()
-    table = re.search(r"declare -A counters=\((.*?)\)", workflow, re.S)
-    pins = {name: [int(x) for x in values.split()]
-            for name, values in re.findall(r'\[(\w+)\]="([^"]*)"',
-                                           table.group(1))}
-    synthbench = root / "synthbench"
-    path, modules = sys.path[:], set(sys.modules)
-    try:
-        spec = importlib.util.spec_from_file_location(
-            "synthbench_run", synthbench / "run.py")
-        run = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(run)
-        got = {}
-        for name, workload in run.WORKLOADS.items():
-            config = SynthesisConfig.preset(workload.preset)
-            records = [run.synthesize_and_emit(p, config)
-                       for p in run.prepare(workload, run.tag_for(1))]
-            got[name] = [
-                sum(r.metrics["operations"] for r in records),
-                sum(r.metrics["peak_nodes"] for r in records),
-                sum(len(r.text.encode()) for r in records),
-                sum(r.allocated for r in records),
-            ]
-    finally:
-        # run.py puts synthbench/ on the path and imports its helpers as
-        # top-level modules
-        sys.path[:] = path
-        for name in set(sys.modules) - modules:
-            where = getattr(sys.modules[name], "__file__", None) or ""
-            if pathlib.Path(where).parent == synthbench:
-                del sys.modules[name]
-    assert got == pins
+# Each workload's bdd_ops, peak_nodes and sup_bytes from a ``--trace 0``
+# run, and bdd.alloc_nodes from a ``--trace 1`` run, the same for every
+# seed: a kernel change that moves a counter, or skips or adds an
+# allocation, on the generated families fails here, not only in the golden
+# rows of the shipped models.
+WORKLOAD_PINS = {
+    "philo": [293801, 6137, 81231, 77774],
+    "chain": [1494, 1196, 39546, 1794],
+    "tank": [35124, 4126, 6527, 19251],
+}
+
+
+def test_the_benchmark_workloads_match_their_ci_pins(tmp_path):
+    # One short run of each workload in BENCHMARK.json per trace mode, as
+    # the benchmark runs it; a workload with no pin row fails.  Trace runs
+    # write .synthbench/ under the working directory, so the runs start in
+    # a temporary one whose src links to this toolkit.
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in benchmark["workloads"]]
+    assert sorted(workloads) == sorted(WORKLOAD_PINS)
+    (tmp_path / "src").symlink_to(SRC, target_is_directory=True)
+    runs = {
+        (name, trace): subprocess.Popen(
+            [sys.executable, str(ROOT / "synthbench" / "run.py"),
+             "--workload", name, "--seed", "1", "--seconds", "1",
+             "--trace", str(trace)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            cwd=tmp_path,
+        )
+        for name in workloads for trace in (0, 1)
+    }
+    reports = {}
+    for (name, trace), proc in runs.items():
+        out, err = proc.communicate(timeout=600)
+        assert proc.returncode == 0, err
+        report = json.loads(out.splitlines()[-1])
+        assert report["correct"] is True, (name, trace, err)
+        assert report["failed"] == 0, (name, trace)
+        reports[name, trace] = report["metrics"]
+    got = {
+        name: [reports[name, 0][k]["value"]
+               for k in ("bdd_ops", "peak_nodes", "sup_bytes")]
+        + [reports[name, 1]["bdd.alloc_nodes"]["value"]]
+        for name in workloads
+    }
+    assert got == WORKLOAD_PINS
+
+
+# Run under each hash seed: every model of the suite, under both presets,
+# through the command line's own entry point.
+_HASH_SEED_RUNS = """
+import pathlib, sys
+from efasynth.cli import main
+
+out = pathlib.Path(sys.argv[1])
+for model in sys.argv[2:]:
+    for config in ("v08", "v40"):
+        stem = out / f"{pathlib.Path(model).stem}-{config}"
+        code = main(["run", model, "--config", config,
+                     "--out", f"{stem}.sup.efa", "--stats-json", f"{stem}.json"])
+        if code:
+            sys.exit(f"{model} {config}: exit {code}")
+"""
+
+
+def test_runs_are_identical_across_hash_seeds(model_suite, tmp_path):
+    # String hashes, and with them set and dict orders, change with
+    # PYTHONHASHSEED; no counter and no emitted byte may follow them.
+    models = tmp_path / "models"
+    models.mkdir()
+    for name, text in model_suite.items():
+        (models / f"{name}.efa").write_text(text)
+    paths = sorted(str(p) for p in models.iterdir())
+    runs = []
+    for seed in ("0", "1"):
+        (tmp_path / seed).mkdir()
+        runs.append(subprocess.Popen(
+            [sys.executable, "-c", _HASH_SEED_RUNS, str(tmp_path / seed),
+             *paths],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=seed),
+        ))
+    for proc in runs:
+        _, err = proc.communicate(timeout=600)
+        assert proc.returncode == 0, err
+
+    def outputs(seed):
+        out = {}
+        for path in (tmp_path / seed).iterdir():
+            if path.suffix == ".json":
+                stats = json.loads(path.read_text())
+                del stats["wall_time_s"], stats["count_s"]
+                out[path.name] = stats
+            else:
+                out[path.name] = path.read_bytes()
+        return out
+
+    first = outputs("0")
+    assert len(first) == 2 * 2 * len(model_suite)
+    assert outputs("1") == first
 
 
 def _run_python(args):
     """Run ``python *args`` from the checkout root on this toolkit."""
-    src = pathlib.Path(efasynth.__file__).resolve().parent.parent
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, timeout=300,
-        cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(src)),
+        cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(SRC)),
     )
+
+
+def _synth_run(tmp_path, model):
+    """The controlled state count and emitted text of ``synth run``."""
+    out, stats = tmp_path / "out.sup.efa", tmp_path / "stats.json"
+    assert main(["run", str(ROOT / "models" / model),
+                 "--out", str(out), "--stats-json", str(stats)]) == 0
+    return json.loads(stats.read_text())["controlled_states"], out.read_text()
 
 
 def test_the_readme_library_snippet_writes_what_synth_run_writes(tmp_path):
@@ -289,11 +358,17 @@ def test_the_readme_library_snippet_writes_what_synth_run_writes(tmp_path):
     proc = _run_python(["-c", snippet])
     assert proc.returncode == 0, proc.stderr
     states, text = proc.stdout.split("\n", 1)
-    out, stats = tmp_path / "agv_mutex.sup.efa", tmp_path / "stats.json"
-    assert main(["run", str(ROOT / "models" / "agv_mutex.efa"),
-                 "--out", str(out), "--stats-json", str(stats)]) == 0
-    assert int(states) == json.loads(stats.read_text())["controlled_states"]
-    assert text == out.read_text() + "\n"
+    want_states, want_text = _synth_run(tmp_path, "agv_mutex.efa")
+    assert int(states) == want_states
+    assert text == want_text + "\n"
+    assert "supervisor invariant" in text
+
+
+def test_the_walkthrough_demo_prints_what_synth_run_writes(tmp_path):
+    proc = _run_python(["demos/walkthrough.py", "models/agv_mutex.efa"])
+    assert proc.returncode == 0, proc.stderr
+    text = proc.stdout.split("-- controlled system model --\n", 1)[1]
+    assert text == _synth_run(tmp_path, "agv_mutex.efa")[1] + "\n"
     assert "supervisor invariant" in text
 
 
@@ -304,6 +379,5 @@ def test_the_readme_library_snippet_writes_what_synth_run_writes(tmp_path):
              for p in (ROOT / "demos").glob("*.py")),
 )
 def test_the_benchmark_self_test_and_each_demo_exit_cleanly(script):
-    # The CI workflow runs these as steps of their own.
     proc = _run_python([script])
     assert proc.returncode == 0, proc.stdout + proc.stderr
